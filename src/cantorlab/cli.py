@@ -74,7 +74,8 @@ def _cmd_expand(args) -> int:
     for n in args.n:
         e = expand(base, n)
         back = compress(base, e.digits)
-        assert back == n
+        if back != n:
+            raise CantorLabError(f"round trip failed: {n} compressed back to {back}")
         print(f"{n} -> digits {list(e.digits)} (level count {len(e.digits)}, "
               f"top level {e.length})")
     return 0

@@ -56,16 +56,33 @@ class GridCDF:
     def support(self) -> tuple[float, float]:
         return self.x0, self.x0 + self.w * (self.cum.size - 1)
 
+    def _lookup(self, x, strict: bool):
+        """cum at the last knot x0 + k w that is <= x (< x when strict), else 0.
+
+        (x - x0) / w can round across an integer when the pitch is not
+        dyadic, so it only picks the nearest knot m; the float knot
+        x0 + m w itself decides whether the answer is m or m - 1.
+        """
+        x = np.asarray(x, dtype=float)
+        m = np.array(x, ndmin=1)
+        m -= self.x0
+        m /= self.w
+        np.rint(m, out=m)
+        np.clip(m, -1.0, self.cum.size, out=m)
+        knot = m * self.w
+        knot += self.x0
+        k = m.astype(np.int64)
+        k -= (knot >= x) if strict else (knot > x)
+        below = k < 0
+        out = self.cum.take(k, mode="clip", out=knot)
+        out[below] = 0.0
+        return out.reshape(x.shape)
+
     def cdf(self, x):
-        k = np.floor((np.asarray(x, dtype=float) - self.x0) / self.w).astype(np.int64)
-        k = np.minimum(k, self.cum.size - 1)
-        return np.where(k < 0, 0.0, self.cum[np.maximum(k, 0)])
+        return self._lookup(x, strict=False)
 
     def cdf_left(self, x):
-        kf = (np.asarray(x, dtype=float) - self.x0) / self.w
-        k = np.ceil(kf).astype(np.int64) - 1
-        k = np.minimum(k, self.cum.size - 1)
-        return np.where(k < 0, 0.0, self.cum[np.maximum(k, 0)])
+        return self._lookup(x, strict=True)
 
     def window_sup(self, r: float) -> float:
         """max mass of a closed window of width r (knot-anchored, exact)."""
@@ -227,10 +244,28 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
 
 
 def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
-    """phi_j(t) = mean over digits d of exp(i t f(d q_j))."""
-    vals = np.asarray(level_values(dmap, base, j), dtype=float)
+    """phi_j(t) = mean over digits d of exp(i t f(d q_j)).
+
+    Summed as cos/sin pairs in real arithmetic; a zero digit value adds
+    exactly 1 to the real part and needs no trigonometry.
+    """
+    vals = level_values(dmap, base, j)
     tt = np.asarray(t, dtype=float)
-    return np.exp(1j * np.multiply.outer(tt, vals)).mean(axis=-1)
+    re = np.zeros(tt.shape)
+    im = np.zeros(tt.shape)
+    ang = np.empty(tt.shape)
+    trig = np.empty(tt.shape)
+    for v in vals:
+        if v == 0.0:
+            re += 1.0
+            continue
+        np.multiply(tt, v, out=ang)
+        re += np.cos(ang, out=trig)
+        im += np.sin(ang, out=trig)
+    out = np.empty(tt.shape, dtype=complex)
+    out.real = re / len(vals)
+    out.imag = im / len(vals)
+    return out
 
 
 def cf_truncation_bound(dmap: DigitMap, base: CantorBase, depth: int, t_abs: float) -> float:
@@ -315,14 +350,21 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
 
     # phi(t)/t on the open grid; the t -> 0 limit of Im(e^{-itx} phi)/t is mu - x
     phi_over_t = phi / ts[1:]
+    re_pt = np.ascontiguousarray(phi_over_t.real)
+    im_pt = np.ascontiguousarray(phi_over_t.imag)
     h = t_max / n_t
     vals = np.empty(xs.size)
     vals_half = np.empty(xs.size)
     chunk = max(1, (1 << 22) // (n_t + 1))
     for lo in range(0, xs.size, chunk):
         xc = xs[lo:lo + chunk]
-        ker = np.exp(-1j * np.multiply.outer(xc, ts[1:]))       # (nx, n_t)
-        integrand = (ker * phi_over_t).imag
+        # Im(e^{-itx} phi/t) = cos(tx) Im(phi/t) - sin(tx) Re(phi/t), in place
+        ang = np.multiply.outer(xc, ts[1:])                     # (nx, n_t)
+        integrand = np.cos(ang)
+        integrand *= im_pt
+        np.sin(ang, out=ang)
+        ang *= re_pt
+        integrand -= ang
         g0 = mu - xc
         # trapezoid over nodes 0..n_t, then the same on every other node
         full = h * (0.5 * g0 + integrand[:, :-1].sum(axis=1) + 0.5 * integrand[:, -1])

@@ -108,6 +108,12 @@ class CantorBase:
         return hash(repr(self._descriptor))
 
 
+def _sizes_ok(sizes) -> bool:
+    """True for a nonempty list of integer digit sizes >= 2."""
+    return (isinstance(sizes, (list, tuple)) and len(sizes) > 0
+            and all(isinstance(a, int) and a >= 2 for a in sizes))
+
+
 def _validate_rule(rule: dict) -> dict:
     if not isinstance(rule, dict) or "kind" not in rule:
         raise InvalidBase(f"rule descriptor must be a dict with a 'kind', got {rule!r}")
@@ -121,7 +127,7 @@ def _validate_rule(rule: dict) -> dict:
         return {"kind": "constant", "q": q}
     if kind == "periodic":
         pattern = rule.get("pattern")
-        if not pattern or not all(isinstance(a, int) and a >= 2 for a in pattern):
+        if not _sizes_ok(pattern):
             raise InvalidBase(f"periodic base needs a nonempty pattern of ints >= 2, got {pattern!r}")
         return {"kind": "periodic", "pattern": list(pattern)}
     if kind == "affine":
@@ -132,7 +138,7 @@ def _validate_rule(rule: dict) -> dict:
     # table: finite prefix plus mandatory non-table continuation
     table = rule.get("table")
     then = rule.get("then")
-    if not table or not all(isinstance(a, int) and a >= 2 for a in table):
+    if not _sizes_ok(table):
         raise InvalidBase(f"table base needs a nonempty table of ints >= 2, got {table!r}")
     if not isinstance(then, dict) or then.get("kind") == "table":
         raise InvalidBase("table base needs a constant/periodic/affine continuation rule under 'then'")

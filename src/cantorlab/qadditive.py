@@ -20,6 +20,7 @@ bounds so that Erdos-Wintner style diagnostics are analytic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -165,38 +166,48 @@ def _validate_map(d: dict) -> dict:
         raise ValueError(f"unknown digit map family {fam!r}")
     out = {"family": fam}
     if fam == "polynomial":
-        alpha = d.get("alpha")
-        if not isinstance(alpha, (int, float)) or not alpha > 0:
+        alpha = _real(d.get("alpha"), "polynomial alpha")
+        if not alpha > 0:
             raise ValueError(f"polynomial family needs alpha > 0, got {alpha!r}")
-        out["alpha"] = float(alpha)
-        out["g"] = _validate_g(d.get("g"))
+        out["alpha"] = alpha
+        out["g"] = _real_row(d.get("g"), "digit table g")
     elif fam == "geometric":
-        beta = d.get("beta")
-        if not isinstance(beta, (int, float)) or not 0 < beta:
+        beta = _real(d.get("beta"), "geometric beta")
+        if not 0 < beta:
             raise ValueError(f"geometric family needs beta > 0, got {beta!r}")
-        out["beta"] = float(beta)
-        out["g"] = _validate_g(d.get("g"))
+        out["beta"] = beta
+        out["g"] = _real_row(d.get("g"), "digit table g")
     elif fam == "custom-table":
         values = d.get("values")
-        if not values or not all(len(r) >= 2 for r in values):
-            raise ValueError("custom-table needs nonempty value rows of width >= 2")
-        out["values"] = [[float(v) for v in r] for r in values]
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"custom-table needs nonempty value rows, got {values!r}")
+        out["values"] = [_real_row(r, "custom-table row") for r in values]
         if "tail" in d and d["tail"] is not None:
             out["tail"] = _validate_tail(d["tail"])
     return out
 
 
-def _validate_g(g) -> list[float]:
-    if not g or len(g) < 2:
-        raise ValueError(f"digit table g needs at least two entries, got {g!r}")
-    return [float(v) for v in g]
+def _real(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} {v!r} is out of float range") from None
+
+
+def _real_row(row, what: str) -> list[float]:
+    """A list of at least two numbers (one per digit)."""
+    if not isinstance(row, (list, tuple)) or len(row) < 2:
+        raise ValueError(f"{what} needs a list of at least two numbers, got {row!r}")
+    return [_real(v, what) for v in row]
 
 
 def _validate_tail(t: dict) -> dict:
     keys = ("mean_coeff", "mean_ratio", "var_coeff", "var_ratio")
-    if set(t) != set(keys):
+    if not isinstance(t, dict) or set(t) != set(keys):
         raise ValueError(f"tail envelope needs exactly the fields {keys}")
-    out = {k: float(t[k]) for k in keys}
+    out = {k: _real(t[k], f"tail envelope {k}") for k in keys}
     for k in ("mean_ratio", "var_ratio"):
         if not 0.0 <= out[k] < 1.0:
             raise ValueError(f"tail envelope {k} must lie in [0, 1), got {out[k]}")

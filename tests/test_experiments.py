@@ -1,9 +1,14 @@
 """Experiment configs, presets, CSV output, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cantorlab
 from cantorlab import (
     CSV_COLUMNS,
     ConfigError,
@@ -208,6 +213,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     # bad reference spec
     assert main(["empirical", "--n", "64", "--ref", "gaussian:0:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--base", '{"kind": "table", "table": 5}', "5"],
+    ["expand", "--base", '{"kind": "periodic", "pattern": 7}', "5"],
+    ["eval", "3", "--map", '{"family": "polynomial", "alpha": 1.5, "g": 3}'],
+], ids=["table-not-a-list", "pattern-not-a-list", "polynomial-g-not-a-list"])
+def test_cli_malformed_descriptor_exits_2(argv):
+    # run as a real process: the exit code and stderr are what a shell sees
+    src = str(Path(cantorlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "cantorlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("ERROR ")
 
 
 def test_cli_experiment_conditional_exit(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantorlab import (
     DigitMap,
@@ -19,6 +21,7 @@ from cantorlab import (
     choose_depth,
     concentration,
     digit_stats,
+    level_values,
     limit_cdf_conv,
     limit_cdf_invert,
     value_vector,
@@ -44,6 +47,29 @@ def test_grid_cdf_semantics():
     assert g.cdf_left(2.1) == 0.7
     assert g.cdf_left(1.0) == 0.0
     assert g.support() == (1.0, 2.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=st.floats(-10.0, 10.0), w=st.floats(1e-6, 1.0), k=st.integers(0, 5000))
+@example(x0=0.1, w=1e-3, k=4999)             # pitches where flooring the quotient
+@example(x0=-1.6, w=1.0 / 3000.0, k=4999)    # alone misses 180 and 935 knots
+def test_grid_cdf_hits_every_knot(x0, w, k):
+    # non-dyadic pitches: the knots are the floats x0 + k w, whatever the
+    # quotient (x - x0) / w rounds to
+    cum = np.arange(1.0, k + 2.0)
+    g = GridCDF(x0=x0, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
+    ks = np.arange(k + 1)
+    knots = x0 + ks * w
+    assert np.array_equal(g.cdf(knots), cum)
+    assert np.array_equal(g.cdf_left(knots), np.concatenate(([0.0], cum[:-1])))
+    assert g.cdf(x0 + k * w) == cum[k]
+    assert g.cdf_left(x0 + k * w) == (cum[k - 1] if k else 0.0)
+    # strictly between two knots both sides read the lower knot
+    mid = x0 + (ks + 0.5) * w
+    assert np.array_equal(g.cdf(mid), cum)
+    assert np.array_equal(g.cdf_left(mid), cum)
+    assert g.cdf(np.nextafter(x0, -np.inf)) == 0.0
+    assert g.cdf_left(x0) == 0.0
 
 
 def test_grid_cdf_validation():
@@ -191,6 +217,48 @@ def test_cf_product_telescopes(base2, vdc2):
     assert bound <= cf_truncation_bound(vdc2, base2, J, 11.0) + 1e-18
 
 
+def _cf_factor_complex_exp(dmap, base, j, t):
+    # the complex-exponential form that cf_factor sums as cos/sin pairs
+    vals = np.asarray(level_values(dmap, base, j), dtype=float)
+    return np.exp(1j * np.multiply.outer(t, vals)).mean(axis=-1)
+
+
+def test_cf_factor_matches_complex_exp(base2, base3, factorial_base, vdc2, tern,
+                                       geo_half, skew):
+    rng = np.random.default_rng(5)
+    ts = np.concatenate((np.linspace(-2048.0, 2048.0, 4097),
+                         rng.uniform(-2048.0, 2048.0, 4096), [0.0, -0.0, 1e-9, -1e-9]))
+    assert np.any(ts == 0.0) and np.any(ts < 0.0)
+    b4 = build_base({"kind": "constant", "q": 4})
+    b5 = build_base({"kind": "constant", "q": 5})
+    table = DigitMap.custom_table([(0.0, -0.75, 1.3), (-2.5, 0.0, 0.1)])
+    cases = [(vdc2, base2), (vdc2, base3), (vdc2, b5), (vdc2, factorial_base),
+             (tern, base3), (geo_half, base2), (skew, b4), (table, base3)]
+    for dmap, base in cases:
+        for j in (0, 1, 2, 7, 30):
+            if dmap.depth is not None and j >= dmap.depth:
+                continue
+            got = cf_factor(dmap, base, j, ts)
+            want = _cf_factor_complex_exp(dmap, base, j, ts)
+            assert got.shape == ts.shape and got.dtype == complex
+            assert np.max(np.abs(got - want)) <= 1e-15, (dmap, base, j)
+            assert np.all(got[ts == 0.0] == 1.0)
+
+
+def test_cf_product_telescopes_at_benchmark_scale(base2, vdc2):
+    # the inversion grid of the benchmark: 2^16 cells up to t = 2048
+    J = 50
+    ts = np.linspace(0.0, 2048.0, (1 << 16) + 1)[1:]
+    phi, bound, depth = cf_truncated(vdc2, base2, ts, depth=J)
+    assert depth == J
+    x = ts * 2.0 ** -J
+    want = (np.sin(ts / 2.0) / (2.0 ** J * np.sin(x / 2.0))
+            * np.exp(1j * (ts - x) / 2.0))
+    assert np.max(np.abs(phi - want)) <= 1e-14
+    lim = (np.exp(1j * ts) - 1.0) / (1j * ts)
+    assert np.max(np.abs(phi - lim)) <= bound
+
+
 def test_cf_truncated_auto_depth(base2, geo_half):
     ts = np.linspace(0.1, 10.0, 7)
     phi, bound, depth = cf_truncated(geo_half, base2, ts, tol=1e-12)
@@ -250,6 +318,30 @@ def test_invert_agrees_with_conv(base3, tern):
                            q_hint=q.hi)
     budget = inv.envelope + g.vertical_slack()
     assert np.max(np.abs(inv.values - np.asarray(g.cdf(xs)))) <= budget
+
+
+def _invert_complex_exp(dmap, base, xs, t_max, n_t):
+    # (values, quad) with the complex-exponential integrand Im(e^{-itx} phi/t)
+    ts = np.linspace(0.0, t_max, n_t + 1)
+    phi, _, depth = cf_truncated(dmap, base, ts[1:])
+    mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth))
+    integrand = (np.exp(-1j * np.multiply.outer(xs, ts[1:])) * (phi / ts[1:])).imag
+    h = t_max / n_t
+    g0 = mu - xs
+    full = h * (0.5 * g0 + integrand[:, :-1].sum(axis=1) + 0.5 * integrand[:, -1])
+    coarse = 2.0 * h * (0.5 * g0 + integrand[:, 1:-1:2].sum(axis=1) + 0.5 * integrand[:, -1])
+    vals = 0.5 - full / math.pi
+    quad = float(np.max(np.abs(vals - (0.5 - coarse / math.pi)))) / 3.0
+    return np.maximum.accumulate(np.clip(vals, 0.0, 1.0)), quad
+
+
+def test_invert_matches_complex_exp(base2, base3, vdc2, tern):
+    for dmap, base, xs in ((vdc2, base2, np.linspace(0.03, 0.97, 16)),
+                           (tern, base3, np.linspace(-1.55, 1.55, 16))):
+        inv = limit_cdf_invert(dmap, base, xs, t_max=2048.0, n_t=1 << 12, q_hint=0.01)
+        want, quad = _invert_complex_exp(dmap, base, xs, 2048.0, 1 << 12)
+        assert np.max(np.abs(inv.values - want)) <= 1e-13
+        assert abs(inv.pieces["quad"] - quad) <= 1e-15
 
 
 def test_invert_envelope_pieces_sum(base2, geo_half):
