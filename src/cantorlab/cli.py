@@ -1,9 +1,10 @@
 """Command-line front-end.
 
 Results go to standard output (or --out files); progress and diagnostics
-go to standard error.  Exit codes: 0 success, 2 invalid configuration or
-arguments, 3 resource cap exceeded, 4 experiment produced only
-conditional rows (no certified tail was available).
+go to standard error.  Exit codes, the same for every subcommand: 0
+success, 2 invalid configuration or arguments, 3 resource cap exceeded,
+4 experiment produced only conditional rows (no certified tail was
+available).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import sys
 
 import numpy as np
 
-from .empirical import (Interval, PointMassCDF, UniformCDF, empirical_cdf,
-                        kolmogorov, smoothing_check, star_discrepancy,
-                        value_vector, wasserstein1)
+from .empirical import (Interval, empirical_cdf, kolmogorov, smoothing_check,
+                        star_discrepancy, value_vector, wasserstein1)
 from .errors import CantorLabError, ConfigError, ResourceLimit
 from .experiments import (ExperimentConfig, PRESET_NAMES, preset,
-                          rows_to_csv, run_experiment)
+                          reference_from_spec, rows_to_csv, run_experiment)
 from .limitlaw import cf_truncated, limit_cdf_conv, limit_cdf_invert
 from .markov_digits import build_chain, covariance_decay, window_variance
 from .mixed_radix import build_base, compress, expand
@@ -41,20 +41,6 @@ def _build_pair(args):
     base = build_base(_parse_json(args.base, "--base"))
     dmap = DigitMap(_parse_json(args.map, "--map"))
     return dmap, base
-
-
-def _build_ref(spec: str, dmap, base):
-    parts = spec.split(":")
-    if parts[0] == "uniform" and len(parts) == 3:
-        return UniformCDF(float(parts[1]), float(parts[2]))
-    if parts[0] == "point" and len(parts) == 2:
-        return PointMassCDF(float(parts[1]))
-    if parts[0] == "grid" and len(parts) in (4, 5):
-        depth = int(parts[4]) if len(parts) == 5 else None
-        return limit_cdf_conv(dmap, base, float(parts[1]), float(parts[2]),
-                              float(parts[3]), depth=depth)
-    raise ConfigError("--ref", f"expected uniform:lo:hi, point:c or "
-                               f"grid:x0:x1:w[:depth], got {spec!r}")
 
 
 def _emit(text: str, out) -> None:
@@ -146,7 +132,7 @@ def _cmd_limit(args) -> int:
 def _cmd_empirical(args) -> int:
     dmap, base = _build_pair(args)
     ecdf = empirical_cdf(dmap, base, args.n)
-    ref = _build_ref(args.ref, dmap, base)
+    ref = reference_from_spec(args.ref, dmap, base)
     dk = kolmogorov(ecdf, ref)
     if isinstance(dk, Interval):
         print(f"d_K in [{dk.lo!r}, {dk.hi!r}]")
@@ -164,7 +150,7 @@ def _cmd_empirical(args) -> int:
 
 def _cmd_bound(args) -> int:
     dmap, base = _build_pair(args)
-    ref = _build_ref(args.ref, dmap, base) if args.ref else None
+    ref = reference_from_spec(args.ref, dmap, base) if args.ref else None
     rep = total_bound(dmap, base, args.n, args.window, args.t, args.regime,
                       rho_inf=args.rho_inf, ref=ref)
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -173,7 +159,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_optimize(args) -> int:
     dmap, base = _build_pair(args)
-    ref = _build_ref(args.ref, dmap, base) if args.ref else None
+    ref = reference_from_spec(args.ref, dmap, base) if args.ref else None
     h, t, rep = optimize_window(dmap, base, args.n, args.regime,
                                 rho_inf=args.rho_inf, ref=ref)
     log.info("optimum h*=%d, T*=%g", h, t)
@@ -231,7 +217,7 @@ def _cmd_experiment(args) -> int:
         d.update(overrides)
         config = ExperimentConfig.from_dict(d)
     log.info("running %s over N = %s", config.name, config.heights())
-    rows = run_experiment(config, threads=args.threads)
+    rows = run_experiment(config)
     if not config.out:
         sys.stdout.write(rows_to_csv(rows))
     if rows and all(r["conditional"] for r in rows):
@@ -363,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--trace-out", help="CF trace path override")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("preset-list", help="list built-in experiment presets")
@@ -383,6 +368,9 @@ def main(argv=None) -> int:
         return 3
     except ConfigError as e:
         log.error("config error: %s", e)
+        return 2
+    except OverflowError as e:
+        log.error("a value left float range: %s", e)
         return 2
     except (CantorLabError, ValueError, OSError) as e:
         log.error("%s", e)

@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import PointOutOfRange, ResourceLimit
+from .limitlaw import GridCDF
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, level_values
 
@@ -121,12 +122,8 @@ def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int, cap: int = ENUM_CAP)
 # -- Kolmogorov distance -----------------------------------------------------
 
 
-def _is_grid(ref) -> bool:
-    return hasattr(ref, "eps_x") and hasattr(ref, "eps_p") and hasattr(ref, "cum")
-
-
 def _is_step(ref) -> bool:
-    return isinstance(ref, (EmpiricalCDF, PointMassCDF)) or _is_grid(ref)
+    return isinstance(ref, (EmpiricalCDF, PointMassCDF, GridCDF))
 
 
 def _sup_diff_step(ecdf: EmpiricalCDF, ref) -> float:
@@ -153,7 +150,7 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
     Exact float against exact references (continuous or step); an
     Interval against a grid reference, widened by the grid's envelope.
     """
-    if _is_grid(ref):
+    if isinstance(ref, GridCDF):
         d0 = _sup_diff_step(ecdf, ref)
         slack = ref.vertical_slack()
         return Interval(max(0.0, d0 - slack), min(1.0, d0 + slack))
@@ -255,7 +252,7 @@ def concentration(ref, r: float):
     """
     if r < 0:
         raise ValueError(f"window width must be >= 0, got {r}")
-    if _is_grid(ref):
+    if isinstance(ref, GridCDF):
         exact = ref.window_sup(r)
         hi = min(1.0, ref.window_sup(r + 2.0 * ref.eps_x) + 2.0 * ref.eps_p)
         return Interval(exact, hi)

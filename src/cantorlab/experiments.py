@@ -13,7 +13,7 @@ Identical config and seed give byte-identical CSV output.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -36,7 +36,8 @@ PRESET_NAMES = ("vdc-q2", "vdc-cantor-factorial", "regimeB-binary",
                 "regimeC-ternary", "regimeA-skewed", "example-I", "example-II",
                 "qadic-delange", "zero-map")
 
-_REFERENCE_KINDS = ("grid", "uniform", "point")
+# numeric fields of each reference kind in --ref order; a grid's sit in "grid"
+_REFERENCE_FIELDS = {"uniform": ("lo", "hi"), "point": ("c",), "grid": ("x0", "x1", "w")}
 
 
 @dataclass(frozen=True)
@@ -93,102 +94,79 @@ class ExperimentConfig:
         return out
 
 
-def _cfg_err(path: str, msg: str):
-    raise ConfigError(path, msg)
-
-
 def _validate_config(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
-        _cfg_err("<root>", f"config must be an object, got {type(d).__name__}")
+        raise ConfigError("<root>", f"config must be an object, got {type(d).__name__}")
     allowed = {"name", "base", "map", "reference", "ns", "ladder", "regime",
                "rho_inf", "grid", "seed", "out", "trace_out", "rate_family"}
     for k in d:
         if k not in allowed:
-            _cfg_err(k, "unknown config field")
+            raise ConfigError(k, "unknown config field")
     name = d.get("name", "experiment")
     if not isinstance(name, str) or not name:
-        _cfg_err("name", "must be a nonempty string")
+        raise ConfigError("name", "must be a nonempty string")
     for req in ("base", "map", "reference"):
         if not isinstance(d.get(req), dict):
-            _cfg_err(req, "required object field")
+            raise ConfigError(req, "required object field")
     try:
         build_base(d["base"])
     except Exception as e:
-        _cfg_err("base", str(e))
+        raise ConfigError("base", str(e))
     try:
         DigitMap(d["map"])
     except Exception as e:
-        _cfg_err("map", str(e))
+        raise ConfigError("map", str(e))
 
-    ref = d["reference"]
-    kind = ref.get("kind")
-    if kind not in _REFERENCE_KINDS:
-        _cfg_err("reference.kind", f"must be one of {_REFERENCE_KINDS}, got {kind!r}")
-    if kind == "uniform":
-        lo, hi = ref.get("lo"), ref.get("hi")
-        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and hi > lo):
-            _cfg_err("reference", f"uniform needs numbers hi > lo, got lo={lo!r}, hi={hi!r}")
-    if kind == "point" and not isinstance(ref.get("c"), (int, float)):
-        _cfg_err("reference.c", "point reference needs a numeric center")
+    for k in ("ladder", "grid", "rate_family"):
+        if d.get(k) is not None and not isinstance(d[k], dict):
+            raise ConfigError(k, f"must be an object or null, got {d[k]!r}")
+    ref, grid = d["reference"], d.get("grid")
+    _check_reference(ref, grid)
 
     ns = d.get("ns")
     ladder = d.get("ladder")
     if (ns is None) == (ladder is None):
-        _cfg_err("ns", "exactly one of 'ns' and 'ladder' must be given")
+        raise ConfigError("ns", "exactly one of 'ns' and 'ladder' must be given")
     if ns is not None:
         if not (isinstance(ns, list) and ns and all(isinstance(n, int) and n >= 2 for n in ns)):
-            _cfg_err("ns", "must be a nonempty list of integers >= 2")
+            raise ConfigError("ns", "must be a nonempty list of integers >= 2")
         ns = tuple(ns)
     if ladder is not None:
         for k in ("start", "stop", "factor"):
             v = ladder.get(k)
             if not isinstance(v, int) or v < (2 if k != "stop" else ladder.get("start", 2)):
-                _cfg_err(f"ladder.{k}", f"must be an integer >= 2 (and stop >= start), got {v!r}")
+                raise ConfigError(f"ladder.{k}",
+                                  f"must be an integer >= 2 (and stop >= start), got {v!r}")
 
     regime = d.get("regime", "auto")
     if regime not in ("auto", "A", "B", "C"):
-        _cfg_err("regime", f"must be auto, A, B or C, got {regime!r}")
+        raise ConfigError("regime", f"must be auto, A, B or C, got {regime!r}")
     rho_inf = d.get("rho_inf")
     if rho_inf is not None and not (isinstance(rho_inf, (int, float)) and rho_inf > 0):
-        _cfg_err("rho_inf", f"must be a positive number, got {rho_inf!r}")
-
-    grid = d.get("grid")
-    if kind == "grid":
-        if not isinstance(grid, dict):
-            _cfg_err("grid", "required when reference.kind is 'grid'")
-        for k in ("x0", "x1", "w"):
-            if not isinstance(grid.get(k), (int, float)):
-                _cfg_err(f"grid.{k}", "must be a number")
-        if not grid["x1"] > grid["x0"]:
-            _cfg_err("grid.x1", "must exceed grid.x0")
-        if not grid["w"] > 0:
-            _cfg_err("grid.w", "must be positive")
-        depth = grid.get("depth")
-        if depth is not None and (not isinstance(depth, int) or depth < 1):
-            _cfg_err("grid.depth", f"must be a positive integer or null, got {depth!r}")
+        raise ConfigError("rho_inf", f"must be a positive number, got {rho_inf!r}")
 
     seed = d.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
-        _cfg_err("seed", f"must be a nonnegative integer, got {seed!r}")
+        raise ConfigError("seed", f"must be a nonnegative integer, got {seed!r}")
     for k in ("out", "trace_out"):
         if d.get(k) is not None and not isinstance(d[k], str):
-            _cfg_err(k, "must be a path string or null")
+            raise ConfigError(k, "must be a path string or null")
 
     rate = d.get("rate_family")
     if rate is not None:
         fam = rate.get("family")
         if fam == "example-I":
             if not (isinstance(rate.get("alpha"), (int, float)) and rate["alpha"] > 1):
-                _cfg_err("rate_family.alpha", "example-I needs alpha > 1")
+                raise ConfigError("rate_family.alpha", "example-I needs alpha > 1")
         elif fam == "example-II":
             beta = rate.get("beta")
             if not (isinstance(beta, (int, float)) and 0 < beta < 1):
-                _cfg_err("rate_family.beta", "example-II needs 0 < beta < 1")
+                raise ConfigError("rate_family.beta", "example-II needs 0 < beta < 1")
         else:
-            _cfg_err("rate_family.family", f"must be example-I or example-II, got {fam!r}")
+            raise ConfigError("rate_family.family", f"must be example-I or example-II, got {fam!r}")
         q = rate.get("q", 2)
         if not isinstance(q, int) or q < 2:
-            _cfg_err("rate_family.q", f"must be an integer >= 2, got {q!r}")
+            raise ConfigError("rate_family.q", f"must be an integer >= 2, got {q!r}")
 
     return ExperimentConfig(
         name=name, base=dict(d["base"]), map=dict(d["map"]),
@@ -199,6 +177,58 @@ def _validate_config(d: dict) -> ExperimentConfig:
         grid=dict(grid) if grid is not None else None,
         seed=seed, out=d.get("out"), trace_out=d.get("trace_out"),
         rate_family=dict(rate) if rate is not None else None)
+
+
+def _check_reference(ref: dict, grid: Optional[dict]) -> None:
+    """ConfigError unless ref is {"kind": "uniform", "lo", "hi"},
+    {"kind": "point", "c"} or {"kind": "grid"} with grid = {"x0", "x1",
+    "w"[, "depth"]}, every number finite."""
+    kind = ref.get("kind")
+    if kind not in _REFERENCE_FIELDS:
+        raise ConfigError("reference.kind", f"must be uniform, point or grid, got {kind!r}")
+    where, obj = ("grid", grid) if kind == "grid" else ("reference", ref)
+    if not isinstance(obj, dict):
+        raise ConfigError("grid", "required when reference.kind is 'grid'")
+    for k in _REFERENCE_FIELDS[kind]:
+        v = obj.get(k)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"{where}.{k}", f"must be a finite number, got {v!r}")
+    if kind == "uniform" and not ref["hi"] > ref["lo"]:
+        raise ConfigError("reference.hi", "must exceed reference.lo")
+    if kind == "grid":
+        if not grid["x1"] > grid["x0"]:
+            raise ConfigError("grid.x1", "must exceed grid.x0")
+        if not grid["w"] > 0:
+            raise ConfigError("grid.w", "must be positive")
+        depth = grid.get("depth")
+        if depth is not None and (not isinstance(depth, int) or depth < 1):
+            raise ConfigError("grid.depth", f"must be a positive integer or null, got {depth!r}")
+
+
+def reference_from_spec(spec: str, dmap: DigitMap, base: CantorBase):
+    """The reference law of a uniform:lo:hi | point:c | grid:x0:x1:w[:depth]
+    string, checked and built like a config's reference/grid objects."""
+    kind, *fields = spec.split(":")
+    names = _REFERENCE_FIELDS.get(kind, ()) + (("depth",) if kind == "grid" else ())
+    try:
+        if kind not in _REFERENCE_FIELDS or not len(names) - 1 <= len(fields) <= len(names):
+            raise ValueError
+        nums = {k: int(v) if k == "depth" else float(v) for k, v in zip(names, fields)}
+    except ValueError:
+        raise ConfigError("--ref", f"expected uniform:lo:hi, point:c or "
+                                   f"grid:x0:x1:w[:depth] with numbers, got {spec!r}") from None
+    ref, grid = ({"kind": "grid"}, nums) if kind == "grid" else (dict(nums, kind=kind), None)
+    _check_reference(ref, grid)
+    return _make_reference(ref, grid, dmap, base)
+
+
+def _make_reference(ref: dict, grid: Optional[dict], dmap: DigitMap, base: CantorBase):
+    kind = ref["kind"]
+    if kind == "uniform":
+        return UniformCDF(ref["lo"], ref["hi"])
+    if kind == "point":
+        return PointMassCDF(ref["c"])
+    return limit_cdf_conv(dmap, base, grid["x0"], grid["x1"], grid["w"], depth=grid.get("depth"))
 
 
 # -- presets -------------------------------------------------------------------
@@ -286,13 +316,7 @@ def preset(name: str) -> ExperimentConfig:
 
 
 def build_reference(config: ExperimentConfig, dmap: DigitMap, base: CantorBase):
-    kind = config.reference["kind"]
-    if kind == "uniform":
-        return UniformCDF(config.reference["lo"], config.reference["hi"])
-    if kind == "point":
-        return PointMassCDF(config.reference["c"])
-    g = config.grid
-    return limit_cdf_conv(dmap, base, g["x0"], g["x1"], g["w"], depth=g.get("depth"))
+    return _make_reference(config.reference, config.grid, dmap, base)
 
 
 def _fmt(v) -> str:
@@ -350,7 +374,7 @@ def write_cf_trace(dmap: DigitMap, base: CantorBase, path: str,
         fh.write("\n".join(lines) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_experiment(config: ExperimentConfig) -> list[dict]:
     """All ladder rows, ordered by height; writes CSV/trace when configured.
 
     The returned rows carry a trailing 'conditional' flag (not a CSV
@@ -364,15 +388,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     if regime == "auto":
         regime = resolve_regime(dmap, base, length(base, max(heights)), config.rho_inf)
 
-    rate = config.rate_family
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_one_row, dmap, base, ref, regime,
-                                config.rho_inf, rate, n) for n in heights]
-            rows = [f.result() for f in futs]
-    else:
-        rows = [_one_row(dmap, base, ref, regime, config.rho_inf, rate, n)
-                for n in heights]
+    rows = [_one_row(dmap, base, ref, regime, config.rho_inf, config.rate_family, n)
+            for n in heights]
 
     if config.out:
         with open(config.out, "w") as fh:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlphabetMismatch, NotPrimitive, NotStochastic, ResourceLimit
 from .mixed_radix import build_base
-from .qadditive import DigitMap, digit_value
+from .qadditive import DigitMap, level_values
 
 EIG_CAP = 16            # full eigendecomposition only for small alphabets
 _ROW_TOL = 1e-12
@@ -109,7 +109,7 @@ def generate(chain: DigitChain, L: int, seed: int) -> np.ndarray:
 def _value_table(chain: DigitChain, dmap: DigitMap) -> np.ndarray:
     # the stationary functional: the map's level-0 value row on a constant base
     base = build_base({"kind": "constant", "q": chain.a})
-    return np.array([digit_value(dmap, base, d, 0) for d in range(chain.a)])
+    return np.array(level_values(dmap, base, 0))
 
 
 def _stationary_moments(chain: DigitChain, vals: np.ndarray) -> tuple[float, float]:
@@ -207,8 +207,7 @@ def window_variance(chain: DigitChain, dmap: DigitMap, L: int, h: int,
     if not 1 <= h <= L:
         raise ValueError(f"need 1 <= h <= L, got h={h}, L={L}")
     base = build_base({"kind": "constant", "q": chain.a})
-    v = np.array([[digit_value(dmap, base, d, j) for d in range(chain.a)]
-                  for j in range(L - h, L)])               # (h, a)
+    v = np.array([level_values(dmap, base, j) for j in range(L - h, L)])    # (h, a)
     mu = v @ chain.pi                                      # per-level means
     s2 = ((v - mu[:, None]) ** 2) @ chain.pi
     n_paths = max(2, samples // h)

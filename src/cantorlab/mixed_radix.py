@@ -12,6 +12,7 @@ and N = 0 expands to the empty digit string by convention.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -96,7 +97,7 @@ class CantorBase:
     @property
     def descriptor(self) -> dict:
         """JSON-safe copy of the rule descriptor."""
-        return _copy_rule(self._descriptor)
+        return copy.deepcopy(self._descriptor)
 
     def __repr__(self) -> str:
         return f"CantorBase({self._descriptor!r})"
@@ -174,16 +175,6 @@ def _alphabet_sizes(rule: dict) -> Optional[frozenset[int]]:
     if rest is None:
         return None
     return frozenset(rule["table"]) | rest
-
-
-def _copy_rule(rule: dict) -> dict:
-    out = dict(rule)
-    if "pattern" in out:
-        out["pattern"] = list(out["pattern"])
-    if "table" in out:
-        out["table"] = list(out["table"])
-        out["then"] = _copy_rule(out["then"])
-    return out
 
 
 # -- operations ----------------------------------------------------------

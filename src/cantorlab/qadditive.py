@@ -19,12 +19,13 @@ bounds so that Erdos-Wintner style diagnostics are analytic.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import AlphabetMismatch, DigitOutOfRange, NoTailMeta
+from .errors import AlphabetMismatch, DigitOutOfRange, NoTailMeta, ResourceLimit
 from .mixed_radix import CantorBase
 
 _FAMILIES = (
@@ -36,7 +37,14 @@ _FAMILIES = (
     "custom-table",
 )
 
-_SIGN3 = (-1.0, 0.0, 1.0)
+LEVEL_CAP = 1 << 20         # digits enumerated at one level
+
+
+def _digits(lo: int, hi: int) -> range:
+    """The digits lo..hi-1 of one level, refused beyond LEVEL_CAP of them."""
+    if hi - lo > LEVEL_CAP:
+        raise ResourceLimit(f"a level of {hi - lo} digits exceeds the cap {LEVEL_CAP}")
+    return range(lo, hi)
 
 
 def _inv(num: float, q: int) -> float:
@@ -74,10 +82,29 @@ class EwReport:
 
 
 class DigitMap:
-    """Closed, serializable descriptor of one digit map family."""
+    """Closed, serializable descriptor of one digit map family.
+
+    The descriptor is turned into fields once.  The four scalar-weight
+    families share f(d q_j) = g(d) c_j with a digit table g and a weight
+    sequence c_j: symmetric-ternary is g = (-1, 0, 1) with c_j = 3^{-j},
+    skewed-polyweight is g(d) = min(d, 2) with c_j = j^{-2}.
+    """
 
     def __init__(self, descriptor: dict):
-        self._descriptor = _validate_map(descriptor)
+        d = self._descriptor = _validate_map(descriptor)
+        fam = d["family"]
+        self._rows, self._tail = d.get("values"), d.get("tail")    # custom table
+        # scalar weights: digit table g (when open, digits past it repeat its
+        # last entry) and c_j = j^{-alpha} with c_0 = 1, or c_j = r^{s j} for power (r, s)
+        self._g, self._g_open, self._alpha, self._power = None, False, None, None
+        if fam == "polynomial":
+            self._g, self._alpha = tuple(d["g"]), d["alpha"]
+        elif fam == "skewed-polyweight":
+            self._g, self._g_open, self._alpha = (0.0, 1.0, 2.0), True, 2.0
+        elif fam == "geometric":
+            self._g, self._power = tuple(d["g"]), (d["beta"], 1)
+        elif fam == "symmetric-ternary":
+            self._g, self._power = (-1.0, 0.0, 1.0), (3.0, -1)
 
     # -- constructors ------------------------------------------------------
 
@@ -116,40 +143,109 @@ class DigitMap:
 
     @property
     def descriptor(self) -> dict:
-        d = dict(self._descriptor)
-        if "g" in d:
-            d["g"] = list(d["g"])
-        if "values" in d:
-            d["values"] = [list(r) for r in d["values"]]
-        if "tail" in d:
-            d["tail"] = dict(d["tail"])
-        return d
+        return copy.deepcopy(self._descriptor)
 
     @property
     def depth(self) -> Optional[int]:
         """Number of levels a custom table covers; None for unbounded families."""
-        if self.family == "custom-table":
-            return len(self._descriptor["values"])
-        return None
+        return None if self._rows is None else len(self._rows)
 
     @property
     def has_tail_meta(self) -> bool:
-        if self.family == "custom-table":
-            return "tail" in self._descriptor
-        return True
+        return self._rows is None or self._tail is not None
 
     def weight_coeff(self, j: int) -> float:
         """c_j for the scalar-weight families (value = c_j * g(d))."""
+        if self._alpha is not None:
+            return 1.0 if j == 0 else float(j) ** -self._alpha
+        if self._power is not None:
+            r, s = self._power
+            return r ** (s * j)
+        raise ValueError(f"{self.family} has no scalar weight sequence")
+
+    # -- family logic ------------------------------------------------------
+
+    def _g_slice(self, lo: int, hi: int) -> list[float]:
+        """g(lo), ..., g(hi - 1); AlphabetMismatch when the table stops short."""
+        g = self._g
+        if hi > len(g) and not self._g_open:
+            raise AlphabetMismatch(
+                f"{self.family} digit table g has width {len(g)}, digit {hi - 1} requested")
+        last = len(g) - 1
+        return [g[min(d, last)] for d in _digits(lo, hi)]
+
+    def _values(self, base: CantorBase, j: int, lo: int, hi: int) -> list[float]:
+        """[f(d q_j) for lo <= d < hi], checked once for the whole range."""
+        if self._rows is not None:
+            if j >= len(self._rows):
+                raise AlphabetMismatch(
+                    f"custom table covers levels j < {len(self._rows)}, level {j} requested")
+            row = self._rows[j]
+            if hi > len(row):
+                raise AlphabetMismatch(
+                    f"custom table row {j} has width {len(row)}, digit {hi - 1} requested")
+            return row[lo:hi]
+        if self._g is None:                 # radical inverse: d / q_{j+1}
+            q = base.weight(j + 1)
+            return [_inv(float(d), q) if d else 0.0 for d in _digits(lo, hi)]
+        c = self.weight_coeff(j)
+        return [v * c for v in self._g_slice(lo, hi)]
+
+    def _g_extremes(self, base: CantorBase) -> tuple[float, float]:
+        """(max_a |mean g|, max_a var g) over the alphabet sizes of the base."""
+        sizes = base.alphabet_sizes()
+        if sizes is None:
+            if not self._g_open:
+                raise AlphabetMismatch(
+                    f"{self.family} map with a finite digit table cannot cover an unbounded base")
+            # sup over all a: |mean| <= max |g|, var <= (max g - min g)^2 / 4 (Popoviciu)
+            g = self._g
+            return max(abs(v) for v in g), (max(g) - min(g)) ** 2 / 4.0
+        gbar, gvar = 0.0, 0.0
+        for a in sizes:
+            vals = self._g_slice(0, a)
+            m = math.fsum(vals) / a
+            gbar = max(gbar, abs(m))
+            gvar = max(gvar, math.fsum((v - m) ** 2 for v in vals) / a)
+        return gbar, gvar
+
+    def _tail_sums(self, base: CantorBase, L: int) -> tuple[float, float]:
         fam = self.family
-        if fam == "polynomial":
-            return 1.0 if j == 0 else float(j) ** (-self._descriptor["alpha"])
-        if fam == "geometric":
-            return self._descriptor["beta"] ** j
+        if fam == "radical-inverse":
+            if base.is_constant():
+                q = float(base.digit_size(0))
+                # sum (a-1)/(2 q^{j+1}) = q^{-(L+1)}/2;  sum (a^2-1)/(12 q^{2(j+1)})
+                return q ** -(L + 1) / 2.0, q ** (-2 * (L + 1)) / 12.0
+            qn = base.weight(L + 1)
+            m = _inv(1.0, qn)
+            return m, max(_inv(_inv(1.0 / 9.0, qn), qn), 5e-324)
         if fam == "symmetric-ternary":
-            return 3.0 ** (-j)
-        if fam == "skewed-polyweight":
-            return 1.0 if j == 0 else float(j) ** -2.0
-        raise ValueError(f"{fam} has no scalar weight sequence")
+            if base.alphabet_sizes() != frozenset((3,)):
+                raise AlphabetMismatch("symmetric-ternary needs the constant base 3")
+            return 0.0, 0.75 * 9.0 ** -(L + 1)
+        if fam == "custom-table":
+            t = self._tail
+            if t is None:
+                raise NoTailMeta("custom table carries no tail envelope")
+            mean = t["mean_coeff"] * t["mean_ratio"] ** (L + 1) / (1.0 - t["mean_ratio"]) \
+                if t["mean_coeff"] else 0.0
+            var = t["var_coeff"] * t["var_ratio"] ** (L + 1) / (1.0 - t["var_ratio"]) \
+                if t["var_coeff"] else 0.0
+            return mean, var
+        gbar, gvar = self._g_extremes(base)
+        if fam == "geometric":
+            beta = self._power[0]
+            if beta >= 1.0:
+                mean = 0.0 if gbar == 0.0 else math.inf
+                var = 0.0 if gvar == 0.0 else math.inf
+                return mean, var
+            mean = gbar * beta ** (L + 1) / (1.0 - beta)
+            var = gvar * beta ** (2 * (L + 1)) / (1.0 - beta * beta)
+            return mean, var
+        # polynomial weights: polynomial and skewed-polyweight
+        mean = 0.0 if gbar == 0.0 else gbar * _poly_tail(L, self._alpha)
+        var = 0.0 if gvar == 0.0 else gvar * _poly_tail(L, 2.0 * self._alpha)
+        return mean, var
 
     def __repr__(self) -> str:
         return f"DigitMap({self._descriptor!r})"
@@ -165,17 +261,12 @@ def _validate_map(d: dict) -> dict:
     if fam not in _FAMILIES:
         raise ValueError(f"unknown digit map family {fam!r}")
     out = {"family": fam}
-    if fam == "polynomial":
-        alpha = _real(d.get("alpha"), "polynomial alpha")
-        if not alpha > 0:
-            raise ValueError(f"polynomial family needs alpha > 0, got {alpha!r}")
-        out["alpha"] = alpha
-        out["g"] = _real_row(d.get("g"), "digit table g")
-    elif fam == "geometric":
-        beta = _real(d.get("beta"), "geometric beta")
-        if not 0 < beta:
-            raise ValueError(f"geometric family needs beta > 0, got {beta!r}")
-        out["beta"] = beta
+    if fam in ("polynomial", "geometric"):
+        key = "alpha" if fam == "polynomial" else "beta"
+        v = _real(d.get(key), f"{fam} {key}")
+        if not v > 0:
+            raise ValueError(f"{fam} family needs {key} > 0, got {v!r}")
+        out[key] = v
         out["g"] = _real_row(d.get("g"), "digit table g")
     elif fam == "custom-table":
         values = d.get("values")
@@ -191,9 +282,12 @@ def _real(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{what} must be a number, got {v!r}")
     try:
-        return float(v)
+        x = float(v)
     except OverflowError:
-        raise ValueError(f"{what} {v!r} is out of float range") from None
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return x
 
 
 def _real_row(row, what: str) -> list[float]:
@@ -230,38 +324,12 @@ def digit_value(dmap: DigitMap, base: CantorBase, d: int, j: int) -> float:
     a = base.digit_size(j)
     if not isinstance(d, int) or isinstance(d, bool) or d < 0 or d >= a:
         raise DigitOutOfRange(f"digit {d!r} at level {j} outside [0, {a - 1}]")
-    fam = dmap.family
-    if fam == "radical-inverse":
-        if d == 0:
-            return 0.0
-        return _inv(float(d), base.weight(j + 1))
-    if fam == "custom-table":
-        rows = dmap._descriptor["values"]
-        if j >= len(rows):
-            raise AlphabetMismatch(
-                f"custom table covers levels j < {len(rows)}, level {j} requested")
-        row = rows[j]
-        if d >= len(row):
-            raise AlphabetMismatch(
-                f"custom table row {j} has width {len(row)}, digit {d} requested")
-        return row[d]
-    if fam == "symmetric-ternary":
-        if d > 2:
-            raise AlphabetMismatch("symmetric-ternary is defined for digits 0..2 (base 3)")
-        return _SIGN3[d] * dmap.weight_coeff(j)
-    if fam == "skewed-polyweight":
-        return float(min(d, 2)) * dmap.weight_coeff(j)
-    # polynomial / geometric with explicit digit table
-    g = dmap._descriptor["g"]
-    if d >= len(g):
-        raise AlphabetMismatch(
-            f"digit table g has width {len(g)}, digit {d} at level {j} requested")
-    return g[d] * dmap.weight_coeff(j)
+    return dmap._values(base, j, d, d + 1)[0]
 
 
 def level_values(dmap: DigitMap, base: CantorBase, j: int) -> list[float]:
     """[f(d q_j) for d in 0..a_j-1]; the atom support of level j."""
-    return [digit_value(dmap, base, d, j) for d in range(base.digit_size(j))]
+    return dmap._values(base, j, 0, base.digit_size(j))
 
 
 def evaluate(dmap: DigitMap, base: CantorBase, n: int) -> float:
@@ -292,37 +360,6 @@ def digit_stats(dmap: DigitMap, base: CantorBase, j: int) -> DigitStats:
 # rounding, so the float evaluation of the closed form stays a true bound.
 
 
-def _g_extremes(dmap: DigitMap, base: CantorBase) -> tuple[float, float]:
-    """(max_a |mean g|, max_a var g) over the alphabet sizes of the base."""
-    fam = dmap.family
-    sizes = base.alphabet_sizes()
-    if fam == "skewed-polyweight":
-        if sizes is None:
-            # sup over all a >= 2: |mean| = (2a-3)/a < 2; var <= 1 by Popoviciu
-            return 2.0, 1.0
-        table = [0.0, 1.0, 2.0]
-        gbar, gvar = 0.0, 0.0
-        for a in sizes:
-            vals = [table[min(d, 2)] for d in range(a)]
-            m = math.fsum(vals) / a
-            gbar = max(gbar, abs(m))
-            gvar = max(gvar, math.fsum((v - m) ** 2 for v in vals) / a)
-        return gbar, gvar
-    g = dmap._descriptor["g"]
-    if sizes is None:
-        raise AlphabetMismatch(
-            f"{fam} map with a finite digit table cannot cover an unbounded base")
-    if max(sizes) > len(g):
-        raise AlphabetMismatch(
-            f"digit table g has width {len(g)} but the base reaches alphabet {max(sizes)}")
-    gbar, gvar = 0.0, 0.0
-    for a in sizes:
-        m = math.fsum(g[:a]) / a
-        gbar = max(gbar, abs(m))
-        gvar = max(gvar, math.fsum((v - m) ** 2 for v in g[:a]) / a)
-    return gbar, gvar
-
-
 def _poly_tail(L: int, p: float) -> float:
     """Certified upper bound for sum_{j>L} j^{-p} (coefficient c_0 = 1 is not
     part of any tail with L >= 0 ... c_j = j^{-p} from j = 1 on)."""
@@ -344,44 +381,7 @@ def tail_sums(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
     """
     if L < 0:
         raise ValueError(f"tail level must be >= 0, got {L}")
-    fam = dmap.family
-    if fam == "radical-inverse":
-        if base.is_constant():
-            q = float(base.digit_size(0))
-            # sum (a-1)/(2 q^{j+1}) = q^{-(L+1)}/2;  sum (a^2-1)/(12 q^{2(j+1)})
-            return q ** -(L + 1) / 2.0, q ** (-2 * (L + 1)) / 12.0
-        qn = base.weight(L + 1)
-        m = _inv(1.0, qn)
-        return m, max(_inv(_inv(1.0 / 9.0, qn), qn), 5e-324)
-    if fam == "symmetric-ternary":
-        sizes = base.alphabet_sizes()
-        if sizes != frozenset((3,)):
-            raise AlphabetMismatch("symmetric-ternary needs the constant base 3")
-        return 0.0, 0.75 * 9.0 ** -(L + 1)
-    if fam == "custom-table":
-        t = dmap._descriptor.get("tail")
-        if t is None:
-            raise NoTailMeta("custom table carries no tail envelope")
-        mean = t["mean_coeff"] * t["mean_ratio"] ** (L + 1) / (1.0 - t["mean_ratio"]) \
-            if t["mean_coeff"] else 0.0
-        var = t["var_coeff"] * t["var_ratio"] ** (L + 1) / (1.0 - t["var_ratio"]) \
-            if t["var_coeff"] else 0.0
-        return mean, var
-    gbar, gvar = _g_extremes(dmap, base)
-    if fam == "geometric":
-        beta = dmap._descriptor["beta"]
-        if beta >= 1.0:
-            mean = 0.0 if gbar == 0.0 else math.inf
-            var = 0.0 if gvar == 0.0 else math.inf
-            return mean, var
-        mean = gbar * beta ** (L + 1) / (1.0 - beta)
-        var = gvar * beta ** (2 * (L + 1)) / (1.0 - beta * beta)
-        return mean, var
-    # polynomial (and the fixed alpha = 2 of skewed-polyweight)
-    alpha = dmap._descriptor.get("alpha", 2.0)
-    mean = 0.0 if gbar == 0.0 else gbar * _poly_tail(L, alpha)
-    var = 0.0 if gvar == 0.0 else gvar * _poly_tail(L, 2.0 * alpha)
-    return mean, var
+    return dmap._tail_sums(base, L)
 
 
 # -- convergence diagnostic ---------------------------------------------------

@@ -128,6 +128,50 @@ def _mu3_clean(dmap: DigitMap, base: CantorBase, L: int) -> bool:
     return all(digit_stats(dmap, base, j).mu3 == 0.0 for j in range(L + 1))
 
 
+def _check_regime(dmap: DigitMap, base: CantorBase, L: int, regime: str,
+                  rho_inf: Optional[float], ref) -> None:
+    """The preconditions of one regime at top level L: a known regime name,
+    vanishing third central moments for C, a positive density bound for B and a
+    reference law for the Q_F(1/T) term of A and C."""
+    if regime not in _REGIMES:
+        raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
+    if regime == "C" and not _mu3_clean(dmap, base, L):
+        raise RegimeUnavailable(
+            "regime C needs vanishing third central digit moments through level L")
+    if regime == "B" and rho_inf is None:
+        raise MissingDensityBound("regime B needs a density sup bound rho_inf")
+    if regime == "B" and not 0.0 < rho_inf < math.inf:
+        raise ValueError(f"rho_inf must be a positive finite number, got {rho_inf!r}")
+    if regime != "B" and ref is None:
+        raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
+
+
+def _tau1_or_none(dmap: DigitMap, base: CantorBase, L: int) -> Optional[float]:
+    try:
+        return tau1(dmap, base, L)
+    except NoTailMeta:
+        return None
+
+
+def _report(base: CantorBase, N: int, L: int, h: int, T: float, regime: str,
+            rho_inf: Optional[float], ref, t1: Optional[float],
+            t2: float) -> WindowBoundReport:
+    A = window_size(base, L, h)
+    bridge = _inv(1.0, A)
+    g = regime_term(regime, T, t2, rho_inf)
+    if regime == "B":
+        qf = 0.0
+        total = bridge + g
+    else:
+        qf = _qf(ref, 1.0 / T)
+        total = bridge + qf + 1.0 / T + g
+    if t1 is not None:
+        total += math.sqrt(t1)
+    return WindowBoundReport(N=N, L=L, h=h, A_Lh=A, bridge=bridge, tau1=t1,
+                             tau2_h=t2, T=T, qf_term=qf, g_term=g, total=total,
+                             regime=regime, conditional=t1 is None)
+
+
 def total_bound(dmap: DigitMap, base: CantorBase, N: int, h: int, T: float,
                 regime: str, rho_inf: Optional[float] = None,
                 ref=None) -> WindowBoundReport:
@@ -142,32 +186,9 @@ def total_bound(dmap: DigitMap, base: CantorBase, N: int, h: int, T: float,
     L = length(base, N)
     if not 1 <= h <= L:
         raise ValueError(f"need 1 <= h <= L(N) = {L}, got h={h}")
-    if regime not in _REGIMES:
-        raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    if regime == "C" and not _mu3_clean(dmap, base, L):
-        raise RegimeUnavailable(
-            "regime C needs vanishing third central digit moments through level L")
-    A = window_size(base, L, h)
-    bridge = _inv(1.0, A)
-    try:
-        t1: Optional[float] = tau1(dmap, base, L)
-    except NoTailMeta:
-        t1 = None
-    t2 = tau2(dmap, base, L, h)
-    g = regime_term(regime, T, t2, rho_inf)
-    if regime == "B":
-        qf = 0.0
-        total = bridge + g
-    else:
-        if ref is None:
-            raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
-        qf = _qf(ref, 1.0 / T)
-        total = bridge + qf + 1.0 / T + g
-    if t1 is not None:
-        total += math.sqrt(t1)
-    return WindowBoundReport(N=N, L=L, h=h, A_Lh=A, bridge=bridge, tau1=t1,
-                             tau2_h=t2, T=T, qf_term=qf, g_term=g, total=total,
-                             regime=regime, conditional=t1 is None)
+    _check_regime(dmap, base, L, regime, rho_inf, ref)
+    return _report(base, N, L, h, T, regime, rho_inf, ref,
+                   _tau1_or_none(dmap, base, L), tau2(dmap, base, L, h))
 
 
 def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
@@ -182,20 +203,9 @@ def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
     L = length(base, N)
     if L < 1:
         raise ValueError(f"N = {N} sits below the first level (L = 0)")
-    if regime not in _REGIMES:
-        raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    if regime == "C" and not _mu3_clean(dmap, base, L):
-        raise RegimeUnavailable(
-            "regime C needs vanishing third central digit moments through level L")
-    if regime == "B" and rho_inf is None:
-        raise MissingDensityBound("regime B needs a density sup bound rho_inf")
-    if regime != "B" and ref is None:
-        raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
+    _check_regime(dmap, base, L, regime, rho_inf, ref)
 
-    try:
-        t1: Optional[float] = tau1(dmap, base, L)
-    except NoTailMeta:
-        t1 = None
+    t1 = _tau1_or_none(dmap, base, L)
     sqrt_t1 = math.sqrt(t1) if t1 is not None else 0.0
     s2 = [digit_stats(dmap, base, j).s2 for j in range(L)]
 
@@ -205,22 +215,19 @@ def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
         A = window_size(base, L, h)
         bridge = _inv(1.0, A)
         t2 = math.fsum(s2[L - h:L])
-        if regime == "B":
-            g = rho_inf * math.sqrt(t2)
-            total = bridge + sqrt_t1 + g
-            if best is None or total < best[0]:
-                best = (total, h, 1.0)
-            continue
-        for T in T_GRID:
-            if T not in qf_cache:
-                qf_cache[T] = _qf(ref, 1.0 / T)
-            g = T * math.sqrt(t2) if regime == "A" else T * T * t2
-            total = bridge + sqrt_t1 + qf_cache[T] + 1.0 / T + g
+        for T in (1.0,) if regime == "B" else T_GRID:
+            g = regime_term(regime, T, t2, rho_inf)
+            if regime == "B":
+                total = bridge + sqrt_t1 + g
+            else:
+                if T not in qf_cache:
+                    qf_cache[T] = _qf(ref, 1.0 / T)
+                total = bridge + sqrt_t1 + qf_cache[T] + 1.0 / T + g
             if best is None or total < best[0]:
                 best = (total, h, T)
     _, h_star, t_star = best
-    report = total_bound(dmap, base, N, h_star, t_star, regime,
-                         rho_inf=rho_inf, ref=ref)
+    report = _report(base, N, L, h_star, t_star, regime, rho_inf, ref, t1,
+                     math.fsum(s2[L - h_star:L]))
     return h_star, t_star, report
 
 

@@ -1,12 +1,15 @@
 """Experiment configs, presets, CSV output, and the command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cantorlab
 from cantorlab import (
@@ -82,6 +85,8 @@ def test_heights_ladder_and_ns():
       "grid": {"x0": 0.0, "x1": 1.0, "w": 0.1, "depth": 0}}, "depth"),
     ({"rate_family": {"family": "example-I", "alpha": 1.0}}, "alpha"),
     ({"rate_family": {"family": "example-II", "beta": 1.0}}, "beta"),
+    ({"ladder": 5, "ns": None}, "ladder"),
+    ({"rate_family": 3}, "rate_family"),
 ])
 def test_config_rejections(mutate, path_hint):
     with pytest.raises(ConfigError) as exc:
@@ -137,13 +142,6 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert float(re0) == 1.0 and float(im0) == 0.0            # phi(0) = 1
     assert float(err0) <= 1e-12
     assert int(depth0) >= 1
-
-
-def test_run_experiment_threads_preserve_rows():
-    cfg = preset("vdc-q2")
-    seq = run_experiment(cfg, threads=1)
-    par = run_experiment(cfg, threads=4)
-    assert seq == par
 
 
 def test_vdc_q2_rows_reproduce_known_discrepancy():
@@ -219,7 +217,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     ["expand", "--base", '{"kind": "table", "table": 5}', "5"],
     ["expand", "--base", '{"kind": "periodic", "pattern": 7}', "5"],
     ["eval", "3", "--map", '{"family": "polynomial", "alpha": 1.5, "g": 3}'],
-], ids=["table-not-a-list", "pattern-not-a-list", "polynomial-g-not-a-list"])
+    ["eval", "3", "--map", '{"family": "geometric", "beta": 1e999, "g": [0, 1]}'],
+    ["eval", "3", "--map", '{"family": "geometric", "beta": 0.5, "g": [0, NaN]}'],
+], ids=["table-not-a-list", "pattern-not-a-list", "polynomial-g-not-a-list",
+        "geometric-beta-infinite", "geometric-g-nan"])
 def test_cli_malformed_descriptor_exits_2(argv):
     # run as a real process: the exit code and stderr are what a shell sees
     src = str(Path(cantorlab.__file__).resolve().parents[1])
@@ -230,6 +231,21 @@ def test_cli_malformed_descriptor_exits_2(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ERROR ")
+
+
+@pytest.mark.parametrize("spec, reference, grid", [
+    ("grid:0:inf:0.001", {"kind": "grid"}, {"x0": 0.0, "x1": math.inf, "w": 0.001}),
+    ("uniform:0:inf", {"kind": "uniform", "lo": 0.0, "hi": math.inf}, None),
+    ("point:nan", {"kind": "point", "c": math.nan}, None),
+    ("uniform:-inf:1", {"kind": "uniform", "lo": -math.inf, "hi": 1.0}, None),
+    ("grid:0:1:nan", {"kind": "grid"}, {"x0": 0.0, "x1": 1.0, "w": math.nan}),
+], ids=["grid-x1-inf", "uniform-hi-inf", "point-c-nan", "uniform-lo-inf", "grid-w-nan"])
+def test_cli_non_finite_reference_exits_2(spec, reference, grid, tmp_path):
+    # the same bad reference as a --ref string and as config objects
+    assert main(["empirical", "--n", "16", "--ref", spec]) == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_minimal_config(reference=reference, grid=grid)))
+    assert main(["experiment", "--config", str(path)]) == 2
 
 
 def test_cli_experiment_conditional_exit(tmp_path, capsys):
@@ -252,3 +268,62 @@ def test_cli_experiment_preset_to_file(tmp_path, capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) > 3
     capsys.readouterr()
+
+
+# -- descriptor fuzz ----------------------------------------------------------------
+
+# values a JSON descriptor field can take: plausible numbers, out-of-range
+# and non-finite numbers, and things that are not numbers at all
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.just(10 ** 400),
+                  st.floats(allow_nan=True, allow_infinity=True))
+_num = st.one_of(st.integers(-2, 7), st.floats(-3.0, 3.0),
+                 st.sampled_from([1e300, -1e300, 1e-300]), _junk)
+_row = st.one_of(st.lists(_num, max_size=5), _junk)
+_sizes = st.one_of(st.lists(st.one_of(st.integers(-1, 6), _junk), max_size=4), _junk)
+
+
+def _rule(kinds):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(kinds), "q": _num,
+                               "pattern": _sizes, "c": _num, "d": _num}),
+        st.dictionaries(st.sampled_from(["kind", "q", "c", "d"]), _num, max_size=3),
+        _junk)
+
+
+_base = st.one_of(
+    _rule(["constant", "periodic", "affine", "nope"]),
+    st.fixed_dictionaries({"kind": st.just("table"), "table": _sizes,
+                           "then": _rule(["constant", "periodic", "affine", "table"])}))
+_tail = st.one_of(st.fixed_dictionaries({k: _num for k in (
+    "mean_coeff", "mean_ratio", "var_coeff", "var_ratio")}), _junk)
+_map = st.one_of(
+    st.fixed_dictionaries({"family": st.sampled_from(
+        ["radical-inverse", "symmetric-ternary", "skewed-polyweight", "nope"])}),
+    st.fixed_dictionaries({"family": st.sampled_from(["polynomial", "geometric"]),
+                           "alpha": _num, "beta": _num, "g": _row}),
+    st.fixed_dictionaries({"family": st.just("custom-table"),
+                           "values": st.one_of(st.lists(_row, max_size=4), _junk),
+                           "tail": _tail}),
+    _junk)
+
+
+_B2 = {"kind": "constant", "q": 2}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(cmd=["eval"], base=_B2, n=7,      # beta ** j overflows
+         dmap={"family": "geometric", "beta": 1e300, "g": [0, 1]})
+@example(cmd=["stats", "--levels", "4"], base=_B2, n=0,   # fsum overflows
+         dmap={"family": "polynomial", "alpha": 1, "g": [1e308, 1e308]})
+@example(cmd=["stats", "--levels", "4"], n=0,      # a level too wide to enumerate
+         base={"kind": "constant", "q": 10 ** 400}, dmap={"family": "radical-inverse"})
+@given(cmd=st.sampled_from([["expand"], ["eval"], ["stats", "--levels", "4"],
+                            ["ewcheck", "--j-max", "8"]]),
+       base=_base, dmap=_map, n=st.integers(0, 5000))
+def test_cli_descriptor_fuzz_exits_with_documented_codes(cmd, base, dmap, n):
+    argv = [*cmd, "--base=" + json.dumps(base)]       # "=": a JSON -1 is no flag
+    if cmd[0] != "expand":
+        argv.append("--map=" + json.dumps(dmap))
+    if cmd[0] in ("expand", "eval"):
+        argv.append(str(n))
+    assert main(argv) in (0, 2, 3, 4)

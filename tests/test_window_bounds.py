@@ -203,6 +203,15 @@ def test_optimize_window_guards(base2, vdc2, skew):
         optimize_window(skew, base4, 1000, "C", ref=UniformCDF(0.0, 6.0))
 
 
+@pytest.mark.parametrize("rho_inf", [-1.0, 0.0, math.nan, math.inf])
+def test_regime_b_needs_a_positive_finite_density_bound(base2, vdc2, rho_inf):
+    # a negative bound would shrink g and with it the certified total
+    with pytest.raises(ValueError):
+        total_bound(vdc2, base2, 4096, 4, 1.0, "B", rho_inf=rho_inf)
+    with pytest.raises(ValueError):
+        optimize_window(vdc2, base2, 4096, "B", rho_inf=rho_inf)
+
+
 def test_predicted_rate_closed_forms():
     assert predicted_rate("example-I", 1 << 12, alpha=1.5) \
         == pytest.approx(12.0 ** -0.75 * math.log(12.0) ** 0.25, rel=1e-15)
