@@ -8,6 +8,7 @@ carry the grid's envelope error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -87,26 +88,35 @@ class EmpiricalCDF:
 
 
 def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
-    """f(0), ..., f(n-1) via vectorized digit extraction (exact).
+    """f(0), ..., f(n-1) by a division-free digit recursion (exact).
 
     Every index is treated as a digit vector over the full enumeration
     window (levels 0 .. L(n-1)), zero digits included, so the result is
     the product-measure evaluation that the limit law discretizes.  It
     differs from the expansion value exactly when digit 0 carries a
     nonzero value at some level above a number's own length.
+
+    After level j the first q_{j+1} entries hold f(0 .. q_{j+1}-1): index
+    d q_j + r is f(r) + t_j[d].  Each entry is summed as 0.0 + t_0[d_0] +
+    t_1[d_1] + ... in level order, so it is bit-identical to indexing every
+    level's table with (i // q_j) % a_j.  The cost is about 2n float adds.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > ENUM_CAP:
         raise ResourceLimit(f"enumeration of {n} values exceeds the cap {ENUM_CAP}")
-    idx = np.arange(n, dtype=np.int64)
-    out = np.zeros(n, dtype=float)
+    out = np.empty(n, dtype=float)
+    out[0] = 0.0
     q = 1
     j = 0
     while q <= n - 1:
         a = base.digit_size(j)
         table = np.asarray(level_values(dmap, base, j), dtype=float)
-        out += table[(idx // q) % a]
+        full = min(a, n // q)            # rows d < full fit whole
+        np.add(out[:q], table[1:full, None], out=out[q:full * q].reshape(full - 1, q))
+        if full < a and full * q < n:
+            np.add(out[:n - full * q], table[full], out=out[full * q:n])
+        out[:q] += table[0]              # row 0 last, as rows d >= 1 read it
         q *= a
         j += 1
     return out
@@ -322,8 +332,8 @@ def smoothing_check(ecdf: EmpiricalCDF, ref, rho_inf: float,
     Interval-valued distances use their upper ends, which only makes the
     claimed inequality harder to satisfy.
     """
-    if rho_inf <= 0:
-        raise ValueError(f"rho_inf must be > 0, got {rho_inf}")
+    if not 0.0 < rho_inf < math.inf:
+        raise ValueError(f"rho_inf must be a positive finite number, got {rho_inf!r}")
     dk = kolmogorov(ecdf, ref)
     if isinstance(dk, Interval):
         dk = dk.hi

@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .empirical import (Interval, PointMassCDF, UniformCDF, empirical_cdf,
-                        kolmogorov, star_discrepancy, value_vector,
-                        wasserstein1)
+                        kolmogorov, star_discrepancy, wasserstein1)
 from .errors import ConfigError, UnknownPreset
 from .limitlaw import cf_truncated, limit_cdf_conv
 from .mixed_radix import CantorBase, build_base, length
@@ -341,7 +340,7 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
     w1 = wasserstein1(ecdf, ref)
     dstar = None
     if dmap.family == "radical-inverse":
-        dstar = star_discrepancy(value_vector(dmap, base, n))
+        dstar = star_discrepancy(ecdf.samples)
     pred = None
     if rate is not None:
         pred = predicted_rate(rate["family"], n, alpha=rate.get("alpha"),

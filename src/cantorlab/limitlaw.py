@@ -26,7 +26,7 @@ from .errors import RangeTooSmall, ResourceLimit
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, digit_stats, level_values, tail_sums
 
-CONV_CAP = 1 << 26          # atom lattice size limit
+CONV_CAP = 1 << 30          # bytes of lattice and window arrays in one convolution
 DEPTH_CAP = 4096
 
 
@@ -163,20 +163,32 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     of horizontal envelope per level; the discarded tail beyond the depth
     contributes its certified mean shift plus a Chebyshev horizontal/
     vertical split.  Mass above the requested window is charged to eps_p;
-    more than a quarter of the mass outside raises RangeTooSmall.
+    more than a quarter of the mass outside raises RangeTooSmall.  The
+    fold holds three 8-byte arrays per lattice knot and the window map up
+    to five per requested knot; more than CONV_CAP bytes of them raises
+    ResourceLimit before anything is allocated.
     """
     if not x1 > x0:
         raise ValueError(f"window needs x1 > x0, got [{x0}, {x1}]")
-    if w <= 0:
+    if not w > 0:
         raise ValueError(f"grid pitch must be > 0, got {w}")
+    span = (x1 - x0) / w
+    if not 40.0 * span <= CONV_CAP:
+        raise ResourceLimit(
+            f"window [{x0}, {x1}] at pitch {w} needs {span:.3g} knots, over the {CONV_CAP}-byte cap")
+    k_req = int(math.floor(span)) + 1
     depth_j = choose_depth(dmap, base, w) if depth is None else int(depth)
     if depth_j < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
 
     offsets = []
     for j in range(depth_j):
-        vals = level_values(dmap, base, j)
-        offsets.append(np.array([int(round(v / w)) for v in vals], dtype=np.int64))
+        scaled = [v / w for v in level_values(dmap, base, j)]
+        # an offset is the difference of two prefix sums, so |offset| < lattice size
+        if 24.0 * max(abs(v) for v in scaled) >= CONV_CAP:
+            raise ResourceLimit(
+                f"level {j} digit values at pitch {w} need a lattice over the {CONV_CAP}-byte cap")
+        offsets.append(np.array([int(round(v)) for v in scaled], dtype=np.int64))
     # span the hull of every prefix sum so no intermediate fold leaves the array
     grid_lo, grid_hi, run_lo, run_hi = 0, 0, 0, 0
     for o in offsets:
@@ -185,9 +197,10 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         grid_lo = min(grid_lo, run_lo)
         grid_hi = max(grid_hi, run_hi)
     size = grid_hi - grid_lo + 1
-    if size > CONV_CAP:
-        raise ResourceLimit(
-            f"convolution lattice needs {size} knots, over the cap {CONV_CAP}")
+    need = 8 * (3 * size + 5 * k_req)
+    if need > CONV_CAP:
+        raise ResourceLimit(f"convolution needs {need} bytes ({size} lattice knots, "
+                            f"{k_req} window knots), over the cap {CONV_CAP}")
 
     dist = np.zeros(size)
     dist[-grid_lo] = 1.0                # the all-zero expansion sits at value 0
@@ -224,7 +237,6 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
 
     # map the atom lattice {i w} onto the requested knots x0 + k w: atom i
     # is <= knot k  iff  i <= floor(x0 / w) + k
-    k_req = int(math.floor((x1 - x0) / w)) + 1
     anchor = int(math.floor(x0 / w))
     idx = anchor + np.arange(k_req, dtype=np.int64) - grid_lo
     idx_c = np.clip(idx, -1, size - 1)

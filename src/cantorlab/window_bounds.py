@@ -86,15 +86,15 @@ def tau1(dmap: DigitMap, base: CantorBase, L: int) -> float:
 
 def regime_term(regime: str, T: float, tau2_h: float,
                 rho_inf: Optional[float] = None) -> float:
-    """G(T,h) for one regime.  B ignores T; A and C need T > 0."""
+    """G(T,h) for one regime.  B ignores T; A and C need 0 < T < inf."""
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
     if regime == "B":
         if rho_inf is None:
             raise MissingDensityBound("regime B needs a density sup bound rho_inf")
         return rho_inf * math.sqrt(tau2_h)
-    if T <= 0:
-        raise ValueError(f"regimes A and C need T > 0, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"regimes A and C need a positive finite T, got {T!r}")
     if regime == "A":
         return T * math.sqrt(tau2_h)
     return T * T * tau2_h

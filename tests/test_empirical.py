@@ -1,13 +1,18 @@
 """Empirical CDFs and distances, checked against brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantorlab import (
+    AlphabetMismatch,
     DigitMap,
     EmpiricalCDF,
+    ExperimentConfig,
     GridCDF,
     Interval,
     PointMassCDF,
@@ -19,6 +24,8 @@ from cantorlab import (
     empirical_cdf,
     evaluate,
     kolmogorov,
+    level_values,
+    run_experiment,
     smoothing_check,
     star_discrepancy,
     value_vector,
@@ -71,6 +78,95 @@ def test_value_vector_guards(base2, vdc2):
         value_vector(vdc2, base2, 0)
     with pytest.raises(ResourceLimit):
         empirical_cdf(vdc2, base2, 101, cap=100)
+
+
+def _value_vector_oracle(dmap, base, n):
+    """Index every level's table with (i // q_j) % a_j, summed in level order."""
+    idx = np.arange(n, dtype=np.int64)
+    out = np.zeros(n)
+    q, j = 1, 0
+    while q <= n - 1:
+        a = base.digit_size(j)
+        out += np.asarray(level_values(dmap, base, j), dtype=float)[(idx // q) % a]
+        q *= a
+        j += 1
+    return out
+
+
+_TABLE_ENTRY = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from([-0.0, 0.0, -1.0])
+
+
+@st.composite
+def _base_and_map(draw):
+    base_d = draw(st.one_of(
+        st.builds(lambda q: {"kind": "constant", "q": q}, st.integers(2, 10)),
+        st.builds(lambda p: {"kind": "periodic", "pattern": p},
+                  st.lists(st.integers(2, 6), min_size=1, max_size=4)),
+        st.builds(lambda c, d: {"kind": "affine", "c": c, "d": d},
+                  st.integers(0, 2), st.integers(2, 4))))
+    g = draw(st.lists(_TABLE_ENTRY, min_size=2, max_size=16))
+    fam = draw(st.sampled_from(["radical-inverse", "polynomial", "geometric",
+                                "symmetric-ternary", "skewed-polyweight", "custom-table"]))
+    if fam == "polynomial":
+        map_d = {"family": fam, "alpha": draw(st.floats(0.25, 3.0)), "g": g}
+    elif fam == "geometric":
+        map_d = {"family": fam, "beta": draw(st.floats(0.1, 1.5)), "g": g}
+    elif fam == "custom-table":
+        # rows as wide as the base's levels, sometimes fewer rows than levels
+        base = build_base(base_d)
+        rows = [draw(st.lists(_TABLE_ENTRY, min_size=base.digit_size(j),
+                              max_size=base.digit_size(j)))
+                for j in range(draw(st.integers(1, 8)))]
+        map_d = {"family": fam, "values": rows}
+    else:
+        map_d = {"family": fam}
+    return base_d, map_d
+
+
+_Q3 = {"kind": "constant", "q": 3}
+_FACTORIAL = {"kind": "affine", "c": 1, "d": 2}
+_SIGNED_ZEROS = {"family": "custom-table",
+                 "values": [[-0.0, 1.0, -2.0], [-0.0, -0.0, 3.0], [0.5, -0.0, -0.25],
+                            [-0.0, -1.0, 2.0], [-0.0, 0.0, -0.0], [-0.0, 1.5, 2.0]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_base_and_map(), st.integers(1, 5000))
+@example((_Q3, {"family": "radical-inverse"}), 242)
+@example((_Q3, {"family": "radical-inverse"}), 243)
+@example((_Q3, {"family": "radical-inverse"}), 244)
+@example((_Q3, _SIGNED_ZEROS), 728)
+@example((_Q3, _SIGNED_ZEROS), 729)
+@example((_Q3, _SIGNED_ZEROS), 730)
+@example((_FACTORIAL, {"family": "polynomial", "alpha": 1.5, "g": [0.0, -1.0, 2.0]}), 5)
+@example((_FACTORIAL, {"family": "skewed-polyweight"}), 719)
+@example((_FACTORIAL, {"family": "skewed-polyweight"}), 720)
+@example((_FACTORIAL, {"family": "skewed-polyweight"}), 721)
+@example(({"kind": "constant", "q": 2}, {"family": "geometric", "beta": 0.5,
+                                         "g": [-0.0, -1.0]}), 4097)
+def test_value_vector_matches_division_oracle_bitwise(desc, n):
+    base_d, map_d = desc
+    base, dmap = build_base(base_d), DigitMap(map_d)
+    try:
+        want = _value_vector_oracle(dmap, base, n)
+    except AlphabetMismatch as e:
+        with pytest.raises(AlphabetMismatch, match=re.escape(str(e))):
+            value_vector(dmap, base, n)
+        return
+    got = value_vector(dmap, base, n)
+    assert got.shape == (n,)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_radical_inverse_rows_star_discrepancy_matches_enumeration():
+    cfg = ExperimentConfig.from_dict({
+        "name": "vdc-3", "base": {"kind": "periodic", "pattern": [2, 3]},
+        "map": {"family": "radical-inverse"},
+        "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "ns": [5, 36, 100, 1296], "regime": "B", "rho_inf": 1.0})
+    base, dmap = build_base(cfg.base), DigitMap(cfg.map)
+    for row in run_experiment(cfg):
+        assert row["dstar"] == star_discrepancy(value_vector(dmap, base, row["N"]))
 
 
 def test_empirical_cdf_semantics():
@@ -256,5 +352,6 @@ def test_smoothing_check_low_discrepancy(base2, vdc2):
     assert all(r.ok for r in rep.rows)
     assert rep.optimized_ok
     assert rep.optimized_bound == 2.0 * math.sqrt(rep.w1)
-    with pytest.raises(ValueError):
-        smoothing_check(e, UniformCDF(), rho_inf=0.0)
+    for bad_rho in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            smoothing_check(e, UniformCDF(), rho_inf=bad_rho)

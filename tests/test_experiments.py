@@ -213,6 +213,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _assert_cli_error(argv, code):
+    # run as a real process: the exit code and stderr are what a shell sees
+    src = str(Path(cantorlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "cantorlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("ERROR ")
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--base", '{"kind": "table", "table": 5}', "5"],
     ["expand", "--base", '{"kind": "periodic", "pattern": 7}', "5"],
@@ -222,15 +234,23 @@ def test_cli_exit_codes(tmp_path, capsys):
 ], ids=["table-not-a-list", "pattern-not-a-list", "polynomial-g-not-a-list",
         "geometric-beta-infinite", "geometric-g-nan"])
 def test_cli_malformed_descriptor_exits_2(argv):
-    # run as a real process: the exit code and stderr are what a shell sees
-    src = str(Path(cantorlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "cantorlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("ERROR ")
+    _assert_cli_error(argv, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n", "4096", "--window", "4", "--regime", "A", "--t", "nan",
+     "--ref", "uniform:0:2", "--map", '{"family": "geometric", "beta": 0.5, "g": [0, 1]}'],
+    ["empirical", "--n", "64", "--ref", "uniform:0:1", "--smoothing-rho", "nan"],
+], ids=["bound-t-nan", "empirical-smoothing-rho-nan"])
+def test_cli_nan_float_flag_exits_2(argv):
+    _assert_cli_error(argv, 2)
+
+
+@pytest.mark.parametrize("spec", ["grid:0:1e300:0.001", "grid:0:1:1e-320"],
+                         ids=["window-1e303-knots", "pitch-subnormal"])
+def test_cli_conv_window_over_cap_exits_3(spec):
+    # refused by the byte cap before the knot window or lattice is allocated
+    _assert_cli_error(["empirical", "--n", "16", "--ref", spec], 3)
 
 
 @pytest.mark.parametrize("spec, reference, grid", [

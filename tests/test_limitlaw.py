@@ -172,8 +172,12 @@ def test_conv_envelope_covers_deep_truth(base3, tern):
 def test_conv_window_guards(base2, vdc2):
     with pytest.raises(RangeTooSmall):
         limit_cdf_conv(vdc2, base2, 0.0, 0.1, 2.0 ** -10)
-    with pytest.raises(ResourceLimit):
-        limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -40, depth=5)
+    # each byte check of CONV_CAP trips before its arrays exist: the window
+    # (finite, infinite), one level's offsets, then lattice plus window
+    for x1, w, depth in ((1.0, 2.0 ** -40, 5), (1e300, 1e-3, 5), (1.0, 1e-320, 5),
+                         (2.0 ** -30, 2.0 ** -40, 5), (2.0 ** -20, 2.0 ** -26, 26)):
+        with pytest.raises(ResourceLimit):
+            limit_cdf_conv(vdc2, base2, 0.0, x1, w, depth=depth)
     with pytest.raises(ValueError):
         limit_cdf_conv(vdc2, base2, 1.0, 0.0, 0.25)
     with pytest.raises(ValueError):

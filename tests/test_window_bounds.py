@@ -60,8 +60,9 @@ def test_regime_term_formulas():
     assert regime_term("C", 8.0, 0.04) == 64.0 * 0.04
     with pytest.raises(MissingDensityBound):
         regime_term("B", 1.0, 0.04)
-    with pytest.raises(ValueError):
-        regime_term("A", 0.0, 0.04)
+    for bad_t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            regime_term("A", bad_t, 0.04)
     with pytest.raises(ValueError):
         regime_term("D", 1.0, 0.04)
 
