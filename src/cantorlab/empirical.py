@@ -133,23 +133,88 @@ def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int, cap: int = ENUM_CAP)
 
 
 def _is_step(ref) -> bool:
-    return isinstance(ref, (EmpiricalCDF, PointMassCDF, GridCDF))
+    return isinstance(ref, (EmpiricalCDF, PointMassCDF))
 
 
 def _sup_diff_step(ecdf: EmpiricalCDF, ref) -> float:
     # both right-continuous steps: the difference is constant between merged
     # jumps and takes its piece value at each jump, so right values suffice
     best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - np.asarray(ref.cdf(ecdf.samples)))))
-    if isinstance(ref, EmpiricalCDF):
-        jumps = [ref.samples]
-    elif isinstance(ref, PointMassCDF):
-        jumps = [np.array([ref.c])]
-    else:
-        k = ref.cum.size
-        jumps = (ref.x0 + ref.w * np.arange(lo, min(lo + (1 << 20), k))
-                 for lo in range(0, k, 1 << 20))
-    for chunk in jumps:
-        d = np.max(np.abs(ecdf.cdf(chunk) - np.asarray(ref.cdf(chunk))))
+    jumps = ref.samples if isinstance(ref, EmpiricalCDF) else np.array([ref.c])
+    d = np.max(np.abs(ecdf.cdf(jumps) - np.asarray(ref.cdf(jumps))))
+    return max(best, float(d))
+
+
+class _GridSteps(NamedTuple):
+    """A sorted sample's steps placed among a grid's knots.
+
+    F_n is levels[t] on knots starts[t] .. starts[t + 1] - 1 (through the
+    last knot for the last t).  The sample's own jumps are its kept values:
+    the last sample of each run, unless it is a knot, whose step the knots
+    already hold.
+    """
+
+    kept: np.ndarray      # bool over the sample
+    gap: np.ndarray       # |F_n - F| at each kept value
+    pos: np.ndarray       # index of each kept value in union1d(samples, knots)
+    starts: np.ndarray
+    levels: np.ndarray
+
+
+def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
+    """O(N + K) step table of both grid distances: one knot index per sample.
+
+    In the sorted sample #samples <= s is the index of the end of s's run
+    plus one, and #samples <= knot j counts the values whose first knot at
+    or above them is j or lower, so neither side needs a search.  Each F_n
+    value is that count / n and each F value a cum entry, as cdf computes
+    them; knot j reads cum[j] bit for bit (GridCDF's pitch guard keeps its
+    float knots exact).  Arrays are freed or reused as soon as they are
+    spent, so that the peak stays at about three sample-sized arrays.
+    """
+    s, n, k_all = ecdf.samples, ecdf.n, ref.cum.size
+    k, on = ref.knot_index(s)
+    kept = np.append(s[1:] != s[:-1], True)
+    ends = np.flatnonzero(kept)
+    k, on = k[ends], on[ends]
+    f = np.add(ends, 1.0)
+    del ends
+    f /= n
+    k += on                                   # last knot <= value
+    gap = ref.cum.take(k, mode="clip")
+    gap[k < 0] = 0.0
+    np.subtract(f, gap, out=gap)
+    np.abs(gap, out=gap)
+    k += 1
+    k -= on                                   # first knot >= value
+    on &= (k >= 0) & (k < k_all)              # virtual knots -1 and K are no knots
+    np.clip(k, 0, k_all, out=k)               # knots below the value: its slot
+    # F_n steps at the first knot of each slot, to its last value's count
+    last = np.flatnonzero(np.append(k[1:] != k[:-1], True))
+    starts, levels = k[last], f[last]
+    del f, last
+    if starts[-1] == k_all:                   # values above every knot
+        starts, levels = starts[:-1], levels[:-1]
+    if starts.size == 0 or starts[0] > 0:
+        starts = np.concatenate(([0], starts))
+        levels = np.concatenate(([0.0], levels))
+    off = ~on
+    kept[kept] = off
+    pos = k[off]
+    del k
+    gap = gap[off]
+    pos += np.arange(pos.size)
+    return _GridSteps(kept, gap, pos, starts, levels)
+
+
+def _sup_diff_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
+    # right values at the sample's jumps and at every knot, as for two steps;
+    # on a run of knots with one F_n level c, |c - cum| peaks at the run's
+    # least or greatest cum, since c - x rounds monotonically in x
+    st = _grid_steps(ecdf, ref)
+    best = float(np.max(st.gap, initial=0.0))
+    for run_ext in (np.minimum.reduceat, np.maximum.reduceat):
+        d = np.max(np.abs(st.levels - run_ext(ref.cum, st.starts)))
         best = max(best, float(d))
     return best
 
@@ -161,7 +226,7 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
     Interval against a grid reference, widened by the grid's envelope.
     """
     if isinstance(ref, GridCDF):
-        d0 = _sup_diff_step(ecdf, ref)
+        d0 = _sup_diff_grid(ecdf, ref)
         slack = ref.vertical_slack()
         return Interval(max(0.0, d0 - slack), min(1.0, d0 + slack))
     if _is_step(ref):
@@ -178,15 +243,42 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
 
 
 def _w1_step(ecdf: EmpiricalCDF, ref) -> float:
-    if isinstance(ref, EmpiricalCDF):
-        knots = ref.samples
-    elif isinstance(ref, PointMassCDF):
-        knots = np.array([ref.c])
-    else:
-        knots = ref.x0 + ref.w * np.arange(ref.cum.size)
+    knots = ref.samples if isinstance(ref, EmpiricalCDF) else np.array([ref.c])
     b = np.union1d(ecdf.samples, knots)
     diff = np.abs(ecdf.cdf(b[:-1]) - np.asarray(ref.cdf(b[:-1])))
     return float(np.sum(diff * np.diff(b)))
+
+
+def _w1_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
+    """sum |F_n - F| diff(b) over b = union1d(samples, knots), bit for bit.
+
+    b is built by scatter, not by sorting: the kept sample values go to
+    their places and the knots fill the others in order.  The summands are
+    the same array as with union1d, so np.sum adds them in the same order.
+    """
+    kept, gap_kept, pos, starts, levels = _grid_steps(ecdf, ref)
+    k_all = ref.cum.size
+    is_knot = np.ones(k_all + pos.size, dtype=bool)
+    is_knot[pos] = False
+    gap = np.empty(is_knot.size)
+    gap[pos] = gap_kept
+    del gap_kept
+    gap_knots = np.repeat(levels, np.diff(starts, append=k_all))
+    gap_knots -= ref.cum
+    gap[is_knot] = np.abs(gap_knots, out=gap_knots)
+    del gap_knots
+    b = np.empty(is_knot.size)
+    b[pos] = ecdf.samples[kept]
+    del kept, pos
+    knots = np.arange(k_all, dtype=float)
+    knots *= ref.w
+    knots += ref.x0
+    b[is_knot] = knots
+    del knots, is_knot
+    d = np.diff(b)
+    del b
+    d *= gap[:-1]
+    return float(np.sum(d))
 
 
 def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
@@ -216,7 +308,9 @@ def wasserstein1(ecdf: EmpiricalCDF, ref, with_error: bool = False):
     Exact for step and uniform references; adaptive quadrature between
     sample knots otherwise (set with_error=True for the error estimate).
     """
-    if _is_step(ref):
+    if isinstance(ref, GridCDF):
+        v, err = _w1_grid(ecdf, ref), 0.0
+    elif _is_step(ref):
         v, err = _w1_step(ecdf, ref), 0.0
     elif isinstance(ref, UniformCDF):
         v, err = _w1_uniform(ecdf, ref), 0.0

@@ -35,7 +35,9 @@ class GridCDF:
 
     cum[k] is the certified-approximate probability of (-inf, x0 + k w].
     The envelope promises  F_true(x - eps_x) - eps_p <= cdf(x) <=
-    F_true(x + eps_x) + eps_p  for every x in the knot window.
+    F_true(x + eps_x) + eps_p  for every x in the knot window.  The pitch
+    must be at least 2^-40 of the knots' magnitude, so that each knot is a
+    distinct float and knot_index finds it exactly.
     """
 
     def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float,
@@ -47,21 +49,33 @@ class GridCDF:
         self.cum = np.asarray(cum, dtype=float)
         if self.cum.ndim != 1 or self.cum.size == 0:
             raise ValueError("grid cumulative array must be nonempty and 1-d")
+        if not np.all(np.isfinite(self.cum)):
+            raise ValueError("grid cumulative array must be finite")
+        # knot_index is exact, and the float knots strictly increase, only while
+        # the pitch stays far above the rounding error of x0 + k w (about 2^-53
+        # of the knots' magnitude); 2^-40 leaves a wide margin
+        reach = max(abs(self.x0), abs(self.x0 + self.w * self.cum.size)) + self.w
+        if not self.w >= 2.0 ** -40 * reach:
+            raise ValueError(f"grid pitch {w} is below the float resolution of "
+                             f"knots of magnitude {reach:.3g}")
         self.eps_x = float(eps_x)
         self.eps_p = float(eps_p)
         self.conditional = bool(conditional)
         self._slack: Optional[float] = None
-        self._win_cache: dict[float, float] = {}
+        self._win_cache: dict[int, float] = {}
 
     def support(self) -> tuple[float, float]:
         return self.x0, self.x0 + self.w * (self.cum.size - 1)
 
-    def _lookup(self, x, strict: bool):
-        """cum at the last knot x0 + k w that is <= x (< x when strict), else 0.
+    def knot_index(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(k, on) for each x: k is the last knot x0 + k w strictly below x
+        and on tells whether x is the float knot x0 + (k + 1) w itself.
 
         (x - x0) / w can round across an integer when the pitch is not
-        dyadic, so it only picks the nearest knot m; the float knot
-        x0 + m w itself decides whether the answer is m or m - 1.
+        dyadic, so it only picks the nearest knot m, clipped to -1 .. K; the
+        float knot x0 + m w itself decides whether k is m or m - 1.  k runs
+        from -2 to K, K the number of knots; on at k = -2 or K - 1 marks the
+        virtual knots x0 - w and x0 + K w, not a knot of the grid.
         """
         x = np.asarray(x, dtype=float)
         m = np.array(x, ndmin=1)
@@ -69,14 +83,20 @@ class GridCDF:
         m /= self.w
         np.rint(m, out=m)
         np.clip(m, -1.0, self.cum.size, out=m)
-        knot = m * self.w
-        knot += self.x0
         k = m.astype(np.int64)
-        k -= (knot >= x) if strict else (knot > x)
-        below = k < 0
-        out = self.cum.take(k, mode="clip", out=knot)
-        out[below] = 0.0
-        return out.reshape(x.shape)
+        m *= self.w              # m now holds the float knot x0 + m w
+        m += self.x0
+        k -= m >= x
+        return k, m == x
+
+    def _lookup(self, x, strict: bool):
+        """cum at the last knot x0 + k w that is <= x (< x when strict), else 0."""
+        k, on = self.knot_index(x)
+        if not strict:
+            k += on
+        out = self.cum.take(k, mode="clip")
+        out[k < 0] = 0.0
+        return out.reshape(np.shape(x))
 
     def cdf(self, x):
         return self._lookup(x, strict=False)
@@ -85,22 +105,27 @@ class GridCDF:
         return self._lookup(x, strict=True)
 
     def window_sup(self, r: float) -> float:
-        """max mass of a closed window of width r (knot-anchored, exact)."""
+        """max mass of a closed window of width r (knot-anchored, exact).
+
+        A window that starts at knot i holds knots i .. i + m, m = floor(r / w),
+        so widths with the same m share one cache entry.
+        """
         if r < 0:
             raise ValueError(f"window width must be >= 0, got {r}")
-        hit = self._win_cache.get(r)
-        if hit is not None:
-            return hit
-        m = int(math.floor(r / self.w))
-        k = self.cum.size
-        if m >= k - 1:
-            out = float(self.cum[-1])
-        else:
-            hi = np.concatenate((self.cum[m:], np.full(m, self.cum[-1])))
-            lo = np.concatenate(([0.0], self.cum[:-1]))
-            out = float(np.max(hi - lo))
-        self._win_cache[r] = out
-        return out
+        c = self.cum
+        k = c.size
+        if r / self.w >= k - 1:          # floor(r / w) >= k - 1, r = inf included
+            return float(c[-1])
+        m = int(r / self.w)
+        hit = self._win_cache.get(m)
+        if hit is None:
+            # start 0 holds cum[m]; starts 1 .. k-m-1 hold cum[i+m] - cum[i-1];
+            # the last m starts run past the end and hold cum[-1] - cum[i-1]
+            hit = max(float(c[m]), float(np.max(c[m + 1:] - c[:k - m - 1])))
+            if m:
+                hit = max(hit, float(np.max(c[-1] - c[k - m - 1:k - 1])))
+            self._win_cache[m] = hit
+        return hit
 
     def vertical_slack(self) -> float:
         """Certified sup_x |cdf(x) - F_true(x)| over the knot window."""
@@ -201,6 +226,13 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     if need > CONV_CAP:
         raise ResourceLimit(f"convolution needs {need} bytes ({size} lattice knots, "
                             f"{k_req} window knots), over the cap {CONV_CAP}")
+    # requested knot k reads atoms up to floor(x0 / w) + k; a window whose
+    # atoms all lie beyond the lattice hull holds none or all of the mass.
+    # Tested in float before the fold; past it, floor(x0 / w) fits int64
+    a0 = x0 / w
+    if not grid_lo - (k_req - 1) <= a0 < grid_hi + 1:
+        raise RangeTooSmall(f"window [{x0}, {x1}] misses the lattice hull "
+                            f"[{grid_lo * w}, {grid_hi * w}] that holds all of the mass")
 
     dist = np.zeros(size)
     dist[-grid_lo] = 1.0                # the all-zero expansion sits at value 0
@@ -237,7 +269,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
 
     # map the atom lattice {i w} onto the requested knots x0 + k w: atom i
     # is <= knot k  iff  i <= floor(x0 / w) + k
-    anchor = int(math.floor(x0 / w))
+    anchor = int(math.floor(a0))
     idx = anchor + np.arange(k_req, dtype=np.int64) - grid_lo
     idx_c = np.clip(idx, -1, size - 1)
     cum = np.where(idx_c < 0, 0.0, cum_all[np.maximum(idx_c, 0)])

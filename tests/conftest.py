@@ -1,8 +1,11 @@
-"""Shared bases and digit maps used across the test modules."""
+"""Shared bases, digit maps and preset rows used across the test modules."""
+
+import dataclasses
 
 import pytest
 
 from cantorlab import CantorBase, DigitMap, build_base
+from cantorlab.experiments import preset, run_experiment
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +58,17 @@ def tern() -> DigitMap:
 @pytest.fixture(scope="session")
 def skew() -> DigitMap:
     return DigitMap.skewed_polyweight()
+
+
+@pytest.fixture(scope="session")
+def preset_rows():
+    """run_experiment rows of a preset by name; each preset runs once per
+    session (without its CF trace file), however many tests read it."""
+    cache = {}
+
+    def rows(name: str) -> list[dict]:
+        if name not in cache:
+            cache[name] = run_experiment(dataclasses.replace(preset(name), trace_out=None))
+        return cache[name]
+
+    return rows

@@ -34,7 +34,6 @@ from cantorlab import (
     value_vector,
     window_variance,
 )
-from cantorlab.experiments import preset, run_experiment
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -52,12 +51,6 @@ def bases():
         "per23": build_base({"kind": "periodic", "pattern": [2, 3]}),
         "fact": build_base({"kind": "affine", "c": 1, "d": 2}),
     }
-
-
-@pytest.fixture(scope="module")
-def example_ii_rows():
-    # shared between the bound-ratio and slope checks below
-    return run_experiment(preset("example-II"))
 
 
 def test_01_digit_round_trip(bases):
@@ -184,12 +177,10 @@ def test_05_discrepancy_rate_envelope(bases):
              f"max N D*_N / (log2 N + 2) = {worst:.4f} over 8 <= N <= 2^16")
 
 
-def test_06_bound_validity_ratio(example_ii_rows):
-    families = {
-        "regimeB-binary": run_experiment(preset("regimeB-binary")),
-        "regimeC-ternary": run_experiment(preset("regimeC-ternary")),
-        "example-II": example_ii_rows,
-    }
+def test_06_bound_validity_ratio(preset_rows):
+    # the preset rows are shared with the slope check and the golden CSV test
+    families = {nm: preset_rows(nm)
+                for nm in ("regimeB-binary", "regimeC-ternary", "example-II")}
     details = []
     ok = True
     for nm, rows in families.items():
@@ -200,9 +191,9 @@ def test_06_bound_validity_ratio(example_ii_rows):
              "max dk_hi/total per family (need <= 10): " + ", ".join(details))
 
 
-def test_07_geometric_tail_slope(example_ii_rows):
+def test_07_geometric_tail_slope(preset_rows):
     pts = [(math.log(r["N"]), math.log(r["dk_hi"]))
-           for r in example_ii_rows if r["N"] >= 2**14]
+           for r in preset_rows("example-II") if r["N"] >= 2**14]
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])

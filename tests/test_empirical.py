@@ -236,6 +236,67 @@ def test_kolmogorov_grid_interval_formula():
     assert got == Interval(0.0, 0.28)
 
 
+def _sup_diff_grid_oracle(ecdf, ref):
+    """d_K against a grid by search: F_n and F at every sample and every knot."""
+    best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - np.asarray(ref.cdf(ecdf.samples)))))
+    k = ref.cum.size
+    jumps = (ref.x0 + ref.w * np.arange(lo, min(lo + (1 << 20), k))
+             for lo in range(0, k, 1 << 20))
+    for chunk in jumps:
+        d = np.max(np.abs(ecdf.cdf(chunk) - np.asarray(ref.cdf(chunk))))
+        best = max(best, float(d))
+    return best
+
+
+def _w1_grid_oracle(ecdf, ref):
+    """W1 against a grid over the sorted union of samples and knots."""
+    knots = ref.x0 + ref.w * np.arange(ref.cum.size)
+    b = np.union1d(ecdf.samples, knots)
+    diff = np.abs(ecdf.cdf(b[:-1]) - np.asarray(ref.cdf(b[:-1])))
+    return float(np.sum(diff * np.diff(b)))
+
+
+def _grid_case(x0, w, k, n, seed, monotone):
+    rng = np.random.default_rng(seed)
+    cum = rng.random(k)
+    if monotone:
+        cum.sort()
+    g = GridCDF(x0=x0, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
+    knots = x0 + w * np.arange(k)
+    # values between knots, on knots, on the virtual knots x0 - w and
+    # x0 + k w, far outside the grid, each drawn with repeats
+    pool = np.concatenate([
+        rng.uniform(x0 - 3.0 * w, x0 + (k + 3) * w, size=n),
+        knots[rng.integers(0, k, size=n)],
+        [x0 - w, x0 + k * w, x0 - 1e3 * (1.0 + w * k), x0 + 1e3 * (1.0 + w * k)],
+    ])
+    pool = pool[rng.integers(0, pool.size, size=max(1, n // 2))]
+    return EmpiricalCDF(pool[rng.integers(0, pool.size, size=n)]), g
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x0=st.floats(-1e3, 1e3), w=st.floats(1e-6, 10.0),
+       sizes=st.one_of(st.tuples(st.integers(200, 5000), st.integers(1, 40)),   # K >> N
+                       st.tuples(st.integers(1, 40), st.integers(200, 5000)),   # K << N
+                       st.tuples(st.integers(1, 3000), st.integers(1, 3000))),
+       seed=st.integers(0, 2 ** 32 - 1), monotone=st.booleans())
+@example(x0=0.1, w=1e-3, sizes=(1, 1), seed=0, monotone=True)
+@example(x0=0.1, w=1e-3, sizes=(1, 1), seed=1, monotone=True)
+@example(x0=-1.6, w=1.0 / 3000.0, sizes=(9601, 64), seed=2, monotone=True)
+@example(x0=7.3, w=0.7, sizes=(3, 5000), seed=3, monotone=False)
+def test_grid_distances_match_search_oracle_bitwise(x0, w, sizes, seed, monotone):
+    k, n = sizes
+    e, g = _grid_case(x0, w, k, n, seed, monotone)
+    dk = kolmogorov(e, g)
+    assert dk.lo == dk.hi
+    assert _same_bits(dk.lo, _sup_diff_grid_oracle(e, g))
+    assert _same_bits(wasserstein1(e, g), _w1_grid_oracle(e, g))
+
+
 def test_star_discrepancy_exact():
     assert star_discrepancy([0.5]) == 0.5
     # van der Corput prefixes hit powers of two exactly

@@ -1,5 +1,6 @@
 """Experiment configs, presets, CSV output, and the command line."""
 
+import hashlib
 import json
 import math
 import os
@@ -152,6 +153,17 @@ def test_vdc_q2_rows_reproduce_known_discrepancy():
         assert r["dk_lo"] == r["dk_hi"] == r["dstar"]
 
 
+def test_preset_csvs_match_golden_digests(preset_rows):
+    # sha256 of each preset's experiment CSV: exact outputs may not drift
+    # by a byte
+    path = Path(__file__).with_name("golden_presets.json")
+    golden = json.loads(path.read_text())["csv_sha256"]
+    assert sorted(golden) == sorted(PRESET_NAMES)
+    got = {name: hashlib.sha256(rows_to_csv(preset_rows(name)).encode()).hexdigest()
+           for name in PRESET_NAMES}
+    assert got == golden
+
+
 # -- command line ------------------------------------------------------------------
 
 
@@ -223,6 +235,7 @@ def _assert_cli_error(argv, code):
     assert proc.returncode == code, (proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ERROR ")
+    return proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,6 +264,15 @@ def test_cli_nan_float_flag_exits_2(argv):
 def test_cli_conv_window_over_cap_exits_3(spec):
     # refused by the byte cap before the knot window or lattice is allocated
     _assert_cli_error(["empirical", "--n", "16", "--ref", spec], 3)
+
+
+def test_cli_conv_window_beyond_lattice_hull_exits_2():
+    # floor(x0 / w) = 1e19 leaves int64; the window misses the law's mass
+    # [0, 2] and is refused as too small before the fold runs
+    err = _assert_cli_error(["empirical", "--n", "16",
+                             "--ref", "grid:1e13:10000000000000.002:1e-6",
+                             "--map", '{"family": "geometric", "beta": 0.5, "g": [0, 1]}'], 2)
+    assert "misses the lattice hull" in err
 
 
 @pytest.mark.parametrize("spec, reference, grid", [

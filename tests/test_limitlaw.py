@@ -77,6 +77,14 @@ def test_grid_cdf_validation():
         GridCDF(0.0, 0.0, np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError):
         GridCDF(0.0, 1.0, np.array([]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        GridCDF(0.0, 1.0, np.array([0.5, np.nan]), 0.0, 0.0)
+    # knots closer than the float spacing near them, or past float range,
+    # cannot be told apart: the pitch guard refuses them
+    for x0, w, k in ((1e13, 1e-6, 10), (1.0, 1e-13, 3), (1e308, 1e307, 100)):
+        with pytest.raises(ValueError, match="resolution"):
+            GridCDF(x0, w, np.ones(k), 0.0, 0.0)
+    GridCDF(1e13, 16.0, np.ones(10), 0.0, 0.0)
 
 
 def test_window_sup_matches_brute():
@@ -92,6 +100,47 @@ def test_window_sup_matches_brute():
             mass = pmf[(xs >= xs[i]) & (xs <= xs[i] + r)].sum()
             want = max(want, float(mass))
         assert g.window_sup(r) == pytest.approx(want, abs=1e-15)
+
+
+def _window_sup_concat(cum, w, r):
+    """Q(r) as one array: window ends padded with cum[-1], starts with 0."""
+    m = int(math.floor(r / w))
+    k = cum.size
+    if m >= k - 1:
+        return float(cum[-1])
+    hi = np.concatenate((cum[m:], np.full(m, cum[-1])))
+    lo = np.concatenate(([0.0], cum[:-1]))
+    return float(np.max(hi - lo))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 300), w=st.floats(1e-3, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+       monotone=st.booleans())
+def test_window_sup_matches_concatenation_and_caches_by_knot_count(k, w, seed, monotone):
+    rng = np.random.default_rng(seed)
+    cum = rng.random(k)
+    if monotone:
+        cum = np.cumsum(cum / cum.sum())
+    g = GridCDF(x0=0.3, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
+    # m = 0, every 0 < m < k - 1, and m >= k - 1, each at a width inside
+    # its knot count
+    for m in range(0, k + 2):
+        for frac in (0.0, 0.5, 0.999):
+            r = (m + frac) * w
+            want = _window_sup_concat(cum, w, r)
+            got = g.window_sup(r)
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (m, frac)
+    assert g.window_sup(math.inf) == cum[-1]
+    assert set(g._win_cache) <= set(range(k - 1))
+    # widths with the same floor(r / w) share one entry; m >= k - 1 needs none
+    fresh = GridCDF(x0=0.3, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
+    m = k // 2
+    r1, r2 = (m + 0.25) * w, (m + 0.75) * w
+    assert math.floor(r1 / w) == math.floor(r2 / w) == m
+    fresh.window_sup(r1)
+    fresh.window_sup(r2)
+    fresh.window_sup((k + 1) * w)
+    assert list(fresh._win_cache) == ([m] if m < k - 1 else [])
 
 
 def test_vertical_slack_formula():
@@ -172,6 +221,12 @@ def test_conv_envelope_covers_deep_truth(base3, tern):
 def test_conv_window_guards(base2, vdc2):
     with pytest.raises(RangeTooSmall):
         limit_cdf_conv(vdc2, base2, 0.0, 0.1, 2.0 ** -10)
+    # windows beyond the lattice hull [0, 1] are refused before the fold,
+    # including one whose anchor floor(x0 / w) leaves int64
+    for x0, x1, w in ((1.5, 2.5, 2.0 ** -10), (-3.0, -1.0, 2.0 ** -10),
+                      (1e13, 1e13 + 0.002, 1e-6)):
+        with pytest.raises(RangeTooSmall, match="misses the lattice hull"):
+            limit_cdf_conv(vdc2, base2, x0, x1, w)
     # each byte check of CONV_CAP trips before its arrays exist: the window
     # (finite, infinite), one level's offsets, then lattice plus window
     for x1, w, depth in ((1.0, 2.0 ** -40, 5), (1e300, 1e-3, 5), (1.0, 1e-320, 5),
