@@ -9,7 +9,7 @@ runner.
 
 from .errors import (AlphabetMismatch, CantorLabError, ConfigError,
                      DigitOutOfRange, InvalidBase, MissingDensityBound,
-                     NoTailMeta, NonIntegrable, NotPrimitive, NotStochastic,
+                     NoTailMeta, NotPrimitive, NotStochastic,
                      PointOutOfRange, RangeTooSmall, RegimeUnavailable,
                      ResourceLimit, UnknownPreset)
 from .mixed_radix import (CantorBase, Expansion, build_base, compress, expand,
@@ -17,7 +17,7 @@ from .mixed_radix import (CantorBase, Expansion, build_base, compress, expand,
 from .qadditive import (DigitMap, DigitStats, EwReport, digit_stats,
                         digit_value, evaluate, ew_diagnose, level_values,
                         tail_sums)
-from .empirical import (EmpiricalCDF, Interval, PointMassCDF, SmoothingReport,
+from .empirical import (EmpiricalCDF, Interval, SmoothingReport,
                         UniformCDF, concentration, empirical_cdf, kolmogorov,
                         smoothing_check, star_discrepancy, value_vector,
                         wasserstein1)
@@ -42,8 +42,8 @@ __all__ = [
     "ConfigError", "CovarianceDecay", "DigitChain", "DigitMap", "DigitStats",
     "EmpiricalCDF", "EwReport", "Expansion", "ExperimentConfig", "GridCDF",
     "Interval", "InvalidBase", "InvertedCDF", "MissingDensityBound",
-    "NoTailMeta", "NonIntegrable", "NotPrimitive", "NotStochastic",
-    "PRESET_NAMES", "PointMassCDF", "PointOutOfRange", "RangeTooSmall", "T_GRID",
+    "NoTailMeta", "NotPrimitive", "NotStochastic",
+    "PRESET_NAMES", "PointOutOfRange", "RangeTooSmall", "T_GRID",
     "RegimeUnavailable", "ResourceLimit", "SmoothingReport", "UniformCDF",
     "UnknownPreset", "WindowBoundReport", "WindowVariance", "build_base",
     "build_chain", "cf_factor", "cf_truncated", "cf_truncation_bound",

@@ -208,8 +208,6 @@ def _cmd_experiment(args) -> int:
     overrides = {}
     if args.out:
         overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.trace_out:
         overrides["trace_out"] = args.trace_out
     if overrides:
@@ -348,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="path to a config JSON")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--trace-out", help="CF trace path override")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("preset-list", help="list built-in experiment presets")

@@ -51,24 +51,11 @@ class UniformCDF:
         return 1.0 / (self.hi - self.lo)
 
 
-class PointMassCDF:
-    """Degenerate reference: all mass at one point."""
-
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def cdf(self, x):
-        return (np.asarray(x, dtype=float) >= self.c).astype(float)
-
-    def cdf_left(self, x):
-        return (np.asarray(x, dtype=float) > self.c).astype(float)
-
-    def support(self) -> tuple[float, float]:
-        return self.c, self.c
-
-
 class EmpiricalCDF:
-    """Exact empirical CDF of a finite sample, kept sorted."""
+    """Exact empirical CDF of a finite sample, kept sorted.
+
+    EmpiricalCDF([c]) is the point mass at c.
+    """
 
     def __init__(self, samples):
         s = np.sort(np.asarray(samples, dtype=float))
@@ -122,26 +109,19 @@ def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
     return out
 
 
-def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int, cap: int = ENUM_CAP) -> EmpiricalCDF:
-    """Empirical CDF of {f(0), ..., f(n-1)}; refuses n beyond the cap."""
-    if n > cap:
-        raise ResourceLimit(f"enumeration of {n} values exceeds the cap {cap}")
+def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int) -> EmpiricalCDF:
+    """Empirical CDF of {f(0), ..., f(n-1)}; refuses n beyond ENUM_CAP."""
     return EmpiricalCDF(value_vector(dmap, base, n))
 
 
 # -- Kolmogorov distance -----------------------------------------------------
 
 
-def _is_step(ref) -> bool:
-    return isinstance(ref, (EmpiricalCDF, PointMassCDF))
-
-
-def _sup_diff_step(ecdf: EmpiricalCDF, ref) -> float:
+def _sup_diff_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
     # both right-continuous steps: the difference is constant between merged
     # jumps and takes its piece value at each jump, so right values suffice
     best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - np.asarray(ref.cdf(ecdf.samples)))))
-    jumps = ref.samples if isinstance(ref, EmpiricalCDF) else np.array([ref.c])
-    d = np.max(np.abs(ecdf.cdf(jumps) - np.asarray(ref.cdf(jumps))))
+    d = np.max(np.abs(ecdf.cdf(ref.samples) - np.asarray(ref.cdf(ref.samples))))
     return max(best, float(d))
 
 
@@ -229,7 +209,7 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
         d0 = _sup_diff_grid(ecdf, ref)
         slack = ref.vertical_slack()
         return Interval(max(0.0, d0 - slack), min(1.0, d0 + slack))
-    if _is_step(ref):
+    if isinstance(ref, EmpiricalCDF):
         return _sup_diff_step(ecdf, ref)
     s, n = ecdf.samples, ecdf.n
     hi = np.arange(1, n + 1) / n
@@ -242,9 +222,8 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
 # -- Wasserstein-1 distance ---------------------------------------------------
 
 
-def _w1_step(ecdf: EmpiricalCDF, ref) -> float:
-    knots = ref.samples if isinstance(ref, EmpiricalCDF) else np.array([ref.c])
-    b = np.union1d(ecdf.samples, knots)
+def _w1_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
+    b = np.union1d(ecdf.samples, ref.samples)
     diff = np.abs(ecdf.cdf(b[:-1]) - np.asarray(ref.cdf(b[:-1])))
     return float(np.sum(diff * np.diff(b)))
 
@@ -310,7 +289,7 @@ def wasserstein1(ecdf: EmpiricalCDF, ref, with_error: bool = False):
     """
     if isinstance(ref, GridCDF):
         v, err = _w1_grid(ecdf, ref), 0.0
-    elif _is_step(ref):
+    elif isinstance(ref, EmpiricalCDF):
         v, err = _w1_step(ecdf, ref), 0.0
     elif isinstance(ref, UniformCDF):
         v, err = _w1_uniform(ecdf, ref), 0.0
@@ -360,8 +339,6 @@ def concentration(ref, r: float):
         exact = ref.window_sup(r)
         hi = min(1.0, ref.window_sup(r + 2.0 * ref.eps_x) + 2.0 * ref.eps_p)
         return Interval(exact, hi)
-    if isinstance(ref, PointMassCDF):
-        return 1.0
     if isinstance(ref, EmpiricalCDF):
         atoms, counts = np.unique(ref.samples, return_counts=True)
         return _atom_window_sup(atoms, counts / ref.samples.size, r)
@@ -379,16 +356,13 @@ def concentration(ref, r: float):
 # -- star discrepancy ----------------------------------------------------------
 
 
-def star_discrepancy(points, n: Optional[int] = None) -> float:
+def star_discrepancy(points) -> float:
     """Exact one-dimensional star discrepancy of points in [0, 1].
 
     D*_n = max_i max(i/n - x_(i), x_(i) - (i-1)/n) over the sorted points.
     """
     pts = np.sort(np.asarray(points, dtype=float))
-    if n is None:
-        n = pts.size
-    elif n != pts.size:
-        raise ValueError(f"n = {n} does not match the {pts.size} points supplied")
+    n = pts.size
     if n == 0:
         raise ValueError("star discrepancy of an empty point set is undefined")
     if pts[0] < 0.0 or pts[-1] > 1.0:

@@ -33,10 +33,6 @@ class RangeTooSmall(CantorLabError):
     """Grid range clips more probability mass than the envelope ceiling."""
 
 
-class NonIntegrable(CantorLabError):
-    """The inversion integrand fails its decay/validity checks."""
-
-
 class MissingDensityBound(CantorLabError):
     """Regime B was requested without a sup-density bound rho_inf."""
 

@@ -1,17 +1,18 @@
 """Batch experiments: config schema, named presets, and the N-ladder runner.
 
-A config pins base, digit map, heights, regime, reference law, grid
-parameters, and seed; running it produces one CSV row per height with
-the fixed column schema
+A config pins base, digit map, heights, regime, reference law and grid
+parameters; running it produces one CSV row per height with the fixed
+column schema
 
     N, L, h_star, T_star, regime, bridge, tau1, tau2, qf, g, total,
     dk_lo, dk_hi, w1, dstar, predicted_rate
 
-Identical config and seed give byte-identical CSV output.
+Nothing in a run is random: identical config gives byte-identical CSV.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .empirical import (Interval, PointMassCDF, UniformCDF, empirical_cdf,
+from .empirical import (EmpiricalCDF, Interval, UniformCDF, empirical_cdf,
                         kolmogorov, star_discrepancy, wasserstein1)
 from .errors import ConfigError, UnknownPreset
 from .limitlaw import cf_truncated, limit_cdf_conv
@@ -30,10 +31,6 @@ from .window_bounds import optimize_window, predicted_rate, resolve_regime
 CSV_COLUMNS = ("N", "L", "h_star", "T_star", "regime", "bridge", "tau1", "tau2",
                "qf", "g", "total", "dk_lo", "dk_hi", "w1", "dstar",
                "predicted_rate")
-
-PRESET_NAMES = ("vdc-q2", "vdc-cantor-factorial", "regimeB-binary",
-                "regimeC-ternary", "regimeA-skewed", "example-I", "example-II",
-                "qadic-delange", "zero-map")
 
 # numeric fields of each reference kind in --ref order; a grid's sit in "grid"
 _REFERENCE_FIELDS = {"uniform": ("lo", "hi"), "point": ("c",), "grid": ("x0", "x1", "w")}
@@ -52,7 +49,6 @@ class ExperimentConfig:
     regime: str = "auto"
     rho_inf: Optional[float] = None
     grid: Optional[dict] = None
-    seed: int = 0
     out: Optional[str] = None
     trace_out: Optional[str] = None
     rate_family: Optional[dict] = None
@@ -97,7 +93,7 @@ def _validate_config(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("<root>", f"config must be an object, got {type(d).__name__}")
     allowed = {"name", "base", "map", "reference", "ns", "ladder", "regime",
-               "rho_inf", "grid", "seed", "out", "trace_out", "rate_family"}
+               "rho_inf", "grid", "out", "trace_out", "rate_family"}
     for k in d:
         if k not in allowed:
             raise ConfigError(k, "unknown config field")
@@ -144,9 +140,6 @@ def _validate_config(d: dict) -> ExperimentConfig:
     if rho_inf is not None and not (isinstance(rho_inf, (int, float)) and rho_inf > 0):
         raise ConfigError("rho_inf", f"must be a positive number, got {rho_inf!r}")
 
-    seed = d.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed", f"must be a nonnegative integer, got {seed!r}")
     for k in ("out", "trace_out"):
         if d.get(k) is not None and not isinstance(d[k], str):
             raise ConfigError(k, "must be a path string or null")
@@ -174,7 +167,7 @@ def _validate_config(d: dict) -> ExperimentConfig:
         regime=regime,
         rho_inf=float(rho_inf) if rho_inf is not None else None,
         grid=dict(grid) if grid is not None else None,
-        seed=seed, out=d.get("out"), trace_out=d.get("trace_out"),
+        out=d.get("out"), trace_out=d.get("trace_out"),
         rate_family=dict(rate) if rate is not None else None)
 
 
@@ -226,89 +219,86 @@ def _make_reference(ref: dict, grid: Optional[dict], dmap: DigitMap, base: Canto
     if kind == "uniform":
         return UniformCDF(ref["lo"], ref["hi"])
     if kind == "point":
-        return PointMassCDF(ref["c"])
+        return EmpiricalCDF([ref["c"]])
     return limit_cdf_conv(dmap, base, grid["x0"], grid["x1"], grid["w"], depth=grid.get("depth"))
 
 
 # -- presets -------------------------------------------------------------------
 
 
+_PRESETS = {
+    "vdc-q2": {
+        "base": {"kind": "constant", "q": 2},
+        "map": {"family": "radical-inverse"},
+        "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "ladder": {"start": 16, "stop": 65536, "factor": 2},
+        "regime": "B", "rho_inf": 1.0},
+    "vdc-cantor-factorial": {
+        "base": {"kind": "affine", "c": 1, "d": 2},
+        "map": {"family": "radical-inverse"},
+        "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "ladder": {"start": 16, "stop": 65536, "factor": 2},
+        "regime": "B", "rho_inf": 1.0},
+    "regimeB-binary": {
+        "base": {"kind": "constant", "q": 2},
+        "map": {"family": "radical-inverse"},
+        "reference": {"kind": "grid"},
+        "grid": {"x0": 0.0, "x1": 1.0, "w": 2.0 ** -20, "depth": None},
+        "ladder": {"start": 256, "stop": 1048576, "factor": 4},
+        "regime": "B", "rho_inf": 1.0},
+    "regimeC-ternary": {
+        "base": {"kind": "constant", "q": 3},
+        "map": {"family": "symmetric-ternary"},
+        "reference": {"kind": "grid"},
+        "grid": {"x0": -1.625, "x1": 1.625, "w": 2.0 ** -20, "depth": None},
+        "ladder": {"start": 256, "stop": 1048576, "factor": 4},
+        "regime": "auto"},
+    "regimeA-skewed": {
+        "base": {"kind": "constant", "q": 4},
+        "map": {"family": "skewed-polyweight"},
+        "reference": {"kind": "grid"},
+        "grid": {"x0": 0.0, "x1": 5.5, "w": 2.0 ** -16, "depth": None},
+        "ladder": {"start": 256, "stop": 1048576, "factor": 4},
+        "regime": "auto"},
+    "example-I": {
+        "base": {"kind": "constant", "q": 2},
+        "map": {"family": "polynomial", "alpha": 1.5, "g": [0.0, 1.0]},
+        "reference": {"kind": "grid"},
+        "grid": {"x0": 0.0, "x1": 3.75, "w": 2.0 ** -14, "depth": None},
+        "ladder": {"start": 256, "stop": 1048576, "factor": 4},
+        "regime": "A",
+        "rate_family": {"family": "example-I", "alpha": 1.5, "q": 2}},
+    "example-II": {
+        "base": {"kind": "constant", "q": 2},
+        "map": {"family": "geometric", "beta": 0.5, "g": [0.0, 1.0]},
+        "reference": {"kind": "grid"},
+        "grid": {"x0": 0.0, "x1": 2.0, "w": 2.0 ** -21, "depth": None},
+        "ladder": {"start": 256, "stop": 1048576, "factor": 2},
+        "regime": "A",
+        "rate_family": {"family": "example-II", "beta": 0.5, "q": 2}},
+    "qadic-delange": {
+        "base": {"kind": "constant", "q": 5},
+        "map": {"family": "radical-inverse"},
+        "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        "ladder": {"start": 25, "stop": 390625, "factor": 5},
+        "regime": "B", "rho_inf": 1.0,
+        "trace_out": "qadic-delange-cf.csv"},
+    "zero-map": {
+        "base": {"kind": "constant", "q": 2},
+        "map": {"family": "geometric", "beta": 0.5, "g": [0.0, 0.0]},
+        "reference": {"kind": "point", "c": 0.0},
+        "ladder": {"start": 16, "stop": 4096, "factor": 4},
+        "regime": "B", "rho_inf": 1.0},
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> ExperimentConfig:
     """A fully specified, ready-to-run configuration by name."""
-    if name == "vdc-q2":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 2},
-             "map": {"family": "radical-inverse"},
-             "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-             "ladder": {"start": 16, "stop": 65536, "factor": 2},
-             "regime": "B", "rho_inf": 1.0}
-    elif name == "vdc-cantor-factorial":
-        d = {"name": name,
-             "base": {"kind": "affine", "c": 1, "d": 2},
-             "map": {"family": "radical-inverse"},
-             "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-             "ladder": {"start": 16, "stop": 65536, "factor": 2},
-             "regime": "B", "rho_inf": 1.0}
-    elif name == "regimeB-binary":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 2},
-             "map": {"family": "radical-inverse"},
-             "reference": {"kind": "grid"},
-             "grid": {"x0": 0.0, "x1": 1.0, "w": 2.0 ** -20, "depth": None},
-             "ladder": {"start": 256, "stop": 1048576, "factor": 4},
-             "regime": "B", "rho_inf": 1.0}
-    elif name == "regimeC-ternary":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 3},
-             "map": {"family": "symmetric-ternary"},
-             "reference": {"kind": "grid"},
-             "grid": {"x0": -1.625, "x1": 1.625, "w": 2.0 ** -20, "depth": None},
-             "ladder": {"start": 256, "stop": 1048576, "factor": 4},
-             "regime": "auto"}
-    elif name == "regimeA-skewed":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 4},
-             "map": {"family": "skewed-polyweight"},
-             "reference": {"kind": "grid"},
-             "grid": {"x0": 0.0, "x1": 5.5, "w": 2.0 ** -16, "depth": None},
-             "ladder": {"start": 256, "stop": 1048576, "factor": 4},
-             "regime": "auto"}
-    elif name == "example-I":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 2},
-             "map": {"family": "polynomial", "alpha": 1.5, "g": [0.0, 1.0]},
-             "reference": {"kind": "grid"},
-             "grid": {"x0": 0.0, "x1": 3.75, "w": 2.0 ** -14, "depth": None},
-             "ladder": {"start": 256, "stop": 1048576, "factor": 4},
-             "regime": "A",
-             "rate_family": {"family": "example-I", "alpha": 1.5, "q": 2}}
-    elif name == "example-II":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 2},
-             "map": {"family": "geometric", "beta": 0.5, "g": [0.0, 1.0]},
-             "reference": {"kind": "grid"},
-             "grid": {"x0": 0.0, "x1": 2.0, "w": 2.0 ** -21, "depth": None},
-             "ladder": {"start": 256, "stop": 1048576, "factor": 2},
-             "regime": "A",
-             "rate_family": {"family": "example-II", "beta": 0.5, "q": 2}}
-    elif name == "qadic-delange":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 5},
-             "map": {"family": "radical-inverse"},
-             "reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
-             "ladder": {"start": 25, "stop": 390625, "factor": 5},
-             "regime": "B", "rho_inf": 1.0,
-             "trace_out": "qadic-delange-cf.csv"}
-    elif name == "zero-map":
-        d = {"name": name,
-             "base": {"kind": "constant", "q": 2},
-             "map": {"family": "geometric", "beta": 0.5, "g": [0.0, 0.0]},
-             "reference": {"kind": "point", "c": 0.0},
-             "ladder": {"start": 16, "stop": 4096, "factor": 4},
-             "regime": "B", "rho_inf": 1.0}
-    else:
+    if name not in _PRESETS:
         raise UnknownPreset(f"no preset named {name!r}; known: {', '.join(PRESET_NAMES)}")
-    return _validate_config(d)
+    return _validate_config(dict(copy.deepcopy(_PRESETS[name]), name=name))
 
 
 # -- running --------------------------------------------------------------------

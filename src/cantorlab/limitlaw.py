@@ -40,8 +40,7 @@ class GridCDF:
     distinct float and knot_index finds it exactly.
     """
 
-    def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float,
-                 conditional: bool = False):
+    def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float):
         if w <= 0:
             raise ValueError(f"grid pitch must be > 0, got {w}")
         self.x0 = float(x0)
@@ -60,7 +59,6 @@ class GridCDF:
                              f"knots of magnitude {reach:.3g}")
         self.eps_x = float(eps_x)
         self.eps_p = float(eps_p)
-        self.conditional = bool(conditional)
         self._slack: Optional[float] = None
         self._win_cache: dict[int, float] = {}
 
@@ -150,7 +148,7 @@ def _tail_pair(dmap: DigitMap, base: CantorBase, j: int) -> tuple[float, float]:
     A bare finite table has no mass past its depth, but its remaining
     rows between j and the depth still count: they are summed exactly.
     """
-    if dmap.family == "custom-table" and not dmap.has_tail_meta:
+    if not dmap.has_tail_meta:
         mt = vt = 0.0
         for k in range(j + 1, dmap.depth):
             st = digit_stats(dmap, base, k)

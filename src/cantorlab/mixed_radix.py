@@ -54,12 +54,28 @@ class CantorBase:
       is a constant/periodic/affine rule that takes over at the first
       index past the table.
 
+    The descriptor is turned into fields once: a finite prefix (the table,
+    else empty), then either a periodic pattern (a constant q, or an affine
+    rule with c = 0, is the pattern [q]) or a_j = c j + d.  Past the prefix
+    the rule reads the level index j itself, not j - len(prefix).
+
     The weight cache only ever grows (append-only under a lock), so
     concurrent readers of an already-built prefix are safe.
     """
 
     def __init__(self, descriptor: dict):
-        self._descriptor = _validate_rule(descriptor)
+        d = self._descriptor = _validate_rule(descriptor)
+        self._prefix = tuple(d.get("table", ()))
+        rule = d.get("then", d)
+        self._pattern: Optional[tuple[int, ...]] = None
+        if rule["kind"] == "constant":
+            self._pattern = (rule["q"],)
+        elif rule["kind"] == "periodic":
+            self._pattern = tuple(rule["pattern"])
+        elif rule["c"] == 0:
+            self._pattern = (rule["d"],)
+        else:
+            self._c, self._d = rule["c"], rule["d"]
         self._weights = [1]
         self._lock = threading.Lock()
 
@@ -69,11 +85,17 @@ class CantorBase:
         """a_j for level j >= 0."""
         if j < 0:
             raise InvalidBase(f"level index must be >= 0, got {j}")
-        return _digit_size(self._descriptor, j)
+        if j < len(self._prefix):
+            return self._prefix[j]
+        if self._pattern is None:
+            return self._c * j + self._d
+        return self._pattern[j % len(self._pattern)]
 
     def alphabet_sizes(self) -> Optional[frozenset[int]]:
         """Set of digit sizes this base can ever produce, or None if unbounded."""
-        return _alphabet_sizes(self._descriptor)
+        if self._pattern is None:
+            return None
+        return frozenset(self._prefix + self._pattern)
 
     def is_constant(self) -> bool:
         sizes = self.alphabet_sizes()
@@ -144,37 +166,6 @@ def _validate_rule(rule: dict) -> dict:
     if not isinstance(then, dict) or then.get("kind") == "table":
         raise InvalidBase("table base needs a constant/periodic/affine continuation rule under 'then'")
     return {"kind": "table", "table": list(table), "then": _validate_rule(then)}
-
-
-def _digit_size(rule: dict, j: int) -> int:
-    kind = rule["kind"]
-    if kind == "constant":
-        return rule["q"]
-    if kind == "periodic":
-        pattern = rule["pattern"]
-        return pattern[j % len(pattern)]
-    if kind == "affine":
-        return rule["c"] * j + rule["d"]
-    table = rule["table"]
-    if j < len(table):
-        return table[j]
-    return _digit_size(rule["then"], j)
-
-
-def _alphabet_sizes(rule: dict) -> Optional[frozenset[int]]:
-    kind = rule["kind"]
-    if kind == "constant":
-        return frozenset((rule["q"],))
-    if kind == "periodic":
-        return frozenset(rule["pattern"])
-    if kind == "affine":
-        if rule["c"] == 0:
-            return frozenset((rule["d"],))
-        return None
-    rest = _alphabet_sizes(rule["then"])
-    if rest is None:
-        return None
-    return frozenset(rule["table"]) | rest
 
 
 # -- operations ----------------------------------------------------------

@@ -146,27 +146,43 @@ def _check_regime(dmap: DigitMap, base: CantorBase, L: int, regime: str,
         raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
 
 
-def _tau1_or_none(dmap: DigitMap, base: CantorBase, L: int) -> Optional[float]:
+def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
+                 rho_inf: Optional[float], ref, hs, ts) -> WindowBoundReport:
+    """The report of the least total over the candidates h in hs, T in ts.
+
+    The first of equal totals wins.  Each total is summed in one order,
+    bridge [+ Q_F(1/T) + 1/T] + G + sqrt(tau1), so the minimum searched is
+    the total reported.  A missing tau1 adds 0.0, which leaves a positive
+    sum unchanged.  Q_F(1/T) is cached per T, so a search costs one scan
+    of ts per h.
+    """
     try:
-        return tau1(dmap, base, L)
+        t1: Optional[float] = tau1(dmap, base, L)
     except NoTailMeta:
-        return None
+        t1 = None
+    sqrt_t1 = math.sqrt(t1) if t1 is not None else 0.0
+    low = L - max(hs)                       # the deepest level a window reaches
+    s2 = [digit_stats(dmap, base, j).s2 for j in range(low, L)]
 
-
-def _report(base: CantorBase, N: int, L: int, h: int, T: float, regime: str,
-            rho_inf: Optional[float], ref, t1: Optional[float],
-            t2: float) -> WindowBoundReport:
-    A = window_size(base, L, h)
-    bridge = _inv(1.0, A)
-    g = regime_term(regime, T, t2, rho_inf)
-    if regime == "B":
-        qf = 0.0
-        total = bridge + g
-    else:
-        qf = _qf(ref, 1.0 / T)
-        total = bridge + qf + 1.0 / T + g
-    if t1 is not None:
-        total += math.sqrt(t1)
+    qf_cache: dict[float, float] = {}
+    best: Optional[tuple] = None
+    for h in hs:
+        A = window_size(base, L, h)
+        bridge = _inv(1.0, A)
+        t2 = math.fsum(s2[L - h - low:])
+        for T in ts:
+            g = regime_term(regime, T, t2, rho_inf)
+            if regime == "B":
+                qf = 0.0
+                total = bridge + g + sqrt_t1
+            else:
+                if T not in qf_cache:
+                    qf_cache[T] = _qf(ref, 1.0 / T)
+                qf = qf_cache[T]
+                total = bridge + qf + 1.0 / T + g + sqrt_t1
+            if best is None or total < best[0]:
+                best = (total, h, A, bridge, t2, T, qf, g)
+    total, h, A, bridge, t2, T, qf, g = best
     return WindowBoundReport(N=N, L=L, h=h, A_Lh=A, bridge=bridge, tau1=t1,
                              tau2_h=t2, T=T, qf_term=qf, g_term=g, total=total,
                              regime=regime, conditional=t1 is None)
@@ -187,8 +203,7 @@ def total_bound(dmap: DigitMap, base: CantorBase, N: int, h: int, T: float,
     if not 1 <= h <= L:
         raise ValueError(f"need 1 <= h <= L(N) = {L}, got h={h}")
     _check_regime(dmap, base, L, regime, rho_inf, ref)
-    return _report(base, N, L, h, T, regime, rho_inf, ref,
-                   _tau1_or_none(dmap, base, L), tau2(dmap, base, L, h))
+    return _best_report(dmap, base, N, L, regime, rho_inf, ref, (h,), (T,))
 
 
 def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
@@ -197,38 +212,16 @@ def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
     """Exhaustive minimum of the total over h in 1..L (and T on the grid).
 
     Ties break toward smaller h, then larger T.  Regime B has no T search
-    (its report carries T = 1).  The concentration values Q_F(1/T) are
-    cached per T, so the search costs L scans of the grid.
+    (its report carries T = 1).  The report equals total_bound at the
+    returned (h, T).
     """
     L = length(base, N)
     if L < 1:
         raise ValueError(f"N = {N} sits below the first level (L = 0)")
     _check_regime(dmap, base, L, regime, rho_inf, ref)
-
-    t1 = _tau1_or_none(dmap, base, L)
-    sqrt_t1 = math.sqrt(t1) if t1 is not None else 0.0
-    s2 = [digit_stats(dmap, base, j).s2 for j in range(L)]
-
-    qf_cache: dict[float, float] = {}
-    best: Optional[tuple[float, int, float]] = None
-    for h in range(1, L + 1):
-        A = window_size(base, L, h)
-        bridge = _inv(1.0, A)
-        t2 = math.fsum(s2[L - h:L])
-        for T in (1.0,) if regime == "B" else T_GRID:
-            g = regime_term(regime, T, t2, rho_inf)
-            if regime == "B":
-                total = bridge + sqrt_t1 + g
-            else:
-                if T not in qf_cache:
-                    qf_cache[T] = _qf(ref, 1.0 / T)
-                total = bridge + sqrt_t1 + qf_cache[T] + 1.0 / T + g
-            if best is None or total < best[0]:
-                best = (total, h, T)
-    _, h_star, t_star = best
-    report = _report(base, N, L, h_star, t_star, regime, rho_inf, ref, t1,
-                     math.fsum(s2[L - h_star:L]))
-    return h_star, t_star, report
+    report = _best_report(dmap, base, N, L, regime, rho_inf, ref, range(1, L + 1),
+                          (1.0,) if regime == "B" else T_GRID)
+    return report.h, report.T, report
 
 
 def predicted_rate(family: str, N: int, alpha: Optional[float] = None,

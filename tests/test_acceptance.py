@@ -133,45 +133,35 @@ def test_04_discrepancy_identity(bases):
              "d_K == D* bitwise on the ladder; D* == 2^-k at N = 2^k, k <= 12")
 
 
+def _scaled_vdc_discrepancy(n_max: int, top: int) -> np.ndarray:
+    """2^top N D*_N for N = 1 .. n_max < 2^top, exact in integers.
+
+    For the binary van der Corput sequence N D*_N = sum_{j >= 1} ||N / 2^j||
+    (Bejian & Faure 1977), where ||N / 2^j|| = min(r, 2^j - r) / 2^j with
+    r = N mod 2^j.  Past j = top every term is N / 2^j, and those terms sum
+    to N / 2^top.
+    """
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    total = ns.copy()
+    for j in range(1, top + 1):
+        r = ns % (1 << j)
+        total += np.minimum(r, (1 << j) - r) << (top - j)
+    return total
+
+
 def test_05_discrepancy_rate_envelope(bases):
-    numba = pytest.importorskip("numba")
-
-    @numba.njit(cache=False)
-    def dstar_all(xs):
-        n_max = xs.size
-        sorted_xs = np.empty(n_max)
-        out = np.empty(n_max)
-        for n in range(n_max):
-            x = xs[n]
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sorted_xs[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for k in range(n, lo, -1):
-                sorted_xs[k] = sorted_xs[k - 1]
-            sorted_xs[lo] = x
-            m = n + 1
-            best = 0.0
-            for i in range(m):
-                up = (i + 1) / m - sorted_xs[i]
-                dn = sorted_xs[i] - i / m
-                if up > best:
-                    best = up
-                if dn > best:
-                    best = dn
-            out[n] = best
-        return out
-
+    top = 17
+    scaled = _scaled_vdc_discrepancy(1 << 16, top)
     xs = np.asarray(value_vector(DigitMap.radical_inverse(), bases["q2"], 1 << 16))
-    ds = dstar_all(xs)
-    for n in (8, 100, 4096, 65536):  # tie the incremental oracle to the library
-        assert ds[n - 1] == star_discrepancy(xs[:n]), n
+    # tie the closed form to the library: each side rounds a value in [0, 1]
+    # at most twice, and each rounding errs by at most 2^-54
+    ties = [*range(1, 3000), *range(3000, 1 << 16, 997), 4096, 65535, 65536]
+    for n in ties:
+        want = float(scaled[n - 1]) / (n * 2.0 ** top)
+        assert abs(star_discrepancy(xs[:n]) - want) <= 2.0 ** -52, n
     ns = np.arange(1, (1 << 16) + 1)
     sel = ns >= 8
-    ratio = ns[sel] * ds[sel] / (np.log2(ns[sel]) + 2.0)
+    ratio = scaled[sel] / 2.0 ** top / (np.log2(ns[sel]) + 2.0)
     worst = float(ratio.max())
     _verdict(5, "discrepancy rate envelope", worst <= 1.0,
              f"max N D*_N / (log2 N + 2) = {worst:.4f} over 8 <= N <= 2^16")

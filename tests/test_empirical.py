@@ -15,7 +15,6 @@ from cantorlab import (
     ExperimentConfig,
     GridCDF,
     Interval,
-    PointMassCDF,
     PointOutOfRange,
     ResourceLimit,
     UniformCDF,
@@ -31,6 +30,7 @@ from cantorlab import (
     value_vector,
     wasserstein1,
 )
+from cantorlab.empirical import ENUM_CAP
 
 
 def _steps_sup_oracle(f, g, breakpoints):
@@ -77,7 +77,7 @@ def test_value_vector_guards(base2, vdc2):
     with pytest.raises(ValueError):
         value_vector(vdc2, base2, 0)
     with pytest.raises(ResourceLimit):
-        empirical_cdf(vdc2, base2, 101, cap=100)
+        empirical_cdf(vdc2, base2, ENUM_CAP + 1)       # refused before allocating
 
 
 def _value_vector_oracle(dmap, base, n):
@@ -189,8 +189,9 @@ def test_uniform_and_point_refs():
     assert u.density_sup == 0.5
     with pytest.raises(ValueError):
         UniformCDF(1.0, 1.0)
-    p = PointMassCDF(2.0)
+    p = EmpiricalCDF([2.0])                      # the point mass at 2
     assert p.cdf(2.0) == 1.0 and p.cdf_left(2.0) == 0.0 and p.cdf(1.9) == 0.0
+    assert p.support() == (2.0, 2.0)
 
 
 # -- Kolmogorov ----------------------------------------------------------------
@@ -223,7 +224,58 @@ def test_kolmogorov_step_step_matches_brute():
 def test_kolmogorov_vs_point_mass():
     e = EmpiricalCDF([0.0, 1.0, 2.0, 3.0])
     # F_n(c) - 1{x >= c} peaks just left of c: value 1 - F_n(c-)
-    assert kolmogorov(e, PointMassCDF(2.5)) == 0.75
+    assert kolmogorov(e, EmpiricalCDF([2.5])) == 0.75
+    assert kolmogorov(e, EmpiricalCDF([3.0])) == 0.75       # c on a sample
+    assert kolmogorov(e, EmpiricalCDF([-1.0])) == 1.0
+
+
+class _PointMassOracle:
+    """The former point-mass reference class with its own distance formulas:
+    d_K over the sample and the one jump c, W1 over union1d(samples, c),
+    concentration 1."""
+
+    def __init__(self, c: float):
+        self.c = float(c)
+
+    def cdf(self, x):
+        return (np.asarray(x, dtype=float) >= self.c).astype(float)
+
+    def cdf_left(self, x):
+        return (np.asarray(x, dtype=float) > self.c).astype(float)
+
+    def support(self) -> tuple[float, float]:
+        return self.c, self.c
+
+    def kolmogorov(self, ecdf) -> float:
+        best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - self.cdf(ecdf.samples))))
+        jump = np.array([self.c])
+        return max(best, float(np.max(np.abs(ecdf.cdf(jump) - self.cdf(jump)))))
+
+    def wasserstein1(self, ecdf) -> float:
+        b = np.union1d(ecdf.samples, [self.c])
+        return float(np.sum(np.abs(ecdf.cdf(b[:-1]) - self.cdf(b[:-1])) * np.diff(b)))
+
+
+_POINT = st.floats(-8.0, 8.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(_POINT, min_size=1, max_size=40), c=_POINT,
+       on_sample=st.booleans(), r=st.floats(0.0, 20.0) | st.just(math.inf))
+@example(samples=[0.0, 1.0, 2.0, 3.0], c=2.5, on_sample=False, r=0.0)
+@example(samples=[-0.0, 0.0], c=0.0, on_sample=False, r=0.0)
+def test_point_mass_is_a_one_atom_empirical_cdf(samples, c, on_sample, r):
+    if on_sample:
+        c = samples[len(samples) // 2]
+    e, p, oracle = EmpiricalCDF(samples), EmpiricalCDF([c]), _PointMassOracle(c)
+    xs = np.concatenate([e.samples, [c, np.nextafter(c, -9.0), np.nextafter(c, 9.0)]])
+    for side in ("cdf", "cdf_left"):
+        got, want = getattr(p, side)(xs), getattr(oracle, side)(xs)
+        assert np.array_equal(np.asarray(got, dtype=float).view(np.int64), want.view(np.int64))
+    assert p.support() == oracle.support()
+    assert _same_bits(kolmogorov(e, p), oracle.kolmogorov(e))
+    assert _same_bits(wasserstein1(e, p), oracle.wasserstein1(e))
+    assert _same_bits(concentration(p, r), 1.0)
 
 
 def test_kolmogorov_grid_interval_formula():
@@ -307,8 +359,6 @@ def test_star_discrepancy_exact():
     with pytest.raises(PointOutOfRange):
         star_discrepancy([0.5, 1.5])
     with pytest.raises(ValueError):
-        star_discrepancy([0.5], n=2)
-    with pytest.raises(ValueError):
         star_discrepancy([])
 
 
@@ -324,7 +374,7 @@ def test_star_discrepancy_equals_uniform_kolmogorov():
 def test_w1_vs_point_mass_is_mean_distance():
     s = np.array([0.0, 1.0, 2.0, 5.0])
     e = EmpiricalCDF(s)
-    got = wasserstein1(e, PointMassCDF(1.5))
+    got = wasserstein1(e, EmpiricalCDF([1.5]))
     assert got == 1.5
     assert abs(got - np.mean(np.abs(s - 1.5))) == 0.0
 
@@ -383,7 +433,8 @@ def test_concentration_uniform():
 
 
 def test_concentration_atomic():
-    assert concentration(PointMassCDF(3.0), 0.1) == 1.0
+    for r in (0.0, 0.1, math.inf):
+        assert concentration(EmpiricalCDF([3.0]), r) == 1.0
     e = EmpiricalCDF([0.0, 0.5, 0.5, 1.0])
     assert concentration(e, 0.5) == 0.75
     assert concentration(e, 0.49) == 0.5

@@ -58,6 +58,12 @@ def test_all_presets_validate_and_round_trip():
         assert len(cfg.heights()) >= 3
     with pytest.raises(UnknownPreset):
         preset("no-such-preset")
+    # each call hands out its own copy of the preset table's entry
+    mine = preset("example-II")
+    mine.map["g"].append(7.0)
+    mine.grid["w"] = 1.0
+    again = preset("example-II")
+    assert again.map["g"] == [0.0, 1.0] and again.grid["w"] == 2.0 ** -21
 
 
 def test_heights_ladder_and_ns():
@@ -88,6 +94,7 @@ def test_heights_ladder_and_ns():
     ({"rate_family": {"family": "example-II", "beta": 1.0}}, "beta"),
     ({"ladder": 5, "ns": None}, "ladder"),
     ({"rate_family": 3}, "rate_family"),
+    ({"seed": 0}, "seed"),                                   # runs have no seed
 ])
 def test_config_rejections(mutate, path_hint):
     with pytest.raises(ConfigError) as exc:
@@ -218,8 +225,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--depth", "5"]) == 3
     # config file with an unknown field
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_minimal_config(surprise=1)))
-    assert main(["experiment", "--config", str(bad)]) == 2
+    for field in ("surprise", "seed"):
+        bad.write_text(json.dumps(_minimal_config(**{field: 1})))
+        assert main(["experiment", "--config", str(bad)]) == 2
+    # experiment has no --seed flag
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--preset", "zero-map", "--seed", "1"])
+    assert exc.value.code == 2
     # bad reference spec
     assert main(["empirical", "--n", "64", "--ref", "gaussian:0:1"]) == 2
     capsys.readouterr()

@@ -1,8 +1,11 @@
 """Mixed-radix plumbing: expansion round trips, weights, base descriptors."""
 
 import math
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlab import (
     DigitOutOfRange,
@@ -151,3 +154,63 @@ def test_base_equality_and_hash():
     b = build_base({"kind": "constant", "q": 3})
     assert a == b and hash(a) == hash(b)
     assert a != build_base({"kind": "constant", "q": 4})
+
+
+# -- the parsed rule against the descriptor walk it replaced ------------------
+
+
+def _digit_size_oracle(rule: dict, j: int) -> int:
+    """a_j by dispatch on the descriptor's kind, recursing into tables."""
+    kind = rule["kind"]
+    if kind == "constant":
+        return rule["q"]
+    if kind == "periodic":
+        pattern = rule["pattern"]
+        return pattern[j % len(pattern)]
+    if kind == "affine":
+        return rule["c"] * j + rule["d"]
+    table = rule["table"]
+    if j < len(table):
+        return table[j]
+    return _digit_size_oracle(rule["then"], j)
+
+
+def _alphabet_sizes_oracle(rule: dict) -> Optional[frozenset]:
+    kind = rule["kind"]
+    if kind == "constant":
+        return frozenset((rule["q"],))
+    if kind == "periodic":
+        return frozenset(rule["pattern"])
+    if kind == "affine":
+        if rule["c"] == 0:
+            return frozenset((rule["d"],))
+        return None
+    rest = _alphabet_sizes_oracle(rule["then"])
+    if rest is None:
+        return None
+    return frozenset(rule["table"]) | rest
+
+
+_SIZES = st.lists(st.integers(2, 9), min_size=1, max_size=6)
+_RULE = st.one_of(
+    st.builds(lambda q: {"kind": "constant", "q": q}, st.integers(2, 12)),
+    st.builds(lambda p: {"kind": "periodic", "pattern": p}, _SIZES),
+    st.builds(lambda c, d: {"kind": "affine", "c": c, "d": d},
+              st.integers(0, 3), st.integers(2, 5)))
+_DESCRIPTOR = _RULE | st.builds(lambda t, then: {"kind": "table", "table": t, "then": then},
+                                _SIZES, _RULE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(desc=_DESCRIPTOR, n=st.integers(0, 10 ** 12))
+def test_parsed_rule_matches_descriptor_walk(desc, n):
+    base = build_base(desc)
+    assert [base.digit_size(j) for j in range(40)] \
+        == [_digit_size_oracle(desc, j) for j in range(40)]
+    assert base.alphabet_sizes() == _alphabet_sizes_oracle(desc)
+    sizes = _alphabet_sizes_oracle(desc)
+    assert base.is_constant() == (sizes is not None and len(sizes) == 1)
+    assert base.descriptor == desc and build_base(base.descriptor) == base
+    digits = expand(base, n).digits
+    assert compress(base, digits) == n
+    assert all(0 <= d < _digit_size_oracle(desc, j) for j, d in enumerate(digits))

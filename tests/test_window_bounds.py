@@ -4,9 +4,12 @@ an independent exhaustive scan, rates against closed forms."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlab import (
     DigitMap,
+    EmpiricalCDF,
     MissingDensityBound,
     RegimeUnavailable,
     T_GRID,
@@ -172,7 +175,7 @@ def test_optimize_window_matches_brute_regime_b(base2, vdc2):
     h, t, rep = optimize_window(vdc2, base2, 1000, "B", rho_inf=1.0)
     bh, bt, brep = _brute_optimum(vdc2, base2, 1000, "B", rho_inf=1.0)
     assert (h, t) == (bh, bt)
-    assert rep.total == brep.total
+    assert rep == brep
 
 
 def test_optimize_window_matches_brute_regime_a(base2, geo_half):
@@ -180,7 +183,7 @@ def test_optimize_window_matches_brute_regime_a(base2, geo_half):
     h, t, rep = optimize_window(geo_half, base2, 4096, "A", ref=ref)
     bh, bt, brep = _brute_optimum(geo_half, base2, 4096, "A", ref=ref)
     assert (h, t) == (bh, bt)
-    assert rep.total == brep.total
+    assert rep == brep
     assert rep.T in T_GRID
 
 
@@ -189,7 +192,48 @@ def test_optimize_window_matches_brute_regime_c(base3, tern):
     h, t, rep = optimize_window(tern, base3, 3 ** 8, "C", ref=ref)
     bh, bt, brep = _brute_optimum(tern, base3, 3 ** 8, "C", ref=ref)
     assert (h, t) == (bh, bt)
-    assert rep.total == brep.total
+    assert rep == brep
+
+
+_MAPS = {
+    "q2-geometric": ({"kind": "constant", "q": 2},
+                     {"family": "geometric", "beta": 0.5, "g": [0.0, 1.0]}),
+    "q2-polynomial": ({"kind": "constant", "q": 2},
+                      {"family": "polynomial", "alpha": 1.5, "g": [0.0, 1.0]}),
+    "q3-ternary": ({"kind": "constant", "q": 3}, {"family": "symmetric-ternary"}),
+    "q4-skewed": ({"kind": "constant", "q": 4}, {"family": "skewed-polyweight"}),
+    "factorial-vdc": ({"kind": "affine", "c": 1, "d": 2}, {"family": "radical-inverse"}),
+    "q2-bare-table": ({"kind": "constant", "q": 2},
+                      {"family": "custom-table", "values": [[0.0, 1.0], [0.5, -0.5]] * 8}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_MAPS)), n=st.integers(16, 3000),
+       regime=st.sampled_from("ABC"), rho_inf=st.floats(0.25, 4.0),
+       ref=st.one_of(st.builds(lambda lo, span: UniformCDF(lo, lo + span),
+                               st.floats(-2.0, 2.0), st.floats(0.5, 16.0)),
+                     st.builds(EmpiricalCDF, st.lists(st.floats(-2.0, 2.0),
+                                                      min_size=1, max_size=6))))
+def test_optimize_window_reports_the_least_total_bound(case, n, regime, rho_inf, ref):
+    base_d, map_d = _MAPS[case]
+    base, dmap = build_base(base_d), DigitMap(map_d)
+    rho = rho_inf if regime == "B" else None
+    try:
+        h, t, rep = optimize_window(dmap, base, n, regime, rho_inf=rho, ref=ref)
+    except RegimeUnavailable:
+        with pytest.raises(RegimeUnavailable):
+            total_bound(dmap, base, n, 1, 1.0, regime, rho_inf=rho, ref=ref)
+        return
+    # the optimizer's report is the single-candidate bound at (h*, T*)
+    assert (rep.h, rep.T) == (h, t)
+    assert rep == total_bound(dmap, base, n, h, t, regime, rho_inf=rho, ref=ref)
+    # and no candidate of the search has a smaller total; ties go to the
+    # smaller h, then the larger T
+    for hh in range(1, rep.L + 1):
+        for tt in (1.0,) if regime == "B" else T_GRID:
+            other = total_bound(dmap, base, n, hh, tt, regime, rho_inf=rho, ref=ref)
+            assert (other.total, hh, -tt) >= (rep.total, h, -t)
 
 
 def test_optimize_window_guards(base2, vdc2, skew):
