@@ -144,7 +144,7 @@ def _cmd_empirical(args) -> int:
         print(f"smoothing: d_K={rep.dk!r} <= 2 sqrt(rho W1) = {rep.optimized_bound!r}"
               f" -> {'ok' if rep.optimized_ok else 'VIOLATED'}")
     if dmap.family == "radical-inverse":
-        print(f"D*_n = {star_discrepancy(value_vector(dmap, base, args.n))!r}")
+        print(f"D*_n = {star_discrepancy(ecdf)!r}")
     return 0
 
 

@@ -1,16 +1,16 @@
 """Empirical distribution machinery: exact CDFs, distances, discrepancy.
 
-Samples are enumerated exactly (never binned, never sampled); distances
-against step references are computed by exact sup/sum formulas over jump
-points, and distances against grid references come back as intervals that
-carry the grid's envelope error.
+Samples are enumerated exactly (never binned, never sampled).  Distances
+take one of three reference types and raise TypeError on any other: exact
+sup/sum formulas for UniformCDF and EmpiricalCDF (a point mass is
+EmpiricalCDF([c])), intervals carrying the envelope error for GridCDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class UniformCDF:
 
     cdf_left = cdf   # continuous
 
-    def support(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
     @property
     def density_sup(self) -> float:
         return 1.0 / (self.hi - self.lo)
@@ -69,9 +66,6 @@ class EmpiricalCDF:
 
     def cdf_left(self, x):
         return np.searchsorted(self.samples, np.asarray(x, dtype=float), side="left") / self.n
-
-    def support(self) -> tuple[float, float]:
-        return float(self.samples[0]), float(self.samples[-1])
 
 
 def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
@@ -114,14 +108,19 @@ def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int) -> EmpiricalCDF:
     return EmpiricalCDF(value_vector(dmap, base, n))
 
 
+def _foreign(ref) -> TypeError:
+    return TypeError(f"reference must be a GridCDF, EmpiricalCDF or UniformCDF, "
+                     f"got {type(ref).__name__}")
+
+
 # -- Kolmogorov distance -----------------------------------------------------
 
 
 def _sup_diff_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
     # both right-continuous steps: the difference is constant between merged
     # jumps and takes its piece value at each jump, so right values suffice
-    best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - np.asarray(ref.cdf(ecdf.samples)))))
-    d = np.max(np.abs(ecdf.cdf(ref.samples) - np.asarray(ref.cdf(ref.samples))))
+    best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - ref.cdf(ecdf.samples))))
+    d = np.max(np.abs(ecdf.cdf(ref.samples) - ref.cdf(ref.samples)))
     return max(best, float(d))
 
 
@@ -202,8 +201,8 @@ def _sup_diff_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
 def kolmogorov(ecdf: EmpiricalCDF, ref):
     """sup_x |F_n(x) - F(x)|.
 
-    Exact float against exact references (continuous or step); an
-    Interval against a grid reference, widened by the grid's envelope.
+    Exact float against uniform and step references; an Interval against
+    a grid reference, widened by the grid's envelope.
     """
     if isinstance(ref, GridCDF):
         d0 = _sup_diff_grid(ecdf, ref)
@@ -211,11 +210,12 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
         return Interval(max(0.0, d0 - slack), min(1.0, d0 + slack))
     if isinstance(ref, EmpiricalCDF):
         return _sup_diff_step(ecdf, ref)
+    if not isinstance(ref, UniformCDF):
+        raise _foreign(ref)
     s, n = ecdf.samples, ecdf.n
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    d_plus = np.max(hi - np.asarray(ref.cdf(s)))
-    d_minus = np.max(np.asarray(ref.cdf_left(s)) - lo)
+    f = ref.cdf(s)
+    d_plus = np.max(np.arange(1, n + 1) / n - f)
+    d_minus = np.max(f - np.arange(0, n) / n)
     return float(max(d_plus, d_minus, 0.0))
 
 
@@ -224,7 +224,7 @@ def kolmogorov(ecdf: EmpiricalCDF, ref):
 
 def _w1_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
     b = np.union1d(ecdf.samples, ref.samples)
-    diff = np.abs(ecdf.cdf(b[:-1]) - np.asarray(ref.cdf(b[:-1])))
+    diff = np.abs(ecdf.cdf(b[:-1]) - ref.cdf(b[:-1]))
     return float(np.sum(diff * np.diff(b)))
 
 
@@ -265,9 +265,9 @@ def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
     # |c - F| with linear F integrates in closed form on each segment
     b = np.union1d(ecdf.samples, [ref.lo, ref.hi])
     a, c = b[:-1], b[1:]
-    fa = np.asarray(ref.cdf(a))
-    fb = np.asarray(ref.cdf(c))
-    lev = np.asarray(ecdf.cdf(a))
+    fa = ref.cdf(a)
+    fb = ref.cdf(c)
+    lev = ecdf.cdf(a)
     width = c - a
     below = fa >= lev          # F >= level on the whole segment
     above = fb <= lev
@@ -281,34 +281,16 @@ def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
     return float(np.sum(area))
 
 
-def wasserstein1(ecdf: EmpiricalCDF, ref, with_error: bool = False):
-    """integral |F_n - F| dx.
-
-    Exact for step and uniform references; adaptive quadrature between
-    sample knots otherwise (set with_error=True for the error estimate).
-    """
+def wasserstein1(ecdf: EmpiricalCDF, ref) -> float:
+    """integral |F_n - F| dx, exact in closed form for every reference type
+    (a grid's envelope is not added)."""
     if isinstance(ref, GridCDF):
-        v, err = _w1_grid(ecdf, ref), 0.0
-    elif isinstance(ref, EmpiricalCDF):
-        v, err = _w1_step(ecdf, ref), 0.0
-    elif isinstance(ref, UniformCDF):
-        v, err = _w1_uniform(ecdf, ref), 0.0
-    else:
-        from scipy.integrate import quad
-
-        lo = min(ecdf.support()[0], ref.support()[0])
-        hi = max(ecdf.support()[1], ref.support()[1])
-        b = np.union1d(ecdf.samples, [lo, hi])
-        total, err = 0.0, 0.0
-        for a, c in zip(b[:-1], b[1:]):
-            if c <= a:
-                continue
-            lev = float(ecdf.cdf(a))
-            val, e = quad(lambda x: abs(lev - float(ref.cdf(x))), a, c, limit=200)
-            total += val
-            err += e
-        v = total
-    return (v, err) if with_error else v
+        return _w1_grid(ecdf, ref)
+    if isinstance(ref, EmpiricalCDF):
+        return _w1_step(ecdf, ref)
+    if isinstance(ref, UniformCDF):
+        return _w1_uniform(ecdf, ref)
+    raise _foreign(ref)
 
 
 # -- concentration ------------------------------------------------------------
@@ -327,11 +309,7 @@ def concentration(ref, r: float):
 
     Exact for atomic and uniform references; for a grid reference an
     Interval whose upper end absorbs the envelope (window widened by
-    2 eps_x, plus 2 eps_p).  Other references get a certified upper
-    bound: every width-r window sits inside some width-(r + s) window
-    anchored on a step-s scan grid, so the scan maximum dominates the
-    sup.  The step never drops below span / 2^20, keeping the scan
-    bounded for arbitrarily small r.
+    2 eps_x, plus 2 eps_p).
     """
     if r < 0:
         raise ValueError(f"window width must be >= 0, got {r}")
@@ -344,32 +322,20 @@ def concentration(ref, r: float):
         return _atom_window_sup(atoms, counts / ref.samples.size, r)
     if isinstance(ref, UniformCDF):
         return min(1.0, r * ref.density_sup)
-    lo, hi = ref.support()
-    if r == 0.0:
-        return 0.0
-    step = max(r / 16.0, (hi - lo) / float(1 << 20))
-    xs = np.arange(lo - r - step, hi + step, step)
-    return float(min(1.0, np.max(np.asarray(ref.cdf(xs + r + step))
-                                 - np.asarray(ref.cdf_left(xs)))))
+    raise _foreign(ref)
 
 
 # -- star discrepancy ----------------------------------------------------------
 
 
 def star_discrepancy(points) -> float:
-    """Exact one-dimensional star discrepancy of points in [0, 1].
-
-    D*_n = max_i max(i/n - x_(i), x_(i) - (i-1)/n) over the sorted points.
-    """
-    pts = np.sort(np.asarray(points, dtype=float))
-    n = pts.size
-    if n == 0:
-        raise ValueError("star discrepancy of an empty point set is undefined")
-    if pts[0] < 0.0 or pts[-1] > 1.0:
+    """Exact star discrepancy of points in [0, 1], an array or an EmpiricalCDF
+    (already sorted, so not sorted again): d_K of their empirical CDF to U[0, 1],
+    D*_n = max_i max(i/n - x_(i), x_(i) - (i-1)/n) over the sorted points."""
+    ecdf = points if isinstance(points, EmpiricalCDF) else EmpiricalCDF(points)
+    if ecdf.samples[0] < 0.0 or ecdf.samples[-1] > 1.0:
         raise PointOutOfRange("star discrepancy inputs must lie in [0, 1]")
-    up = np.arange(1, n + 1) / n - pts
-    down = pts - np.arange(0, n) / n
-    return float(max(np.max(up), np.max(down), 0.0))
+    return kolmogorov(ecdf, UniformCDF())
 
 
 # -- smoothing inequality check -------------------------------------------------
@@ -392,9 +358,9 @@ class SmoothingReport:
     optimized_ok: bool
 
 
-def smoothing_check(ecdf: EmpiricalCDF, ref, rho_inf: float,
-                    sigmas: Optional[Sequence[float]] = None) -> SmoothingReport:
-    """Tabulate the kernel-smoothing bound d_K <= w1/sigma + rho_inf sigma.
+def smoothing_check(ecdf: EmpiricalCDF, ref, rho_inf: float) -> SmoothingReport:
+    """Tabulate the kernel-smoothing bound d_K <= w1/sigma + rho_inf sigma
+    at sigma = sqrt(w1 / rho_inf) 2^k, k = -3 .. 3.
 
     The reference must have a bounded density with sup at most rho_inf.
     Interval-valued distances use their upper ends, which only makes the
@@ -406,11 +372,9 @@ def smoothing_check(ecdf: EmpiricalCDF, ref, rho_inf: float,
     if isinstance(dk, Interval):
         dk = dk.hi
     w1 = wasserstein1(ecdf, ref)
-    if sigmas is None:
-        center = max(np.sqrt(w1 / rho_inf), 1e-300)
-        sigmas = [center * 2.0 ** k for k in range(-3, 4)]
+    center = max(np.sqrt(w1 / rho_inf), 1e-300)
     rows = []
-    for s in sigmas:
+    for s in (center * 2.0 ** k for k in range(-3, 4)):
         bound = w1 / s + rho_inf * s
         rows.append(SmoothingRow(sigma=float(s), bound=float(bound), ok=bool(dk <= bound)))
     opt = 2.0 * float(np.sqrt(rho_inf * w1))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -137,8 +137,8 @@ def _validate_config(d: dict) -> ExperimentConfig:
     if regime not in ("auto", "A", "B", "C"):
         raise ConfigError("regime", f"must be auto, A, B or C, got {regime!r}")
     rho_inf = d.get("rho_inf")
-    if rho_inf is not None and not (isinstance(rho_inf, (int, float)) and rho_inf > 0):
-        raise ConfigError("rho_inf", f"must be a positive number, got {rho_inf!r}")
+    if rho_inf is not None and not (_finite(rho_inf) and rho_inf > 0):
+        raise ConfigError("rho_inf", f"must be a positive finite number, got {rho_inf!r}")
 
     for k in ("out", "trace_out"):
         if d.get(k) is not None and not isinstance(d[k], str):
@@ -171,6 +171,11 @@ def _validate_config(d: dict) -> ExperimentConfig:
         rate_family=dict(rate) if rate is not None else None)
 
 
+def _finite(v) -> bool:
+    """A JSON number within float range; true and false are no numbers here."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _check_reference(ref: dict, grid: Optional[dict]) -> None:
     """ConfigError unless ref is {"kind": "uniform", "lo", "hi"},
     {"kind": "point", "c"} or {"kind": "grid"} with grid = {"x0", "x1",
@@ -183,7 +188,7 @@ def _check_reference(ref: dict, grid: Optional[dict]) -> None:
         raise ConfigError("grid", "required when reference.kind is 'grid'")
     for k in _REFERENCE_FIELDS[kind]:
         v = obj.get(k)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _finite(v):
             raise ConfigError(f"{where}.{k}", f"must be a finite number, got {v!r}")
     if kind == "uniform" and not ref["hi"] > ref["lo"]:
         raise ConfigError("reference.hi", "must exceed reference.lo")
@@ -193,7 +198,7 @@ def _check_reference(ref: dict, grid: Optional[dict]) -> None:
         if not grid["w"] > 0:
             raise ConfigError("grid.w", "must be positive")
         depth = grid.get("depth")
-        if depth is not None and (not isinstance(depth, int) or depth < 1):
+        if depth is not None and (type(depth) is not int or depth < 1):   # a bool is no depth
             raise ConfigError("grid.depth", f"must be a positive integer or null, got {depth!r}")
 
 
@@ -330,7 +335,7 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
     w1 = wasserstein1(ecdf, ref)
     dstar = None
     if dmap.family == "radical-inverse":
-        dstar = star_discrepancy(ecdf.samples)
+        dstar = star_discrepancy(ecdf)
     pred = None
     if rate is not None:
         pred = predicted_rate(rate["family"], n, alpha=rate.get("alpha"),
@@ -350,10 +355,9 @@ def rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_cf_trace(dmap: DigitMap, base: CantorBase, path: str,
-                   t_lo: float = -10.0, t_hi: float = 10.0, n_t: int = 201) -> None:
-    """CSV trace of the truncated per-digit product on an even t grid."""
-    ts = np.linspace(t_lo, t_hi, n_t)
+def write_cf_trace(dmap: DigitMap, base: CantorBase, path: str) -> None:
+    """CSV trace of the truncated per-digit product at 201 even t in [-10, 10]."""
+    ts = np.linspace(-10.0, 10.0, 201)
     phi, err, depth = cf_truncated(dmap, base, ts)
     lines = ["t,re_phi,im_phi,abs_phi,truncation_bound,depth"]
     for t, p in zip(ts, phi):

@@ -28,6 +28,7 @@ from .qadditive import DigitMap, digit_stats, level_values, tail_sums
 
 CONV_CAP = 1 << 30          # bytes of lattice and window arrays in one convolution
 DEPTH_CAP = 4096
+CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
 
 
 class GridCDF:
@@ -61,9 +62,6 @@ class GridCDF:
         self.eps_p = float(eps_p)
         self._slack: Optional[float] = None
         self._win_cache: dict[int, float] = {}
-
-    def support(self) -> tuple[float, float]:
-        return self.x0, self.x0 + self.w * (self.cum.size - 1)
 
     def knot_index(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(k, on) for each x: k is the last knot x0 + k w strictly below x
@@ -158,16 +156,26 @@ def _tail_pair(dmap: DigitMap, base: CantorBase, j: int) -> tuple[float, float]:
     return tail_sums(dmap, base, j)
 
 
-def choose_depth(dmap: DigitMap, base: CantorBase, w: float,
-                 cap: int = DEPTH_CAP) -> int:
-    """Depth minimizing lattice rounding (J w / 2) against the tail shift."""
-    hard = dmap.depth if dmap.depth is not None else cap
-    hard = min(hard, cap)
+def _depth_limit(dmap: DigitMap) -> int:
+    """The deepest product or convolution: a table's depth, at most DEPTH_CAP."""
+    return DEPTH_CAP if dmap.depth is None else min(dmap.depth, DEPTH_CAP)
+
+
+def _conv_envelope(dmap: DigitMap, base: CantorBase, w: float,
+                   depth: int) -> tuple[float, float]:
+    """(eps_x, tail part of eps_p) of a convolution truncated at depth: the
+    lattice rounding (depth + 1) w / 2, the tail mean and a Chebyshev split."""
+    mt, vt = _tail_pair(dmap, base, depth - 1)
+    delta = (2.0 * vt) ** (1.0 / 3.0)
+    eps_x = (depth + 1) * w / 2.0 + mt + delta
+    return eps_x, (vt / (delta * delta)) if delta > 0.0 else 0.0
+
+
+def choose_depth(dmap: DigitMap, base: CantorBase, w: float) -> int:
+    """Depth minimizing the eps_x that limit_cdf_conv charges at it."""
     best_j, best_cost = 1, math.inf
-    for j in range(1, hard + 1):
-        mt, vt = _tail_pair(dmap, base, j - 1)
-        delta = (2.0 * vt) ** (1.0 / 3.0)
-        cost = (j + 1) * w / 2.0 + mt + delta
+    for j in range(1, _depth_limit(dmap) + 1):
+        cost = _conv_envelope(dmap, base, w, j)[0]
         if cost < best_cost:
             best_j, best_cost = j, cost
         if math.isfinite(best_cost) and (j + 1) * w / 2.0 > best_cost:
@@ -259,10 +267,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     cum_all = np.cumsum(dist)
     total = float(cum_all[-1])
 
-    mt, vt = _tail_pair(dmap, base, depth_j - 1)
-    delta = (2.0 * vt) ** (1.0 / 3.0)
-    eps_x = (depth_j + 1) * w / 2.0 + mt + delta
-    eps_p = (vt / (delta * delta)) if delta > 0.0 else 0.0
+    eps_x, eps_p = _conv_envelope(dmap, base, w, depth_j)
     eps_p += abs(1.0 - total) + 1e-15   # float mass drift guard
 
     # map the atom lattice {i w} onto the requested knots x0 + k w: atom i
@@ -317,21 +322,18 @@ def cf_truncation_bound(dmap: DigitMap, base: CantorBase, depth: int, t_abs: flo
 
 
 def cf_truncated(dmap: DigitMap, base: CantorBase, t,
-                 depth: Optional[int] = None,
-                 tol: float = 1e-12) -> tuple[np.ndarray, float, int]:
+                 depth: Optional[int] = None) -> tuple[np.ndarray, float, int]:
     """(phi values on t, certified truncation bound, depth used).
 
     With depth None the product deepens until the certified bound over
-    the supplied t-range drops below tol (or a hard cap is hit).
+    the supplied t-range drops below CF_TOL (or a hard cap is hit).
     """
     tt = np.asarray(t, dtype=float)
     t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
-    hard = dmap.depth if dmap.depth is not None else DEPTH_CAP
-    hard = min(hard, DEPTH_CAP)
     if depth is None:
-        depth = hard
-        for j in range(1, hard + 1):
-            if cf_truncation_bound(dmap, base, j, t_abs) <= tol:
+        depth = _depth_limit(dmap)
+        for j in range(1, depth + 1):
+            if cf_truncation_bound(dmap, base, j, t_abs) <= CF_TOL:
                 depth = j
                 break
     depth = int(depth)
@@ -355,12 +357,6 @@ class InvertedCDF:
     envelope: float                    # certified-modulo-quadrature total
     pieces: dict = field(repr=False)   # individual envelope contributions
     conditional: bool = False          # True when no window hint was supplied
-
-    def cdf(self, x):
-        # step interpolation on the evaluation points; exact at the xs
-        idx = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right") - 1
-        idx_c = np.clip(idx, 0, self.xs.size - 1)
-        return np.where(idx < 0, 0.0, self.values[idx_c])
 
 
 def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,

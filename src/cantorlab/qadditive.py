@@ -38,6 +38,8 @@ _FAMILIES = (
 )
 
 LEVEL_CAP = 1 << 20         # digits enumerated at one level
+EW_TOL = 1e-9               # drift over the trailing half that counts as settled
+EW_CEILING = 1e6            # partial sums beyond this count as diverging
 
 
 def _digits(lo: int, hi: int) -> range:
@@ -387,15 +389,14 @@ def tail_sums(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
 # -- convergence diagnostic ---------------------------------------------------
 
 
-def ew_diagnose(dmap: DigitMap, base: CantorBase, j_max: int = 64,
-                tol: float = 1e-9, ceiling: float = 1e6) -> EwReport:
+def ew_diagnose(dmap: DigitMap, base: CantorBase, j_max: int = 64) -> EwReport:
     """Decide whether the distribution functions can converge.
 
     Convergence of the limit law needs sum m_j to converge and
     sum s_j^2 < infinity.  With certified tails the verdict is analytic:
     both tails finite <=> converges.  Without them the partial sums up to
-    j_max are probed: settled increments (below tol over the trailing
-    half) give a heuristic "converges", a crossing of the ceiling gives
+    j_max are probed: settled increments (below EW_TOL over the trailing
+    half) give a heuristic "converges", a crossing of EW_CEILING gives
     "diverges", anything else is "inconclusive".
     """
     if j_max < 1:
@@ -423,11 +424,11 @@ def ew_diagnose(dmap: DigitMap, base: CantorBase, j_max: int = 64,
     half = j_max // 2
     drift_m = abs(mean_partials[-1] - mean_partials[half - 1]) if half >= 1 else math.inf
     drift_v = abs(var_partials[-1] - var_partials[half - 1]) if half >= 1 else math.inf
-    if abs(mean_partials[-1]) > ceiling or var_partials[-1] > ceiling:
+    if abs(mean_partials[-1]) > EW_CEILING or var_partials[-1] > EW_CEILING:
         return EwReport("diverges", False, mean_partials, var_partials,
-                        f"partial sums crossed the ceiling {ceiling:g}")
-    if drift_m <= tol and drift_v <= tol:
+                        f"partial sums crossed the ceiling {EW_CEILING:g}")
+    if drift_m <= EW_TOL and drift_v <= EW_TOL:
         return EwReport("converges", False, mean_partials, var_partials,
-                        f"partial sums settled within {tol:g} over the trailing half")
+                        f"partial sums settled within {EW_TOL:g} over the trailing half")
     return EwReport("inconclusive", False, mean_partials, var_partials,
                     f"partial sums still drift ({drift_m:.3g}, {drift_v:.3g}) at depth {j_max}")

@@ -24,6 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+from .empirical import Interval, concentration
 from .errors import MissingDensityBound, NoTailMeta, RegimeUnavailable
 from .mixed_radix import CantorBase, length
 from .qadditive import DigitMap, _inv, digit_stats, tail_sums
@@ -116,8 +117,6 @@ def bridge_bound(base: CantorBase, N: int, h: int) -> BridgeBound:
 
 def _qf(ref, r: float) -> float:
     """Upper concentration of the reference over windows of width r."""
-    from .empirical import Interval, concentration
-
     q = concentration(ref, r)
     if isinstance(q, Interval):
         return q.hi

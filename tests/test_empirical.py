@@ -178,7 +178,6 @@ def test_empirical_cdf_semantics():
     assert e.cdf(2.0) == 1.0
     assert e.cdf_left(2.0) == 0.75
     assert e.cdf(-1.0) == 0.0
-    assert e.support() == (0.0, 2.0)
     with pytest.raises(ValueError):
         EmpiricalCDF([])
 
@@ -191,7 +190,6 @@ def test_uniform_and_point_refs():
         UniformCDF(1.0, 1.0)
     p = EmpiricalCDF([2.0])                      # the point mass at 2
     assert p.cdf(2.0) == 1.0 and p.cdf_left(2.0) == 0.0 and p.cdf(1.9) == 0.0
-    assert p.support() == (2.0, 2.0)
 
 
 # -- Kolmogorov ----------------------------------------------------------------
@@ -243,9 +241,6 @@ class _PointMassOracle:
     def cdf_left(self, x):
         return (np.asarray(x, dtype=float) > self.c).astype(float)
 
-    def support(self) -> tuple[float, float]:
-        return self.c, self.c
-
     def kolmogorov(self, ecdf) -> float:
         best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - self.cdf(ecdf.samples))))
         jump = np.array([self.c])
@@ -272,7 +267,6 @@ def test_point_mass_is_a_one_atom_empirical_cdf(samples, c, on_sample, r):
     for side in ("cdf", "cdf_left"):
         got, want = getattr(p, side)(xs), getattr(oracle, side)(xs)
         assert np.array_equal(np.asarray(got, dtype=float).view(np.int64), want.view(np.int64))
-    assert p.support() == oracle.support()
     assert _same_bits(kolmogorov(e, p), oracle.kolmogorov(e))
     assert _same_bits(wasserstein1(e, p), oracle.wasserstein1(e))
     assert _same_bits(concentration(p, r), 1.0)
@@ -404,22 +398,25 @@ def test_w1_uniform_matches_quadrature():
     assert abs(got - want) <= 1e-7
 
 
-def test_w1_generic_smooth_reference():
-    class QuadRef:
-        def cdf(self, x):
-            return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** 2
+class _SquareLaw:
+    """The law with CDF x^2 on [0, 1]: CDF-like, but none of the three
+    reference types."""
 
-        cdf_left = cdf
+    def cdf(self, x):
+        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** 2
 
-        def support(self):
-            return 0.0, 1.0
+    cdf_left = cdf
 
-    rng = np.random.default_rng(13)
-    e = EmpiricalCDF(rng.random(20))
-    got, err = wasserstein1(e, QuadRef(), with_error=True)
-    xs = np.linspace(0.0, 1.0, 2_000_001)
-    riemann = float(np.mean(np.abs(e.cdf(xs) - QuadRef().cdf(xs))))
-    assert abs(got - riemann) <= err + 1e-5
+    def support(self):
+        return 0.0, 1.0
+
+
+def test_foreign_reference_is_a_type_error():
+    e = EmpiricalCDF([0.25, 0.5, 0.75])
+    for distance in (lambda ref: kolmogorov(e, ref), lambda ref: wasserstein1(e, ref),
+                     lambda ref: concentration(ref, 0.1)):
+        with pytest.raises(TypeError, match="_SquareLaw"):
+            distance(_SquareLaw())
 
 
 # -- concentration ----------------------------------------------------------------

@@ -95,6 +95,12 @@ def test_heights_ladder_and_ns():
     ({"ladder": 5, "ns": None}, "ladder"),
     ({"rate_family": 3}, "rate_family"),
     ({"seed": 0}, "seed"),                                   # runs have no seed
+    ({"rho_inf": True}, "rho_inf"),                          # a bool is no number
+    ({"rho_inf": math.inf}, "rho_inf"),
+    ({"rho_inf": 10 ** 400}, "rho_inf"),                     # beyond float range
+    ({"reference": {"kind": "uniform", "lo": 0, "hi": 10 ** 400}}, "reference.hi"),
+    ({"reference": {"kind": "grid"},
+      "grid": {"x0": 0.0, "x1": 1.0, "w": 0.1, "depth": True}}, "depth"),
 ])
 def test_config_rejections(mutate, path_hint):
     with pytest.raises(ConfigError) as exc:
@@ -237,13 +243,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _package_env() -> dict:
+    src = str(Path(cantorlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _assert_cli_error(argv, code):
     # run as a real process: the exit code and stderr are what a shell sees
-    src = str(Path(cantorlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "cantorlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_package_env(), timeout=60)
     assert proc.returncode == code, (proc.stdout, proc.stderr)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("ERROR ")
@@ -322,6 +331,40 @@ def test_cli_experiment_preset_to_file(tmp_path, capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) > 3
     capsys.readouterr()
+
+
+# refuses every scipy import, then runs the argv lists given on the command
+# line (as JSON) and reports their exit codes and any scipy module loaded
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from cantorlab.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: a grid preset and every --ref kind run without it
+    refs = ("uniform:0:1", "point:0.5", f"grid:0:1:{2.0 ** -10}")
+    runs = [["experiment", "--preset", "regimeC-ternary", "--out", str(tmp_path / "c.csv")]]
+    runs += [["empirical", "--n", "256", "--ref", r] for r in refs]
+    runs += [["optimize", "--n", "256", "--regime", "A", "--ref", r] for r in refs]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
+                          capture_output=True, text=True, env=_package_env(),
+                          cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0] * len(runs), "scipy": []}
+    assert (tmp_path / "c.csv").read_text().count("\n") == 8       # header + 7 rows
 
 
 # -- descriptor fuzz ----------------------------------------------------------------
