@@ -19,7 +19,7 @@ import numpy as np
 from .empirical import (Interval, empirical_cdf, kolmogorov, smoothing_check,
                         star_discrepancy, value_vector, wasserstein1)
 from .errors import CantorLabError, ConfigError, ResourceLimit
-from .experiments import (ExperimentConfig, PRESET_NAMES, preset,
+from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
 from .limitlaw import cf_truncated, limit_cdf_conv, limit_cdf_invert
 from .markov_digits import build_chain, covariance_decay, window_variance
@@ -76,11 +76,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stats(args) -> int:
     dmap, base = _build_pair(args)
-    lines = ["j,m,s2,omega,mu3"]
-    for j in range(args.levels):
-        st = digit_stats(dmap, base, j)
-        lines.append(f"{j},{st.m!r},{st.s2!r},{st.omega!r},{st.mu3!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    stats = (digit_stats(dmap, base, j) for j in range(args.levels))
+    _emit(csv_text(("j", "m", "s2", "omega", "mu3"),
+                   ((st.j, st.m, st.s2, st.omega, st.mu3) for st in stats)), args.out)
     return 0
 
 
@@ -100,10 +98,8 @@ def _cmd_cf(args) -> int:
     phi, err, depth = cf_truncated(dmap, base, ts, depth=args.depth)
     log.info("depth %d, truncation bound %.3g over |t| <= %.3g",
              depth, err, max(abs(args.t_min), abs(args.t_max)))
-    lines = ["t,re_phi,im_phi,abs_phi"]
-    for t, p in zip(ts, phi):
-        lines.append(f"{float(t)!r},{float(p.real)!r},{float(p.imag)!r},{float(abs(p))!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text(("t", "re_phi", "im_phi", "abs_phi"),
+                   ((t, p.real, p.imag, abs(p)) for t, p in zip(ts, phi))), args.out)
     return 0
 
 
@@ -124,8 +120,7 @@ def _cmd_limit(args) -> int:
                  {k: round(v, 6) for k, v in inv.pieces.items()},
                  " [conditional: no window hint]" if inv.conditional else "")
         vals = inv.values
-    lines = ["x,F"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, vals)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(csv_text(("x", "F"), zip(xs, vals)), args.out)
     return 0
 
 
@@ -184,10 +179,7 @@ def _cmd_markov(args) -> int:
         rep = covariance_decay(chain, dmap, args.r_max, args.samples, args.seed)
         print(f"fitted slope {rep.slope!r} +- {rep.half_width!r} "
               f"over lags {list(rep.used_lags)} ({rep.n_paths} paths)")
-        lines = ["r,cov,se"]
-        for r, c, s in zip(rep.lags, rep.cov, rep.se):
-            lines.append(f"{r},{c!r},{s!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(csv_text(("r", "cov", "se"), zip(rep.lags, rep.cov, rep.se)), args.out)
     else:
         rep = window_variance(chain, dmap, args.big_l, args.window,
                               args.samples, args.seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import ConfigError, UnknownPreset
 from .limitlaw import cf_truncated, limit_cdf_conv
 from .mixed_radix import CantorBase, build_base, length
 from .qadditive import DigitMap
-from .window_bounds import optimize_window, predicted_rate, resolve_regime
+from .window_bounds import check_rate_family, optimize_window, predicted_rate, resolve_regime
 
 CSV_COLUMNS = ("N", "L", "h_star", "T_star", "regime", "bridge", "tau1", "tau2",
                "qf", "g", "total", "dk_lo", "dk_hi", "w1", "dstar",
@@ -92,11 +92,7 @@ class ExperimentConfig:
 def _validate_config(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("<root>", f"config must be an object, got {type(d).__name__}")
-    allowed = {"name", "base", "map", "reference", "ns", "ladder", "regime",
-               "rho_inf", "grid", "out", "trace_out", "rate_family"}
-    for k in d:
-        if k not in allowed:
-            raise ConfigError(k, "unknown config field")
+    _refuse_unknown(d, {f.name for f in fields(ExperimentConfig)})
     name = d.get("name", "experiment")
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "must be a nonempty string")
@@ -127,6 +123,7 @@ def _validate_config(d: dict) -> ExperimentConfig:
             raise ConfigError("ns", "must be a nonempty list of integers >= 2")
         ns = tuple(ns)
     if ladder is not None:
+        _refuse_unknown(ladder, ("start", "stop", "factor"), "ladder.")
         for k in ("start", "stop", "factor"):
             v = ladder.get(k)
             if not isinstance(v, int) or v < (2 if k != "stop" else ladder.get("start", 2)):
@@ -146,19 +143,12 @@ def _validate_config(d: dict) -> ExperimentConfig:
 
     rate = d.get("rate_family")
     if rate is not None:
-        fam = rate.get("family")
-        if fam == "example-I":
-            if not (isinstance(rate.get("alpha"), (int, float)) and rate["alpha"] > 1):
-                raise ConfigError("rate_family.alpha", "example-I needs alpha > 1")
-        elif fam == "example-II":
-            beta = rate.get("beta")
-            if not (isinstance(beta, (int, float)) and 0 < beta < 1):
-                raise ConfigError("rate_family.beta", "example-II needs 0 < beta < 1")
-        else:
-            raise ConfigError("rate_family.family", f"must be example-I or example-II, got {fam!r}")
-        q = rate.get("q", 2)
-        if not isinstance(q, int) or q < 2:
-            raise ConfigError("rate_family.q", f"must be an integer >= 2, got {q!r}")
+        _refuse_unknown(rate, ("family", "alpha", "beta", "q"), "rate_family.")
+        try:
+            check_rate_family(rate.get("family"), rate.get("alpha"), rate.get("beta"),
+                              rate.get("q", 2))
+        except ValueError as e:
+            raise ConfigError("rate_family", str(e)) from None
 
     return ExperimentConfig(
         name=name, base=dict(d["base"]), map=dict(d["map"]),
@@ -171,21 +161,34 @@ def _validate_config(d: dict) -> ExperimentConfig:
         rate_family=dict(rate) if rate is not None else None)
 
 
+def _refuse_unknown(obj: dict, allowed, where: str = "") -> None:
+    """ConfigError naming the first key of obj that allowed does not hold."""
+    for k in obj:
+        if k not in allowed:
+            raise ConfigError(where + k, "unknown config field")
+
+
 def _finite(v) -> bool:
     """A JSON number within float range; true and false are no numbers here."""
     return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
 
 
 def _check_reference(ref: dict, grid: Optional[dict]) -> None:
-    """ConfigError unless ref is {"kind": "uniform", "lo", "hi"},
-    {"kind": "point", "c"} or {"kind": "grid"} with grid = {"x0", "x1",
-    "w"[, "depth"]}, every number finite."""
+    """ConfigError unless ref is {"kind": "uniform", "lo", "hi"} or
+    {"kind": "point", "c"} with no grid, or {"kind": "grid"} with grid =
+    {"x0", "x1", "w"[, "depth"]}: no other field, every number finite."""
     kind = ref.get("kind")
     if kind not in _REFERENCE_FIELDS:
         raise ConfigError("reference.kind", f"must be uniform, point or grid, got {kind!r}")
     where, obj = ("grid", grid) if kind == "grid" else ("reference", ref)
     if not isinstance(obj, dict):
         raise ConfigError("grid", "required when reference.kind is 'grid'")
+    if kind != "grid" and grid is not None:
+        raise ConfigError("grid", f"a {kind} reference reads no grid")
+    _refuse_unknown(ref, ("kind",) + (() if kind == "grid" else _REFERENCE_FIELDS[kind]),
+                    "reference.")
+    if kind == "grid":
+        _refuse_unknown(grid, _REFERENCE_FIELDS["grid"] + ("depth",), "grid.")
     for k in _REFERENCE_FIELDS[kind]:
         v = obj.get(k)
         if not _finite(v):
@@ -336,10 +339,7 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
     dstar = None
     if dmap.family == "radical-inverse":
         dstar = star_discrepancy(ecdf)
-    pred = None
-    if rate is not None:
-        pred = predicted_rate(rate["family"], n, alpha=rate.get("alpha"),
-                              beta=rate.get("beta"), q=rate.get("q", 2))
+    pred = None if rate is None else predicted_rate(N=n, **rate)
     return {"N": n, "L": report.L, "h_star": h_star, "T_star": t_star,
             "regime": report.regime, "bridge": report.bridge,
             "tau1": report.tau1, "tau2": report.tau2_h, "qf": report.qf_term,
@@ -348,23 +348,22 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
             "conditional": report.conditional}
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of a header line and one line per row, each cell by _fmt."""
+    return "".join(",".join(map(_fmt, r)) + "\n" for r in [header, *rows])
+
+
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in rows))
 
 
 def write_cf_trace(dmap: DigitMap, base: CantorBase, path: str) -> None:
     """CSV trace of the truncated per-digit product at 201 even t in [-10, 10]."""
     ts = np.linspace(-10.0, 10.0, 201)
     phi, err, depth = cf_truncated(dmap, base, ts)
-    lines = ["t,re_phi,im_phi,abs_phi,truncation_bound,depth"]
-    for t, p in zip(ts, phi):
-        lines.append(f"{float(t)!r},{float(p.real)!r},{float(p.imag)!r},"
-                     f"{float(abs(p))!r},{float(err)!r},{depth}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(("t", "re_phi", "im_phi", "abs_phi", "truncation_bound", "depth"),
+                          ((t, p.real, p.imag, abs(p), err, depth) for t, p in zip(ts, phi))))
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

@@ -212,21 +212,25 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     if depth_j < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
 
-    offsets = []
+    # each level's lattice shifts, one for a translation and none at shift 0;
+    # the hull of every prefix sum spans the array, so no fold leaves it
+    levels = []
+    grid_lo = grid_hi = run_lo = run_hi = 0
     for j in range(depth_j):
         scaled = [v / w for v in level_values(dmap, base, j)]
         # an offset is the difference of two prefix sums, so |offset| < lattice size
         if 24.0 * max(abs(v) for v in scaled) >= CONV_CAP:
             raise ResourceLimit(
                 f"level {j} digit values at pitch {w} need a lattice over the {CONV_CAP}-byte cap")
-        offsets.append(np.array([int(round(v)) for v in scaled], dtype=np.int64))
-    # span the hull of every prefix sum so no intermediate fold leaves the array
-    grid_lo, grid_hi, run_lo, run_hi = 0, 0, 0, 0
-    for o in offsets:
-        run_lo += int(o.min())
-        run_hi += int(o.max())
+        o = [int(round(v)) for v in scaled]
+        run_lo += min(o)
+        run_hi += max(o)
         grid_lo = min(grid_lo, run_lo)
         grid_hi = max(grid_hi, run_hi)
+        if min(o) < max(o):
+            levels.append(o)
+        elif o[0]:
+            levels.append(o[:1])
     size = grid_hi - grid_lo + 1
     need = 8 * (3 * size + 5 * k_req)
     if need > CONV_CAP:
@@ -242,26 +246,15 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
 
     dist = np.zeros(size)
     dist[-grid_lo] = 1.0                # the all-zero expansion sits at value 0
-    for o in offsets:
-        if int(o.min()) == int(o.max()):
-            s = int(o[0])        # all digits shift alike: pure translation
-            if s > 0:
-                dist[s:] = dist[:size - s]
-                dist[:s] = 0.0
-            elif s < 0:
-                dist[:s] = dist[-s:]
-                dist[s:] = 0.0
-            continue
+    for o in levels:
+        # one product per knot for a mixed level, then one shifted add per digit
+        src = dist * (1.0 / len(o)) if len(o) > 1 else dist
         new = np.zeros(size)
-        p = 1.0 / o.size
-        for shift in o:
+        for s in o:
             # dist index i holds value (grid_lo + i) w; shifting by s moves
             # mass to index i + s, inside [0, size) by the prefix-hull sizing
-            s = int(shift)
-            if s >= 0:
-                new[s:] += dist[:size - s] * p if s else dist * p
-            else:
-                new[:s] += dist[-s:] * p
+            lo, hi = max(s, 0), size + min(s, 0)
+            new[lo:hi] += src[lo - s:hi - s]
         dist = new
 
     cum_all = np.cumsum(dist)

@@ -77,7 +77,7 @@ def build_chain(P) -> DigitChain:
         raise NotPrimitive("power iteration failed to reach a stationary vector")
 
     eigs = np.sort(np.abs(np.linalg.eigvals(P)))[::-1]
-    lam = float(min(max(eigs[1], 0.0), 1.0)) if a > 1 else 0.0
+    lam = float(min(max(eigs[1], 0.0), 1.0))
     if lam > 1.0 - 1e-12:
         raise NotPrimitive(f"second eigenvalue modulus {lam} leaves no spectral gap")
     P.setflags(write=False)
@@ -112,12 +112,6 @@ def _value_table(chain: DigitChain, dmap: DigitMap) -> np.ndarray:
     return np.array(level_values(dmap, base, 0))
 
 
-def _stationary_moments(chain: DigitChain, vals: np.ndarray) -> tuple[float, float]:
-    mu = float(chain.pi @ vals)
-    s2 = float(chain.pi @ (vals - mu) ** 2)
-    return mu, s2
-
-
 @dataclass(frozen=True)
 class CovarianceDecay:
     lags: tuple[int, ...]
@@ -146,8 +140,7 @@ def covariance_decay(chain: DigitChain, dmap: DigitMap, r_max: int,
     path_len = r_max + 16
     n_paths = max(2, samples // path_len)
     d = generate_paths(chain, n_paths, path_len, seed)
-    mu, _ = _stationary_moments(chain, vals)
-    z = vals[d] - mu
+    z = vals[d] - float(chain.pi @ vals)
 
     lags, covs, ses = [], [], []
     for r in range(1, r_max + 1):

@@ -21,6 +21,7 @@ attainable at desk scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -223,6 +224,22 @@ def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
     return report.h, report.T, report
 
 
+def check_rate_family(family: str, alpha: Optional[float] = None,
+                      beta: Optional[float] = None, q: int = 2) -> None:
+    """ValueError unless q is an integer >= 2 (not a bool) and the family is
+    example-I with a finite alpha > 1 or example-II with 0 < beta < 1."""
+    if isinstance(q, bool) or not isinstance(q, int) or q < 2:
+        raise ValueError(f"need an integer q >= 2, got {q!r}")
+    if family == "example-I":
+        if not (isinstance(alpha, (int, float)) and 1.0 < alpha <= sys.float_info.max):
+            raise ValueError(f"example-I needs a finite alpha > 1, got {alpha!r}")
+    elif family == "example-II":
+        if not (isinstance(beta, (int, float)) and 0.0 < beta < 1.0):
+            raise ValueError(f"example-II needs 0 < beta < 1, got {beta!r}")
+    else:
+        raise ValueError(f"unknown rate family {family!r}")
+
+
 def predicted_rate(family: str, N: int, alpha: Optional[float] = None,
                    beta: Optional[float] = None, q: int = 2) -> float:
     """Closed-form rate of the two designed examples.
@@ -230,25 +247,18 @@ def predicted_rate(family: str, N: int, alpha: Optional[float] = None,
     example-I:  L^{-alpha/2} (log L)^{1/4} with L = floor(log_q N)
     example-II: N^{-gamma},  gamma = log(1/beta) / (log(1/beta) + 2 log q)
     """
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    check_rate_family(family, alpha, beta, q)
     if N < q * q:
         raise ValueError(f"need N >= q^2 = {q * q}, got {N}")
     if family == "example-I":
-        if alpha is None or alpha <= 1.0:
-            raise ValueError(f"example-I needs alpha > 1, got {alpha}")
         L = int(math.log(N) / math.log(q))
         while q ** (L + 1) <= N:     # guard float log against boundary N = q^L
             L += 1
         while q ** L > N:
             L -= 1
         return L ** (-alpha / 2.0) * math.log(L) ** 0.25
-    if family == "example-II":
-        if beta is None or not 0.0 < beta < 1.0:
-            raise ValueError(f"example-II needs 0 < beta < 1, got {beta}")
-        gamma = math.log(1.0 / beta) / (math.log(1.0 / beta) + 2.0 * math.log(q))
-        return float(N) ** -gamma
-    raise ValueError(f"unknown rate family {family!r}")
+    gamma = math.log(1.0 / beta) / (math.log(1.0 / beta) + 2.0 * math.log(q))
+    return float(N) ** -gamma
 
 
 def resolve_regime(dmap: DigitMap, base: CantorBase, L: int,

@@ -101,6 +101,19 @@ def test_heights_ladder_and_ns():
     ({"reference": {"kind": "uniform", "lo": 0, "hi": 10 ** 400}}, "reference.hi"),
     ({"reference": {"kind": "grid"},
       "grid": {"x0": 0.0, "x1": 1.0, "w": 0.1, "depth": True}}, "depth"),
+    # nested objects refuse unknown fields as the root does
+    ({"reference": {"kind": "grid"},
+      "grid": {"x0": 0.0, "x1": 1.0, "w": 0.1, "depht": 3}}, "grid.depht"),
+    ({"reference": {"kind": "uniform", "lo": 0.0, "hi": 1.0, "c": 0.5}}, "reference.c"),
+    ({"grid": {"x0": 0.0, "x1": 1.0, "w": 0.1, "depht": 3}}, "grid"),   # read by no one
+    ({"reference": {"kind": "grid", "w": 0.1},
+      "grid": {"x0": 0.0, "x1": 1.0, "w": 0.1}}, "reference.w"),
+    ({"ns": None, "ladder": {"start": 16, "stop": 64, "factor": 2, "step": 3}}, "ladder.step"),
+    ({"rate_family": {"family": "example-II", "beta": 0.5, "bta": 0.9}}, "rate_family.bta"),
+    ({"rate_family": {"family": "example-I", "alpha": math.inf}}, "alpha"),
+    ({"rate_family": {"family": "example-I", "alpha": 1.5, "q": True}}, "q"),
+    ({"rate_family": {"family": "example-I", "alpha": 1.5, "q": 2.0}}, "q"),
+    ({"rate_family": {"family": "example-III"}}, "rate_family"),
 ])
 def test_config_rejections(mutate, path_hint):
     with pytest.raises(ConfigError) as exc:
@@ -234,6 +247,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     for field in ("surprise", "seed"):
         bad.write_text(json.dumps(_minimal_config(**{field: 1})))
         assert main(["experiment", "--config", str(bad)]) == 2
+    # ... or with an unknown field in a nested object
+    bad.write_text(json.dumps(_minimal_config(
+        reference={"kind": "grid"}, grid={"x0": 0.0, "x1": 2.0, "w": 0.25, "depht": 3})))
+    assert main(["experiment", "--config", str(bad)]) == 2
     # experiment has no --seed flag
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--preset", "zero-map", "--seed", "1"])

@@ -26,6 +26,7 @@ from cantorlab import (
     limit_cdf_invert,
     value_vector,
 )
+from cantorlab.limitlaw import _conv_envelope
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_conv_exact_dyadic_enumeration(base2, vdc2):
 
 
 def test_conv_translation_levels_exact(base2):
-    # middle level is constant: exercises the pure-shift fast path
+    # middle level is constant: every digit shifts alike
     rows = [(0.0, 1.0), (0.5, 0.5), (0.0, 0.25)]
     dmap = DigitMap.custom_table(rows)
     g = limit_cdf_conv(dmap, base2, 0.0, 2.0, 0.25, depth=3)
@@ -203,6 +204,84 @@ def test_conv_negative_translation(base2):
     oracle = EmpiricalCDF(value_vector(dmap, base2, 4))
     knots = g.x0 + g.w * np.arange(g.cum.size)
     assert np.array_equal(g.cum, oracle.cdf(knots))
+
+
+def _two_path_conv(dmap, base, x0, x1, w, depth):
+    """(cum, eps_x, eps_p) of limit_cdf_conv by a fold with two paths, each
+    with its own sign branches: a level whose digits all round to one shift
+    translates the array in place, any other computes one dist * p product
+    per digit.  The oracle of the one slice-add rule."""
+    k_req = int(math.floor((x1 - x0) / w)) + 1
+    offsets = [np.array([int(round(v / w)) for v in level_values(dmap, base, j)],
+                        dtype=np.int64) for j in range(depth)]
+    grid_lo, grid_hi, run_lo, run_hi = 0, 0, 0, 0
+    for o in offsets:
+        run_lo += int(o.min())
+        run_hi += int(o.max())
+        grid_lo = min(grid_lo, run_lo)
+        grid_hi = max(grid_hi, run_hi)
+    size = grid_hi - grid_lo + 1
+    dist = np.zeros(size)
+    dist[-grid_lo] = 1.0
+    for o in offsets:
+        if int(o.min()) == int(o.max()):
+            s = int(o[0])
+            if s > 0:
+                dist[s:] = dist[:size - s]
+                dist[:s] = 0.0
+            elif s < 0:
+                dist[:s] = dist[-s:]
+                dist[s:] = 0.0
+            continue
+        new = np.zeros(size)
+        p = 1.0 / o.size
+        for shift in o:
+            s = int(shift)
+            if s >= 0:
+                new[s:] += dist[:size - s] * p if s else dist * p
+            else:
+                new[:s] += dist[-s:] * p
+        dist = new
+    cum_all = np.cumsum(dist)
+    total = float(cum_all[-1])
+    eps_x, eps_p = _conv_envelope(dmap, base, w, depth)
+    eps_p += abs(1.0 - total) + 1e-15
+    idx = int(math.floor(x0 / w)) + np.arange(k_req, dtype=np.int64) - grid_lo
+    idx_c = np.clip(idx, -1, size - 1)
+    cum = np.where(idx_c < 0, 0.0, cum_all[np.maximum(idx_c, 0)])
+    eps_p += total - float(cum[-1])
+    return cum, eps_x, eps_p
+
+
+# the lattice shifts of one level: none, one shared shift (either sign), or
+# free shifts with repeats and mixed signs
+_LEVEL_SHIFTS = st.one_of(
+    st.integers(2, 4).map(lambda a: [0] * a),
+    st.tuples(st.integers(2, 4), st.integers(-6, 6).filter(bool)).map(lambda t: [t[1]] * t[0]),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(_LEVEL_SHIFTS, min_size=1, max_size=8),
+       w=st.sampled_from([0.25, 0.1, 1.0 / 3.0, 2.0 ** -10]),
+       pad=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+@example(levels=[[0, 0], [3, 3, 3], [-2, -2], [1, 1, -1, 1], [0, 0, 0], [-4, 4, 0],
+                 [2, 2, 5, 2], [-1, -3, -1]], w=0.1, pad=(1, 1))
+@example(levels=[[-5, -5], [0, 1, 1], [4, 4, 4, 4], [-2, 3]], w=1.0 / 3.0, pad=(1, 1))
+def test_conv_fold_matches_two_path_oracle_bitwise(levels, w, pad):
+    # values k w on a table base whose digit counts follow the rows; the
+    # window holds every atom, so the fold alone decides cum and the drift
+    base = build_base({"kind": "table", "table": [len(r) for r in levels],
+                       "then": {"kind": "constant", "q": 2}})
+    dmap = DigitMap.custom_table([[k * w for k in r] for r in levels])
+    x0 = (sum(min(r) for r in levels) - pad[0]) * w
+    x1 = (sum(max(r) for r in levels) + pad[1]) * w
+    g = limit_cdf_conv(dmap, base, x0, x1, w, depth=len(levels))
+    cum, eps_x, eps_p = _two_path_conv(dmap, base, x0, x1, w, len(levels))
+    assert np.array_equal(g.cum.view(np.int64), cum.view(np.int64))
+    assert np.array_equal(np.array([g.eps_x, g.eps_p]).view(np.int64),
+                          np.array([eps_x, eps_p]).view(np.int64))
 
 
 def test_conv_envelope_covers_deep_truth(base3, tern):

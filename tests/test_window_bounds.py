@@ -281,6 +281,11 @@ def test_predicted_rate_validation():
         predicted_rate("example-III", 100)
     with pytest.raises(ValueError):
         predicted_rate("example-I", 100, alpha=1.5, q=1)
+    # a non-finite alpha has no rate; q is an integer, and a bool is none
+    for alpha, q in ((math.inf, 2), (math.nan, 2), (10 ** 400, 2), ("2", 2),
+                     (1.5, True), (1.5, 2.0)):
+        with pytest.raises(ValueError):
+            predicted_rate("example-I", 100, alpha=alpha, q=q)
 
 
 def test_resolve_regime(base2, base3, geo_half, tern, skew):
