@@ -314,15 +314,10 @@ def cf_truncation_bound(dmap: DigitMap, base: CantorBase, depth: int, t_abs: flo
     return t_abs * mt + 0.5 * t_abs * t_abs * (vt + mt * mt)
 
 
-def cf_truncated(dmap: DigitMap, base: CantorBase, t,
-                 depth: Optional[int] = None) -> tuple[np.ndarray, float, int]:
-    """(phi values on t, certified truncation bound, depth used).
-
-    With depth None the product deepens until the certified bound over
-    the supplied t-range drops below CF_TOL (or a hard cap is hit).
-    """
-    tt = np.asarray(t, dtype=float)
-    t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
+def _cf_depth(dmap: DigitMap, base: CantorBase, t_abs: float,
+              depth: Optional[int]) -> int:
+    """The depth given, else the shallowest whose certified truncation bound
+    over |t| <= t_abs is at most CF_TOL (the table depth or DEPTH_CAP if none)."""
     if depth is None:
         depth = _depth_limit(dmap)
         for j in range(1, depth + 1):
@@ -332,6 +327,23 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     depth = int(depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    return depth
+
+
+def cf_truncated(dmap: DigitMap, base: CantorBase, t,
+                 depth: Optional[int] = None) -> tuple[np.ndarray, float, int]:
+    """(phi values on t, certified truncation bound, depth used).
+
+    With depth None the product deepens until the certified bound over
+    the supplied t-range drops below CF_TOL (or a hard cap is hit).  Each
+    factor takes cos/sin of every t, so any finite t works; non-finite t
+    are refused.
+    """
+    tt = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(tt)):
+        raise ValueError("CF arguments t must be finite")
+    t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
+    depth = _cf_depth(dmap, base, t_abs, depth)
     out = np.ones(tt.shape, dtype=complex)
     for j in range(depth):
         out *= cf_factor(dmap, base, j, tt)
@@ -364,43 +376,70 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     CF truncation integral, the finite-T smoothing window (q_hint should
     bound the concentration of the law over windows of width 1/T; when it
     is None the result is flagged conditional), and the kernel leak 1/T.
+
+    The nodes t_k = k h, k = 0..n_t, sit in a rows x cols table, k = cols a
+    + b, so e^{ict_k} = e^{ict_{cols a}} e^{ict_b} takes rows + cols cos/sin
+    pairs per value c: per nonzero digit value in the CF product, and per
+    x in the kernel, whose sum over k is one matrix product.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be > 0, got {t_max}")
+    if not (t_max > 0 and math.isfinite(t_max)):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if n_t < 8 or n_t & (n_t - 1):
         raise ValueError(f"n_t must be a power of two >= 8, got {n_t}")
+    if q_hint is not None and not (q_hint >= 0 and math.isfinite(q_hint)):
+        raise ValueError(f"q_hint must be finite and >= 0, got {q_hint}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise ValueError("need at least one evaluation point")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("evaluation points must be finite")
     if np.any(np.diff(xs) < 0):
         raise ValueError("evaluation points must be sorted")
 
     ts = np.linspace(0.0, t_max, n_t + 1)
-    phi, cf_err, depth_used = cf_truncated(dmap, base, ts[1:], depth=depth)
+    depth_used = _cf_depth(dmap, base, t_max, depth)
     mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth_used))
 
-    # phi(t)/t on the open grid; the t -> 0 limit of Im(e^{-itx} phi)/t is mu - x
-    phi_over_t = phi / ts[1:]
-    re_pt = np.ascontiguousarray(phi_over_t.real)
-    im_pt = np.ascontiguousarray(phi_over_t.imag)
+    # cols = 2^ceil(log2(n_t) / 2) divides n_t: node n_t is (rows - 1, 0),
+    # and the nodes past it pad the last row
+    cols = 1 << (int(n_t).bit_length() // 2)
+    rows = n_t // cols + 1
+    t_hi, t_lo = ts[::cols], ts[:cols]
+    phi = np.ones((rows, cols), dtype=complex)
+    for j in range(depth_used):
+        digits = level_values(dmap, base, j)
+        nz = np.array([v for v in digits if v != 0.0])
+        # the digit mean of e^{itv}; a zero digit value adds exactly 1
+        f = (np.exp(1j * np.multiply.outer(t_hi, nz)) / len(digits)
+             @ np.exp(1j * np.multiply.outer(nz, t_lo)))
+        if nz.size < len(digits):
+            f.real += (len(digits) - nz.size) / len(digits)
+        phi *= f
+
+    # trapezoid weights times phi(t)/t: 0 at node 0 (its integrand, the
+    # t -> 0 limit mu - x, is added apart), 1/2 at node n_t, 0 past it
+    wp = phi.reshape(-1)
+    wp[0] = 0.0
+    wp[1:n_t + 1] /= ts[1:]
+    wp[n_t] *= 0.5
+    wp[n_t + 1:] = 0.0
+    # cols is even, so node k is even iff b is: split b by parity, the
+    # every-other-node rule keeping the even half
+    half = cols // 2
+    w2 = np.ascontiguousarray(wp.reshape(rows, half, 2).transpose(2, 0, 1))
+    t_pair = t_lo.reshape(half, 2).T
     h = t_max / n_t
     vals = np.empty(xs.size)
     vals_half = np.empty(xs.size)
-    chunk = max(1, (1 << 22) // (n_t + 1))
+    chunk = max(1, (1 << 20) // (rows + cols))     # 16 MB of x-dependent tables
     for lo in range(0, xs.size, chunk):
         xc = xs[lo:lo + chunk]
-        # Im(e^{-itx} phi/t) = cos(tx) Im(phi/t) - sin(tx) Re(phi/t), in place
-        ang = np.multiply.outer(xc, ts[1:])                     # (nx, n_t)
-        integrand = np.cos(ang)
-        integrand *= im_pt
-        np.sin(ang, out=ang)
-        ang *= re_pt
-        integrand -= ang
+        # sum_k w_k e^{-i t_k x} phi_k / t_k, even and odd b apart
+        s = (w2 @ np.exp(-1j * np.multiply.outer(t_pair, xc))
+             * np.exp(-1j * np.multiply.outer(t_hi, xc))).sum(axis=1).imag
         g0 = mu - xc
-        # trapezoid over nodes 0..n_t, then the same on every other node
-        full = h * (0.5 * g0 + integrand[:, :-1].sum(axis=1) + 0.5 * integrand[:, -1])
-        coarse = 2.0 * h * (0.5 * g0 + integrand[:, 1:-1:2].sum(axis=1)
-                            + 0.5 * integrand[:, -1])
+        full = h * (0.5 * g0 + (s[0] + s[1]))
+        coarse = 2.0 * h * (0.5 * g0 + s[0])
         vals[lo:lo + chunk] = 0.5 - full / math.pi
         vals_half[lo:lo + chunk] = 0.5 - coarse / math.pi
     quad_err = float(np.max(np.abs(vals - vals_half))) / 3.0

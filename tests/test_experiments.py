@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -257,6 +258,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     # bad reference spec
     assert main(["empirical", "--n", "64", "--ref", "gaussian:0:1"]) == 2
+    # inversion with a negative or NaN window hint, an infinite t-range or
+    # NaN evaluation points; then the CF product at non-finite t (np.linspace
+    # warns on the NaN endpoints before the library refuses them)
+    invert = ["limit", "--route", "invert", "--x1", "1", "--n-x", "5", "--n-t", "256"]
+    with np.errstate(invalid="ignore"):
+        for bad in (["--x0", "0", "--q-hint", "-1"], ["--x0", "0", "--q-hint", "nan"],
+                    ["--x0", "0", "--t-max", "inf"], ["--x0", "0", "--t-max", "nan"],
+                    ["--x0", "nan"]):
+            assert main(invert + bad) == 2
+        for t_max in ("nan", "inf"):
+            assert main(["cf", "--t-max", t_max, "--n", "5"]) == 2
     capsys.readouterr()
 
 

@@ -26,7 +26,7 @@ from cantorlab import (
     limit_cdf_invert,
     value_vector,
 )
-from cantorlab.limitlaw import _conv_envelope
+from cantorlab.limitlaw import _conv_envelope, _tail_pair
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -405,6 +405,14 @@ def test_cf_truncated_auto_depth(base2, geo_half):
         cf_truncated(geo_half, base2, ts, depth=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cf_truncated_refuses_non_finite_t(base2, geo_half, bad):
+    # an infinite t would first deepen the product to DEPTH_CAP
+    for depth in (None, 3):
+        with pytest.raises(ValueError, match="finite"):
+            cf_truncated(geo_half, base2, [0.5, bad], depth=depth)
+
+
 # -- inversion route -------------------------------------------------------------------
 
 
@@ -420,6 +428,16 @@ def test_invert_validations(base2, vdc2):
         limit_cdf_invert(vdc2, base2, [0.5, 0.2])
     with pytest.raises(ValueError):
         limit_cdf_invert(vdc2, base2, [])
+    # NaN compares false both ways, so it would pass the sort check
+    for pts in ([0.2, math.nan, 0.5], [math.nan], [0.2, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            limit_cdf_invert(vdc2, base2, pts, n_t=64)
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_max"):
+            limit_cdf_invert(vdc2, base2, xs, t_max=t_max, n_t=64)
+    for q_hint in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="q_hint"):
+            limit_cdf_invert(vdc2, base2, xs, n_t=64, q_hint=q_hint)
 
 
 def test_invert_step_semantics(base2, vdc2):
@@ -476,6 +494,91 @@ def test_invert_matches_complex_exp(base2, base3, vdc2, tern):
         want, quad = _invert_complex_exp(dmap, base, xs, 2048.0, 1 << 12)
         assert np.max(np.abs(inv.values - want)) <= 1e-13
         assert abs(inv.pieces["quad"] - quad) <= 1e-15
+
+
+def _dense_invert(dmap, base, xs, t_max, n_t, q_hint):
+    """(values, envelope) of limit_cdf_invert by the dense kernel: the CF
+    product by cf_truncated on every node, then n_x x n_t cos/sin pairs for
+    Im(e^{-itx} phi/t).  The oracle of the two-level exponential tables."""
+    ts = np.linspace(0.0, t_max, n_t + 1)
+    phi, _, depth = cf_truncated(dmap, base, ts[1:])
+    mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth))
+    phi_over_t = phi / ts[1:]
+    ang = np.multiply.outer(xs, ts[1:])
+    integrand = np.cos(ang) * phi_over_t.imag - np.sin(ang) * phi_over_t.real
+    h = t_max / n_t
+    g0 = mu - xs
+    full = h * (0.5 * g0 + integrand[:, :-1].sum(axis=1) + 0.5 * integrand[:, -1])
+    coarse = 2.0 * h * (0.5 * g0 + integrand[:, 1:-1:2].sum(axis=1) + 0.5 * integrand[:, -1])
+    vals = 0.5 - full / math.pi
+    quad = float(np.max(np.abs(vals - (0.5 - coarse / math.pi)))) / 3.0
+    mt, vt = _tail_pair(dmap, base, depth - 1)
+    cf_int = (mt * t_max + (vt + mt * mt) * t_max * t_max / 4.0) / math.pi
+    mono = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+    adjust = float(np.max(np.abs(mono - vals)))
+    return mono, quad + cf_int + q_hint + 1.0 / t_max + adjust
+
+
+_B2 = build_base({"kind": "constant", "q": 2})
+_FAMILIES = {
+    "radical-inverse": (DigitMap.radical_inverse(), _B2, (0.0, 1.0)),
+    "symmetric-ternary": (DigitMap.symmetric_ternary(),
+                          build_base({"kind": "constant", "q": 3}), (-1.5, 1.5)),
+    "geometric": (DigitMap.geometric(0.5, (0.0, 1.0)), _B2, (0.0, 2.0)),
+}
+_TABLE_ROW = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=2, max_size=4)
+
+
+@st.composite
+def _invert_input(draw):
+    """(dmap, base, xs): a family, or a custom table on a table base whose
+    digit counts follow its rows; sorted xs, unevenly spaced and repeated,
+    over the law's support and past it."""
+    name = draw(st.sampled_from([*_FAMILIES, "table"]))
+    if name == "table":
+        rows = draw(st.lists(_TABLE_ROW, min_size=1, max_size=5))
+        base = build_base({"kind": "table", "table": [len(r) for r in rows],
+                           "then": {"kind": "constant", "q": 2}})
+        dmap = DigitMap.custom_table(rows)
+        lo = sum(min(r) for r in rows)
+        hi = sum(max(r) for r in rows)
+    else:
+        dmap, base, (lo, hi) = _FAMILIES[name]
+    pts = draw(st.lists(st.floats(lo - 0.25, hi + 0.25), min_size=1, max_size=6))
+    reps = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return dmap, base, np.repeat(np.sort(pts), reps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_invert_input(), n_t=st.sampled_from([8, 1 << 11, 1 << 16]),
+       t_max=st.sampled_from([64.0, 512.0, 2048.0]))
+@example(case=(DigitMap.radical_inverse(), _B2, np.array([0.1, 0.1, 0.35, 0.9])),
+         n_t=1 << 16, t_max=2048.0)
+@example(case=(DigitMap.custom_table([(0.0, 0.5), (0.25, 0.0, -0.75), (0.0, 0.125)]),
+               build_base({"kind": "periodic", "pattern": [2, 3]}),
+               np.array([-0.8, -0.8, -0.1, 0.3, 0.3, 0.3, 0.9])),
+         n_t=1 << 11, t_max=512.0)
+def test_invert_tables_match_dense_oracle(case, n_t, t_max):
+    # n_t = 8, 2^11, 2^16 give (rows, cols) = (3, 4), (33, 64), (257, 256)
+    dmap, base, xs = case
+    inv = limit_cdf_invert(dmap, base, xs, t_max=t_max, n_t=n_t, q_hint=0.01)
+    want, env = _dense_invert(dmap, base, xs, t_max, n_t, 0.01)
+    assert np.max(np.abs(inv.values - want)) <= 1e-12
+    assert inv.envelope == pytest.approx(env, rel=1e-9)
+    again = limit_cdf_invert(dmap, base, xs, t_max=t_max, n_t=n_t, q_hint=0.01)
+    assert np.array_equal(again.values.view(np.int64), inv.values.view(np.int64))
+    assert again.envelope == inv.envelope
+
+
+def test_invert_chunks_match_one_point_calls(base2, vdc2):
+    # at n_t = 2^16 a chunk holds 2^20 // (257 + 256) = 2044 points, so the
+    # first call runs two chunks
+    xs = np.linspace(0.05, 0.95, 2050)
+    inv = limit_cdf_invert(vdc2, base2, xs, t_max=2048.0, n_t=1 << 16, q_hint=0.01)
+    for i in (0, 2043, 2044, 2049):
+        one = limit_cdf_invert(vdc2, base2, xs[i:i + 1], t_max=2048.0, n_t=1 << 16,
+                               q_hint=0.01)
+        assert abs(one.values[0] - inv.values[i]) <= 1e-15
 
 
 def test_invert_envelope_pieces_sum(base2, geo_half):
