@@ -21,13 +21,18 @@ from .empirical import (Interval, empirical_cdf, kolmogorov, smoothing_check,
 from .errors import CantorLabError, ConfigError, ResourceLimit
 from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
-from .limitlaw import cf_truncated, limit_cdf_conv, limit_cdf_invert
+from .limitlaw import check_bytes, cf_truncated, limit_cdf_conv, limit_cdf_invert
 from .markov_digits import build_chain, covariance_decay, window_variance
 from .mixed_radix import build_base, compress, expand
 from .qadditive import DigitMap, digit_stats, evaluate, ew_diagnose
 from .window_bounds import optimize_window, total_bound
 
 log = logging.getLogger("cantorlab")
+
+# bytes per point of cf and limit --route invert: its float and complex
+# arrays and its CSV line while the text is joined (tracemalloc reads about
+# 410 for cf)
+ROW_BYTES = 512
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -94,6 +99,7 @@ def _cmd_ewcheck(args) -> int:
 
 def _cmd_cf(args) -> int:
     dmap, base = _build_pair(args)
+    check_bytes(ROW_BYTES * args.n, f"cf at {args.n} points")
     ts = np.linspace(args.t_min, args.t_max, args.n)
     phi, err, depth = cf_truncated(dmap, base, ts, depth=args.depth)
     log.info("depth %d, truncation bound %.3g over |t| <= %.3g",
@@ -113,6 +119,7 @@ def _cmd_limit(args) -> int:
         xs = grid.x0 + grid.w * np.arange(grid.cum.size)[::stride]
         vals = grid.cum[::stride]
     else:
+        check_bytes(ROW_BYTES * args.n_x, f"inversion at {args.n_x} points")
         xs = np.linspace(args.x0, args.x1, args.n_x)
         inv = limit_cdf_invert(dmap, base, xs, t_max=args.t_max, n_t=args.n_t,
                                depth=args.depth, q_hint=args.q_hint)

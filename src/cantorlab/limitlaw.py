@@ -26,9 +26,16 @@ from .errors import RangeTooSmall, ResourceLimit
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, digit_stats, level_values, tail_sums
 
-CONV_CAP = 1 << 30          # bytes of lattice and window arrays in one convolution
+CONV_CAP = 1 << 30          # bytes of work arrays in one convolution or inversion
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
+
+
+def check_bytes(need: float, what: str) -> None:
+    """Raise ResourceLimit when need bytes of arrays exceed CONV_CAP; call it
+    before any of them is allocated."""
+    if not need <= CONV_CAP:
+        raise ResourceLimit(f"{what} needs {need:.3g} bytes, over the {CONV_CAP}-byte cap")
 
 
 class GridCDF:
@@ -186,6 +193,34 @@ def choose_depth(dmap: DigitMap, base: CantorBase, w: float) -> int:
 # -- route 1: lattice convolution ----------------------------------------------
 
 
+def _fold(levels: list[list[int]], size: int, origin: int) -> np.ndarray:
+    """The lattice law after the levels' shifts, index origin holding 0.
+    Every prefix sum of shifts is a multiple of g, the gcd of the shifts so
+    far: the law lives on origin + gZ, and off it both buffers stay 0."""
+    src, dst = np.zeros(size), np.zeros(size)
+    src[origin] = 1.0                   # the all-zero expansion sits at value 0
+    g = 0
+    for o in levels:
+        g = math.gcd(g, *o)
+        a, b = src[origin % g::g], dst[origin % g::g]
+        n = a.size
+        if len(o) > 1:
+            a *= 1.0 / len(o)           # one product per sublattice knot
+        for i, s in enumerate(o):
+            # shifting by s moves mass from index m to m + s / g of the view,
+            # inside it by the prefix-hull sizing; the first shift overwrites
+            # the destination, the rest add in digit order (0 + x is x)
+            s //= g
+            lo, hi = max(s, 0), n + min(s, 0)
+            if i:
+                b[lo:hi] += a[lo - s:hi - s]
+            else:
+                b[lo:hi] = a[lo - s:hi - s]
+                b[:lo] = b[hi:] = 0.0
+        src, dst = dst, src
+    return src
+
+
 def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
                    w: float, depth: Optional[int] = None) -> GridCDF:
     """Limit CDF by exact convolution of rounded per-level digit measures.
@@ -195,9 +230,9 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     contributes its certified mean shift plus a Chebyshev horizontal/
     vertical split.  Mass above the requested window is charged to eps_p;
     more than a quarter of the mass outside raises RangeTooSmall.  The
-    fold holds three 8-byte arrays per lattice knot and the window map up
-    to five per requested knot; more than CONV_CAP bytes of them raises
-    ResourceLimit before anything is allocated.
+    fold holds two 8-byte arrays per lattice knot and the window one per
+    requested knot; the cap charges three and five, and more than CONV_CAP
+    bytes of them raises ResourceLimit before anything is allocated.
     """
     if not x1 > x0:
         raise ValueError(f"window needs x1 > x0, got [{x0}, {x1}]")
@@ -232,10 +267,8 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         elif o[0]:
             levels.append(o[:1])
     size = grid_hi - grid_lo + 1
-    need = 8 * (3 * size + 5 * k_req)
-    if need > CONV_CAP:
-        raise ResourceLimit(f"convolution needs {need} bytes ({size} lattice knots, "
-                            f"{k_req} window knots), over the cap {CONV_CAP}")
+    check_bytes(8 * (3 * size + 5 * k_req),
+                f"convolution of {size} lattice knots and {k_req} window knots")
     # requested knot k reads atoms up to floor(x0 / w) + k; a window whose
     # atoms all lie beyond the lattice hull holds none or all of the mass.
     # Tested in float before the fold; past it, floor(x0 / w) fits int64
@@ -244,31 +277,23 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         raise RangeTooSmall(f"window [{x0}, {x1}] misses the lattice hull "
                             f"[{grid_lo * w}, {grid_hi * w}] that holds all of the mass")
 
-    dist = np.zeros(size)
-    dist[-grid_lo] = 1.0                # the all-zero expansion sits at value 0
-    for o in levels:
-        # one product per knot for a mixed level, then one shifted add per digit
-        src = dist * (1.0 / len(o)) if len(o) > 1 else dist
-        new = np.zeros(size)
-        for s in o:
-            # dist index i holds value (grid_lo + i) w; shifting by s moves
-            # mass to index i + s, inside [0, size) by the prefix-hull sizing
-            lo, hi = max(s, 0), size + min(s, 0)
-            new[lo:hi] += src[lo - s:hi - s]
-        dist = new
-
-    cum_all = np.cumsum(dist)
+    cum_all = _fold(levels, size, -grid_lo)
+    np.cumsum(cum_all, out=cum_all)
     total = float(cum_all[-1])
 
     eps_x, eps_p = _conv_envelope(dmap, base, w, depth_j)
     eps_p += abs(1.0 - total) + 1e-15   # float mass drift guard
 
     # map the atom lattice {i w} onto the requested knots x0 + k w: atom i
-    # is <= knot k  iff  i <= floor(x0 / w) + k
-    anchor = int(math.floor(a0))
-    idx = anchor + np.arange(k_req, dtype=np.int64) - grid_lo
-    idx_c = np.clip(idx, -1, size - 1)
-    cum = np.where(idx_c < 0, 0.0, cum_all[np.maximum(idx_c, 0)])
+    # is <= knot k  iff  i <= floor(x0 / w) + k, so knot k reads index
+    # i0 + k; indices below the lattice read 0, above it the total
+    i0 = int(math.floor(a0)) - grid_lo
+    k_lo = min(max(-i0, 0), k_req)
+    k_hi = min(max(size - i0, k_lo), k_req)
+    cum = np.empty(k_req)
+    cum[:k_lo] = 0.0
+    cum[k_lo:k_hi] = cum_all[i0 + k_lo:i0 + k_hi]
+    cum[k_hi:] = total
 
     mass_below = float(cum[0])
     mass_above = total - float(cum[-1])
@@ -380,7 +405,8 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     The nodes t_k = k h, k = 0..n_t, sit in a rows x cols table, k = cols a
     + b, so e^{ict_k} = e^{ict_{cols a}} e^{ict_b} takes rows + cols cos/sin
     pairs per value c: per nonzero digit value in the CF product, and per
-    x in the kernel, whose sum over k is one matrix product.
+    x in the kernel, whose sum over k is one matrix product.  More than
+    CONV_CAP bytes of these tables raises ResourceLimit before they exist.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -396,19 +422,28 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     if np.any(np.diff(xs) < 0):
         raise ValueError("evaluation points must be sorted")
 
-    ts = np.linspace(0.0, t_max, n_t + 1)
-    depth_used = _cf_depth(dmap, base, t_max, depth)
-    mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth_used))
-
     # cols = 2^ceil(log2(n_t) / 2) divides n_t: node n_t is (rows - 1, 0),
     # and the nodes past it pad the last row
     cols = 1 << (int(n_t).bit_length() // 2)
     rows = n_t // cols + 1
+    chunk = max(1, (1 << 20) // (rows + cols))     # 16 MB of x-dependent tables
+    # the nodes, three rows x cols complex tables (the CF product, a level's
+    # factor, the weighted copy), four complex x tables per chunk of points
+    # and eight float arrays per point
+    need = 8 * (n_t + 1) + 48 * rows * cols + 64 * (rows + cols) * chunk + 64 * xs.size
+    check_bytes(need, f"inversion on {n_t} cells at {xs.size} points")
+
+    ts = np.linspace(0.0, t_max, n_t + 1)
+    depth_used = _cf_depth(dmap, base, t_max, depth)
+    mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth_used))
+
     t_hi, t_lo = ts[::cols], ts[:cols]
     phi = np.ones((rows, cols), dtype=complex)
     for j in range(depth_used):
         digits = level_values(dmap, base, j)
         nz = np.array([v for v in digits if v != 0.0])
+        # the level's two exponential tables, each with its outer product
+        check_bytes(need + 32 * (rows + cols) * nz.size, f"level {j} of the CF product")
         # the digit mean of e^{itv}; a zero digit value adds exactly 1
         f = (np.exp(1j * np.multiply.outer(t_hi, nz)) / len(digits)
              @ np.exp(1j * np.multiply.outer(nz, t_lo)))
@@ -431,7 +466,6 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     h = t_max / n_t
     vals = np.empty(xs.size)
     vals_half = np.empty(xs.size)
-    chunk = max(1, (1 << 20) // (rows + cols))     # 16 MB of x-dependent tables
     for lo in range(0, xs.size, chunk):
         xc = xs[lo:lo + chunk]
         # sum_k w_k e^{-i t_k x} phi_k / t_k, even and odd b apart

@@ -316,6 +316,18 @@ def test_cli_conv_window_over_cap_exits_3(spec):
     _assert_cli_error(["empirical", "--n", "16", "--ref", spec], 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--route", "invert", "--x0", "0", "--x1", "1", "--n-x", "2",
+     "--n-t", "1099511627776"],
+    ["limit", "--route", "invert", "--x0", "0", "--x1", "1", "--n-x", "1099511627776",
+     "--n-t", "64"],
+    ["cf", "--n", "1099511627776"],
+], ids=["invert-n-t-2^40", "invert-n-x-2^40", "cf-n-2^40"])
+def test_cli_inversion_over_cap_exits_3(argv):
+    # refused by the byte cap before np.linspace allocates the nodes or points
+    _assert_cli_error(argv, 3)
+
+
 def test_cli_conv_window_beyond_lattice_hull_exits_2():
     # floor(x0 / w) = 1e19 leaves int64; the window misses the law's mass
     # [0, 2] and is refused as too small before the fold runs

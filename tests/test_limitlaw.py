@@ -2,6 +2,7 @@
 against closed forms, inversion against the convolution route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,7 +211,10 @@ def _two_path_conv(dmap, base, x0, x1, w, depth):
     """(cum, eps_x, eps_p) of limit_cdf_conv by a fold with two paths, each
     with its own sign branches: a level whose digits all round to one shift
     translates the array in place, any other computes one dist * p product
-    per digit.  The oracle of the one slice-add rule."""
+    per digit into a fresh array over the whole lattice.  The requested
+    knots are gathered by clipped indices, and RangeTooSmall is raised where
+    limit_cdf_conv raises it.  The oracle of the sublattice fold in two
+    buffers and of the window read by slices."""
     k_req = int(math.floor((x1 - x0) / w)) + 1
     offsets = [np.array([int(round(v / w)) for v in level_values(dmap, base, j)],
                         dtype=np.int64) for j in range(depth)]
@@ -221,6 +225,8 @@ def _two_path_conv(dmap, base, x0, x1, w, depth):
         grid_lo = min(grid_lo, run_lo)
         grid_hi = max(grid_hi, run_hi)
     size = grid_hi - grid_lo + 1
+    if not grid_lo - (k_req - 1) <= x0 / w < grid_hi + 1:
+        raise RangeTooSmall("misses the lattice hull")
     dist = np.zeros(size)
     dist[-grid_lo] = 1.0
     for o in offsets:
@@ -249,6 +255,8 @@ def _two_path_conv(dmap, base, x0, x1, w, depth):
     idx = int(math.floor(x0 / w)) + np.arange(k_req, dtype=np.int64) - grid_lo
     idx_c = np.clip(idx, -1, size - 1)
     cum = np.where(idx_c < 0, 0.0, cum_all[np.maximum(idx_c, 0)])
+    if float(cum[0]) + (total - float(cum[-1])) > 0.25:
+        raise RangeTooSmall("misses too much of the mass")
     eps_p += total - float(cum[-1])
     return cum, eps_x, eps_p
 
@@ -261,24 +269,55 @@ _LEVEL_SHIFTS = st.one_of(
     st.lists(st.integers(-4, 4), min_size=2, max_size=4),
 )
 
+# example-II's shape: geometric q = 2 on a dyadic pitch, one shift 2^(19 - j)
+# per level, then levels that round to 0
+_DYADIC_20 = [[0, 1 << (19 - j)] for j in range(20)] + [[0, 0]] * 3
+
 
 @settings(max_examples=300, deadline=None)
 @given(levels=st.lists(_LEVEL_SHIFTS, min_size=1, max_size=8),
        w=st.sampled_from([0.25, 0.1, 1.0 / 3.0, 2.0 ** -10]),
-       pad=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+       pad=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       cut=st.tuples(*[st.one_of(st.just(0), st.integers(1, 130))] * 2),
+       twos=st.lists(st.integers(0, 4), min_size=8, max_size=8))
 @example(levels=[[0, 0], [3, 3, 3], [-2, -2], [1, 1, -1, 1], [0, 0, 0], [-4, 4, 0],
-                 [2, 2, 5, 2], [-1, -3, -1]], w=0.1, pad=(1, 1))
-@example(levels=[[-5, -5], [0, 1, 1], [4, 4, 4, 4], [-2, 3]], w=1.0 / 3.0, pad=(1, 1))
-def test_conv_fold_matches_two_path_oracle_bitwise(levels, w, pad):
-    # values k w on a table base whose digit counts follow the rows; the
-    # window holds every atom, so the fold alone decides cum and the drift
+                 [2, 2, 5, 2], [-1, -3, -1]], w=0.1, pad=(1, 1), cut=(0, 0), twos=[0] * 8)
+@example(levels=[[-5, -5], [0, 1, 1], [4, 4, 4, 4], [-2, 3]], w=1.0 / 3.0, pad=(1, 1),
+         cut=(0, 0), twos=[0] * 8)
+# g = 8, 8, 4 over a translation by 12, then odd shifts drop it to 1
+@example(levels=[[0, 8, 24], [-8, 16], [12, 12], [4, -4, 0], [0, 3], [6, -6]],
+         w=0.25, pad=(1, 1), cut=(0, 0), twos=[0] * 8)
+@example(levels=[[1, 3], [0, 1, 2], [-3, 3], [5, 5, 5], [0, 1]], w=0.1, pad=(1, 1),
+         cut=(5, 8), twos=[4, 4, 3, 3, 2, 0, 0, 0])
+@example(levels=[[0, 1], [0, 1]], w=0.25, pad=(1, 1), cut=(125, 0),
+         twos=[3, 1, 0, 0, 0, 0, 0, 0])
+@example(levels=_DYADIC_20, w=2.0 ** -10, pad=(1, 1), cut=(0, 0), twos=[0] * 8)
+@example(levels=_DYADIC_20, w=2.0 ** -10, pad=(1, 1), cut=(10, 5), twos=[0] * 8)
+def test_conv_fold_matches_two_path_oracle_bitwise(levels, w, pad, cut, twos):
+    # values k w on a table base whose digit counts follow the rows.  The
+    # first rows' shifts share factors 2^k, non-increasing with the level,
+    # so the sublattice stride stays above 1 for a while and then drops.
+    # The window reaches pad knots past the lattice hull, less cut percent
+    # of the hull on each side: both sides give the same cum, eps_x and
+    # eps_p, or both refuse the window
+    twos = sorted(twos, reverse=True)
+    levels = [[k << twos[i] for k in r] if i < len(twos) else r
+              for i, r in enumerate(levels)]
     base = build_base({"kind": "table", "table": [len(r) for r in levels],
                        "then": {"kind": "constant", "q": 2}})
     dmap = DigitMap.custom_table([[k * w for k in r] for r in levels])
-    x0 = (sum(min(r) for r in levels) - pad[0]) * w
-    x1 = (sum(max(r) for r in levels) + pad[1]) * w
+    lo_k, hi_k = sum(min(r) for r in levels), sum(max(r) for r in levels)
+    span = hi_k - lo_k
+    lo_k += span * cut[0] // 100 - pad[0]
+    hi_k = max(hi_k - span * cut[1] // 100 + pad[1], lo_k + 1)
+    x0, x1 = lo_k * w, hi_k * w
+    try:
+        cum, eps_x, eps_p = _two_path_conv(dmap, base, x0, x1, w, len(levels))
+    except RangeTooSmall:
+        with pytest.raises(RangeTooSmall):
+            limit_cdf_conv(dmap, base, x0, x1, w, depth=len(levels))
+        return
     g = limit_cdf_conv(dmap, base, x0, x1, w, depth=len(levels))
-    cum, eps_x, eps_p = _two_path_conv(dmap, base, x0, x1, w, len(levels))
     assert np.array_equal(g.cum.view(np.int64), cum.view(np.int64))
     assert np.array_equal(np.array([g.eps_x, g.eps_p]).view(np.int64),
                           np.array([eps_x, eps_p]).view(np.int64))
@@ -315,6 +354,26 @@ def test_conv_window_guards(base2, vdc2):
         limit_cdf_conv(vdc2, base2, 1.0, 0.0, 0.25)
     with pytest.raises(ValueError):
         limit_cdf_conv(vdc2, base2, 0.0, 1.0, 0.25, depth=0)
+
+
+def test_conv_peak_memory_within_byte_charge(base2, geo_half):
+    # the fold reuses two lattice buffers and the cumsum overwrites one of
+    # them, so the traced peak stays below three lattice arrays and inside
+    # the 8 (3 size + 5 k_req) bytes that the CONV_CAP check charges
+    w = 2.0 ** -16
+    depth = choose_depth(geo_half, base2, w)
+    size = 1 + sum(max(round(v / w) for v in level_values(geo_half, base2, j))
+                   for j in range(depth))
+    k_req = int(2.0 / w) + 1
+    tracemalloc.start()
+    try:
+        g = limit_cdf_conv(geo_half, base2, 0.0, 2.0, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.cum.size == k_req
+    assert peak < 3 * 8 * size
+    assert peak <= 8 * (3 * size + 5 * k_req)
 
 
 def test_conv_monotone_in_range(base2, geo_half):
@@ -438,6 +497,14 @@ def test_invert_validations(base2, vdc2):
     for q_hint in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="q_hint"):
             limit_cdf_invert(vdc2, base2, xs, n_t=64, q_hint=q_hint)
+    # the nodes and tables are charged against CONV_CAP before they exist:
+    # 2^40 cells, and a level of 2^16 digit values whose exponential tables
+    # at n_t = 2^17 would take gigabytes
+    with pytest.raises(ResourceLimit, match="cells"):
+        limit_cdf_invert(vdc2, base2, [0.5], n_t=1 << 40)
+    wide = build_base({"kind": "constant", "q": 1 << 16})
+    with pytest.raises(ResourceLimit, match="level 0"):
+        limit_cdf_invert(vdc2, wide, [0.5], n_t=1 << 17)
 
 
 def test_invert_step_semantics(base2, vdc2):
