@@ -18,10 +18,10 @@ import numpy as np
 
 from .empirical import (Interval, empirical_cdf, kolmogorov, smoothing_check,
                         star_discrepancy, value_vector, wasserstein1)
-from .errors import CantorLabError, ConfigError, ResourceLimit
+from .errors import CantorLabError, ConfigError, ResourceLimit, check_bytes
 from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
-from .limitlaw import check_bytes, cf_truncated, limit_cdf_conv, limit_cdf_invert
+from .limitlaw import cf_truncated, limit_cdf_conv, limit_cdf_invert
 from .markov_digits import build_chain, covariance_decay, window_variance
 from .mixed_radix import build_base, compress, expand
 from .qadditive import DigitMap, digit_stats, evaluate, ew_diagnose
@@ -29,10 +29,9 @@ from .window_bounds import optimize_window, total_bound
 
 log = logging.getLogger("cantorlab")
 
-# bytes per point of cf and limit --route invert: its float and complex
-# arrays and its CSV line while the text is joined (tracemalloc reads about
-# 410 for cf)
-ROW_BYTES = 512
+# bytes per CSV row of cf and limit: its float and complex arrays and its
+# line while the text is joined (tracemalloc reads about 335 for cf)
+ROW_BYTES = 448
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -112,11 +111,16 @@ def _cmd_cf(args) -> int:
 def _cmd_limit(args) -> int:
     dmap, base = _build_pair(args)
     if args.route == "conv":
+        if args.max_rows < 1:
+            raise ConfigError("--max-rows", f"must be >= 1, got {args.max_rows}")
         grid = limit_cdf_conv(dmap, base, args.x0, args.x1, args.w, depth=args.depth)
+        # the rows are built while the grid's knots are still held
+        stride = max(1, grid.cum.size // args.max_rows)
+        check_bytes(8 * grid.cum.size + ROW_BYTES * -(-grid.cum.size // stride),
+                    f"CSV rows of {grid.cum.size} knots at stride {stride}")
         log.info("grid: %d knots, eps_x=%.3g, eps_p=%.3g",
                  grid.cum.size, grid.eps_x, grid.eps_p)
-        stride = max(1, grid.cum.size // args.max_rows)
-        xs = grid.x0 + grid.w * np.arange(grid.cum.size)[::stride]
+        xs = grid.x0 + grid.w * np.arange(0, grid.cum.size, stride)
         vals = grid.cum[::stride]
     else:
         check_bytes(ROW_BYTES * args.n_x, f"inversion at {args.n_x} points")

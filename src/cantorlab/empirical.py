@@ -14,12 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PointOutOfRange, ResourceLimit
+from .errors import PointOutOfRange, check_bytes
 from .limitlaw import GridCDF
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, level_values
-
-ENUM_CAP = 1 << 24
 
 
 class Interval(NamedTuple):
@@ -81,11 +79,12 @@ def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
     d q_j + r is f(r) + t_j[d].  Each entry is summed as 0.0 + t_0[d_0] +
     t_1[d_1] + ... in level order, so it is bit-identical to indexing every
     level's table with (i // q_j) % a_j.  The cost is about 2n float adds.
+    Each value is charged 80 bytes, the peak of the ladder row it feeds
+    (enumeration, sort, d_K, W1, D*), a grid reference's knots not counted.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > ENUM_CAP:
-        raise ResourceLimit(f"enumeration of {n} values exceeds the cap {ENUM_CAP}")
+    check_bytes(80 * n, f"enumeration of {n} values")
     out = np.empty(n, dtype=float)
     out[0] = 0.0
     q = 1
@@ -104,7 +103,7 @@ def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
 
 
 def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int) -> EmpiricalCDF:
-    """Empirical CDF of {f(0), ..., f(n-1)}; refuses n beyond ENUM_CAP."""
+    """Empirical CDF of {f(0), ..., f(n-1)}, charged as value_vector."""
     return EmpiricalCDF(value_vector(dmap, base, n))
 
 

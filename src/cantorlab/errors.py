@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one byte budget."""
+
+BYTE_CAP = 1 << 30          # bytes of arrays that one call may hold at once
 
 
 class CantorLabError(Exception):
@@ -22,7 +24,15 @@ class NoTailMeta(CantorLabError):
 
 
 class ResourceLimit(CantorLabError):
-    """An enumeration or sampling request exceeds the configured cap."""
+    """A request exceeds BYTE_CAP or one of the work caps."""
+
+
+def check_bytes(need, what: str) -> None:
+    """Raise ResourceLimit when need bytes (an int, or a float that may be
+    inf) exceed BYTE_CAP; call it before any of them is allocated."""
+    if not need <= BYTE_CAP:
+        size = f"{need:.3g}" if need < 1e300 else "more than 1e300"
+        raise ResourceLimit(f"{what} needs {size} bytes, over the {BYTE_CAP}-byte cap")
 
 
 class PointOutOfRange(CantorLabError):

@@ -22,20 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RangeTooSmall, ResourceLimit
+from .errors import RangeTooSmall, check_bytes
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, digit_stats, level_values, tail_sums
 
-CONV_CAP = 1 << 30          # bytes of work arrays in one convolution or inversion
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
-
-
-def check_bytes(need: float, what: str) -> None:
-    """Raise ResourceLimit when need bytes of arrays exceed CONV_CAP; call it
-    before any of them is allocated."""
-    if not need <= CONV_CAP:
-        raise ResourceLimit(f"{what} needs {need:.3g} bytes, over the {CONV_CAP}-byte cap")
 
 
 class GridCDF:
@@ -230,8 +222,8 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     contributes its certified mean shift plus a Chebyshev horizontal/
     vertical split.  Mass above the requested window is charged to eps_p;
     more than a quarter of the mass outside raises RangeTooSmall.  The
-    fold holds two 8-byte arrays per lattice knot and the window one per
-    requested knot; the cap charges three and five, and more than CONV_CAP
+    fold holds two 8-byte arrays per lattice knot, then the window one per
+    requested knot and GridCDF's finiteness mask a byte; more than BYTE_CAP
     bytes of them raises ResourceLimit before anything is allocated.
     """
     if not x1 > x0:
@@ -239,9 +231,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     if not w > 0:
         raise ValueError(f"grid pitch must be > 0, got {w}")
     span = (x1 - x0) / w
-    if not 40.0 * span <= CONV_CAP:
-        raise ResourceLimit(
-            f"window [{x0}, {x1}] at pitch {w} needs {span:.3g} knots, over the {CONV_CAP}-byte cap")
+    check_bytes(9.0 * span, f"window [{x0}, {x1}] at pitch {w}")
     k_req = int(math.floor(span)) + 1
     depth_j = choose_depth(dmap, base, w) if depth is None else int(depth)
     if depth_j < 1:
@@ -253,10 +243,8 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     grid_lo = grid_hi = run_lo = run_hi = 0
     for j in range(depth_j):
         scaled = [v / w for v in level_values(dmap, base, j)]
-        # an offset is the difference of two prefix sums, so |offset| < lattice size
-        if 24.0 * max(abs(v) for v in scaled) >= CONV_CAP:
-            raise ResourceLimit(
-                f"level {j} digit values at pitch {w} need a lattice over the {CONV_CAP}-byte cap")
+        # the lattice is wider than any offset, so this is part of the last charge
+        check_bytes(16.0 * max(abs(v) for v in scaled), f"level {j} at pitch {w}")
         o = [int(round(v)) for v in scaled]
         run_lo += min(o)
         run_hi += max(o)
@@ -267,7 +255,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         elif o[0]:
             levels.append(o[:1])
     size = grid_hi - grid_lo + 1
-    check_bytes(8 * (3 * size + 5 * k_req),
+    check_bytes(16 * size + 9 * k_req,
                 f"convolution of {size} lattice knots and {k_req} window knots")
     # requested knot k reads atoms up to floor(x0 / w) + k; a window whose
     # atoms all lie beyond the lattice hull holds none or all of the mass.
@@ -406,7 +394,7 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     + b, so e^{ict_k} = e^{ict_{cols a}} e^{ict_b} takes rows + cols cos/sin
     pairs per value c: per nonzero digit value in the CF product, and per
     x in the kernel, whose sum over k is one matrix product.  More than
-    CONV_CAP bytes of these tables raises ResourceLimit before they exist.
+    BYTE_CAP bytes of these tables raises ResourceLimit before they exist.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -427,10 +415,10 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     cols = 1 << (int(n_t).bit_length() // 2)
     rows = n_t // cols + 1
     chunk = max(1, (1 << 20) // (rows + cols))     # 16 MB of x-dependent tables
-    # the nodes, three rows x cols complex tables (the CF product, a level's
-    # factor, the weighted copy), four complex x tables per chunk of points
-    # and eight float arrays per point
-    need = 8 * (n_t + 1) + 48 * rows * cols + 64 * (rows + cols) * chunk + 64 * xs.size
+    # the nodes, three rows x cols complex tables (the CF product and two
+    # levels' factors), five complex rows x chunk tables at once in the
+    # kernel and eight float arrays per point
+    need = 8 * (n_t + 1) + 48 * rows * cols + 80 * rows * min(chunk, xs.size) + 64 * xs.size
     check_bytes(need, f"inversion on {n_t} cells at {xs.size} points")
 
     ts = np.linspace(0.0, t_max, n_t + 1)
@@ -450,6 +438,7 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
         if nz.size < len(digits):
             f.real += (len(digits) - nz.size) / len(digits)
         phi *= f
+    del f
 
     # trapezoid weights times phi(t)/t: 0 at node 0 (its integrand, the
     # t -> 0 limit mu - x, is added apart), 1/2 at node n_t, 0 past it

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch, NotPrimitive, NotStochastic, ResourceLimit
+from .errors import AlphabetMismatch, NotPrimitive, NotStochastic, ResourceLimit, check_bytes
 from .mixed_radix import build_base
 from .qadditive import DigitMap, level_values
 
@@ -86,9 +86,10 @@ def build_chain(P) -> DigitChain:
 
 
 def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> np.ndarray:
-    """(n_paths, length) digit array; stationary start, Philox stream."""
+    """(n_paths, length) digit array, charged 40 bytes a digit; stationary start, Philox."""
     if length < 1 or n_paths < 1:
         raise ValueError(f"need n_paths >= 1 and length >= 1, got {n_paths}, {length}")
+    check_bytes(40 * n_paths * length, f"{n_paths} paths of {length} digits")
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((n_paths, length))
     cum_pi = np.cumsum(chain.pi)

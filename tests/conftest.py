@@ -1,10 +1,13 @@
-"""Shared bases, digit maps and preset rows used across the test modules."""
+"""Shared bases, digit maps, preset rows and byte-charge probes used across
+the test modules."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
-from cantorlab import CantorBase, DigitMap, build_base
+from cantorlab import CantorBase, DigitMap, build_base, cli, empirical, limitlaw, markov_digits
+from cantorlab.errors import check_bytes
 from cantorlab.experiments import preset, run_experiment
 
 
@@ -72,3 +75,33 @@ def preset_rows():
         return cache[name]
 
     return rows
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """The bytes that each check_bytes call charges, in call order; the
+    checks still run."""
+    seen = []
+
+    def record(need, what):
+        seen.append(need)
+        check_bytes(need, what)
+
+    for mod in (cli, empirical, limitlaw, markov_digits):
+        monkeypatch.setattr(mod, "check_bytes", record)
+    return seen
+
+
+@pytest.fixture(scope="session")
+def peak_of():
+    """peak_of(fn, *args): (tracemalloc peak in bytes, result) of one call."""
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -24,13 +24,13 @@ from cantorlab import (
     evaluate,
     kolmogorov,
     level_values,
+    limit_cdf_conv,
     run_experiment,
     smoothing_check,
     star_discrepancy,
     value_vector,
     wasserstein1,
 )
-from cantorlab.empirical import ENUM_CAP
 
 
 def _steps_sup_oracle(f, g, breakpoints):
@@ -77,7 +77,34 @@ def test_value_vector_guards(base2, vdc2):
     with pytest.raises(ValueError):
         value_vector(vdc2, base2, 0)
     with pytest.raises(ResourceLimit):
-        empirical_cdf(vdc2, base2, ENUM_CAP + 1)       # refused before allocating
+        empirical_cdf(vdc2, base2, 16777217)    # 2^24 + 1 values, 1.34e9 bytes charged
+
+
+def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
+    # value_vector charges each value the peak of the ladder row it feeds:
+    # enumeration, sort, d_K, W1 and, for radical-inverse maps, D*.  A grid's
+    # own per-knot arrays are not charged: the row of one value against the
+    # same reference measures them, and is taken off
+    n = 1 << 16
+    refs = [(DigitMap.geometric(0.5, (0.0, 0.0)), EmpiricalCDF([0.0])),
+            (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16)),          # K = n
+            (vdc2, UniformCDF()),
+            (geo_half, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17))]  # K = 4n
+
+    def row(dmap, ref, m):
+        ecdf = empirical_cdf(dmap, base2, m)
+        kolmogorov(ecdf, ref)
+        wasserstein1(ecdf, ref)
+        if dmap.family == "radical-inverse":
+            star_discrepancy(ecdf)
+
+    per_value = []
+    for dmap, ref in refs:
+        row(dmap, ref, 1)                       # first-call allocations, untraced
+        knots = peak_of(row, dmap, ref, 1)[0]
+        per_value.append((peak_of(row, dmap, ref, n)[0] - knots) / n)
+    charge = charges[-1] / n
+    assert max(per_value) <= charge <= 1.5 * max(per_value), per_value
 
 
 def _value_vector_oracle(dmap, base, n):

@@ -24,7 +24,7 @@ from cantorlab import (
     rows_to_csv,
     run_experiment,
 )
-from cantorlab.cli import main
+from cantorlab.cli import ROW_BYTES, main
 
 
 def _minimal_config(**over) -> dict:
@@ -304,8 +304,12 @@ def test_cli_malformed_descriptor_exits_2(argv):
     ["bound", "--n", "4096", "--window", "4", "--regime", "A", "--t", "nan",
      "--ref", "uniform:0:2", "--map", '{"family": "geometric", "beta": 0.5, "g": [0, 1]}'],
     ["empirical", "--n", "64", "--ref", "uniform:0:1", "--smoothing-rho", "nan"],
-], ids=["bound-t-nan", "empirical-smoothing-rho-nan"])
+    ["limit", "--x0", "0", "--x1", "1", "--max-rows", "0"],
+    ["limit", "--x0", "0", "--x1", "1", "--max-rows", "-1"],
+], ids=["bound-t-nan", "empirical-smoothing-rho-nan", "limit-max-rows-0",
+        "limit-max-rows-negative"])
 def test_cli_nan_float_flag_exits_2(argv):
+    # and a row cap below 1, which would divide by zero or emit every knot
     _assert_cli_error(argv, 2)
 
 
@@ -322,10 +326,36 @@ def test_cli_conv_window_over_cap_exits_3(spec):
     ["limit", "--route", "invert", "--x0", "0", "--x1", "1", "--n-x", "1099511627776",
      "--n-t", "64"],
     ["cf", "--n", "1099511627776"],
-], ids=["invert-n-t-2^40", "invert-n-x-2^40", "cf-n-2^40"])
+    # 2^22 + 1 CSV rows of a window 4096 times wider than the law's lattice
+    ["limit", "--x0", "0", "--x1", "4096", "--w", "0.0009765625", "--max-rows", "100000000"],
+    ["markov", "--p", "[[0.9, 0.1], [0.1, 0.9]]", "--samples", "1099511627776"],
+    ["markov", "--p", "[[0.9, 0.1], [0.1, 0.9]]", "--samples", "1099511627776",
+     "--mode", "window"],
+    ["empirical", "--n", "1099511627776"],
+], ids=["invert-n-t-2^40", "invert-n-x-2^40", "cf-n-2^40", "limit-conv-rows-2^22",
+        "markov-decay-samples-2^40", "markov-window-samples-2^40", "empirical-n-2^40"])
 def test_cli_inversion_over_cap_exits_3(argv):
-    # refused by the byte cap before np.linspace allocates the nodes or points
+    # refused by the byte budget before the nodes, points, rows, digits or
+    # values are allocated
     _assert_cli_error(argv, 3)
+
+
+def test_cli_rows_peak_memory_within_byte_charge(tmp_path, charges, peak_of):
+    # cf is charged ROW_BYTES per point and nothing else, the largest row
+    # peak; limit's stages (its route, then the rows beside the grid's
+    # knots) do not overlap, so each call stays within its largest charge
+    out = str(tmp_path / "out.csv")
+    peak, code = peak_of(main, ["cf", "--n", "20000", "--out", out])
+    assert code == 0 and charges == [ROW_BYTES * 20000]
+    assert peak <= charges[0] <= 1.5 * peak
+    for route, rows in ((["--route", "conv", "--w", "1.52587890625e-05", "--max-rows", "100000"],
+                         (8 + ROW_BYTES) * 65537),
+                        (["--route", "invert", "--n-x", "20000", "--n-t", "64"],
+                         ROW_BYTES * 20000)):
+        charges.clear()
+        peak, code = peak_of(main, ["limit", "--x0", "0", "--x1", "1", *route, "--out", out])
+        assert code == 0 and rows in charges
+        assert peak <= max(charges)
 
 
 def test_cli_conv_window_beyond_lattice_hull_exits_2():

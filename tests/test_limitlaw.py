@@ -2,7 +2,6 @@
 against closed forms, inversion against the convolution route."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,8 +343,8 @@ def test_conv_window_guards(base2, vdc2):
                       (1e13, 1e13 + 0.002, 1e-6)):
         with pytest.raises(RangeTooSmall, match="misses the lattice hull"):
             limit_cdf_conv(vdc2, base2, x0, x1, w)
-    # each byte check of CONV_CAP trips before its arrays exist: the window
-    # (finite, infinite), one level's offsets, then lattice plus window
+    # each byte check trips before its arrays exist: the window (finite,
+    # infinite), one level's offsets, then lattice plus window
     for x1, w, depth in ((1.0, 2.0 ** -40, 5), (1e300, 1e-3, 5), (1.0, 1e-320, 5),
                          (2.0 ** -30, 2.0 ** -40, 5), (2.0 ** -20, 2.0 ** -26, 26)):
         with pytest.raises(ResourceLimit):
@@ -356,24 +355,38 @@ def test_conv_window_guards(base2, vdc2):
         limit_cdf_conv(vdc2, base2, 0.0, 1.0, 0.25, depth=0)
 
 
-def test_conv_peak_memory_within_byte_charge(base2, geo_half):
+def test_conv_peak_memory_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
     # the fold reuses two lattice buffers and the cumsum overwrites one of
-    # them, so the traced peak stays below three lattice arrays and inside
-    # the 8 (3 size + 5 k_req) bytes that the CONV_CAP check charges
-    w = 2.0 ** -16
-    depth = choose_depth(geo_half, base2, w)
-    size = 1 + sum(max(round(v / w) for v in level_values(geo_half, base2, j))
-                   for j in range(depth))
-    k_req = int(2.0 / w) + 1
-    tracemalloc.start()
-    try:
-        g = limit_cdf_conv(geo_half, base2, 0.0, 2.0, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert g.cum.size == k_req
-    assert peak < 3 * 8 * size
-    assert peak <= 8 * (3 * size + 5 * k_req)
+    # them; then the window array and GridCDF's finiteness mask exist beside
+    # it.  The charge sums both stages, 16 bytes per lattice knot and 9 per
+    # window knot, so it is within 1.5x the traced peak both for a window as
+    # wide as the lattice and for one 64 lattices wide
+    for dmap, x1, w in ((geo_half, 2.0, 2.0 ** -16), (vdc2, 64.0, 2.0 ** -12)):
+        depth = choose_depth(dmap, base2, w)
+        size = 1 + sum(max(round(v / w) for v in level_values(dmap, base2, j))
+                       for j in range(depth))
+        k_req = int(x1 / w) + 1
+        peak, g = peak_of(limit_cdf_conv, dmap, base2, 0.0, x1, w)
+        assert g.cum.size == k_req
+        assert charges[-1] == 16 * size + 9 * k_req
+        assert peak <= charges[-1] <= 1.5 * peak
+        if dmap is geo_half:
+            # window as wide as the lattice: a fold that allocated per level
+            # would reach three lattice arrays
+            assert peak < 3 * 8 * size
+
+
+@pytest.mark.parametrize("q, n_t, n_x", [(2, 1 << 18, 1), (2, 1 << 12, 4096),
+                                         (1 << 10, 1 << 12, 1)],
+                         ids=["cf-tables", "kernel-tables", "level-tables"])
+def test_invert_peak_memory_within_byte_charge(charges, peak_of, vdc2, q, n_t, n_x):
+    # each case is dominated by one term of the charge: the rows x cols CF
+    # tables, the kernel's rows x chunk tables, or one level's exponential
+    # tables (1023 nonzero digit values)
+    base = build_base({"kind": "constant", "q": q})
+    xs = np.linspace(0.0, 1.0, n_x)
+    peak, _ = peak_of(limit_cdf_invert, vdc2, base, xs, n_t=n_t, depth=2)
+    assert peak <= max(charges) <= 1.5 * peak
 
 
 def test_conv_monotone_in_range(base2, geo_half):
@@ -497,7 +510,7 @@ def test_invert_validations(base2, vdc2):
     for q_hint in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="q_hint"):
             limit_cdf_invert(vdc2, base2, xs, n_t=64, q_hint=q_hint)
-    # the nodes and tables are charged against CONV_CAP before they exist:
+    # the nodes and tables are charged against BYTE_CAP before they exist:
     # 2^40 cells, and a level of 2^16 digit values whose exponential tables
     # at n_t = 2^17 would take gigabytes
     with pytest.raises(ResourceLimit, match="cells"):

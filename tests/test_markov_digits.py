@@ -76,6 +76,23 @@ def test_generate_paths_deterministic_and_in_range():
         generate_paths(c, 0, 5, seed=1)
     with pytest.raises(ValueError):
         generate_paths(c, 5, 0, seed=1)
+    with pytest.raises(ResourceLimit):              # 2^40 digits, charged before sampling
+        generate_paths(c, 1 << 20, 1 << 20, seed=1)
+
+
+def test_sampling_peak_memory_within_byte_charge(charges, peak_of):
+    # generate_paths charges each digit the peak of the estimators it feeds:
+    # the covariance fit (paths of r_max + 16 digits) and the window
+    # variance at a wide and at the narrowest window
+    c = _two_state()
+    runs = [(covariance_decay, dict(dmap=PM1, r_max=12)),
+            (window_variance, dict(dmap=PM1, L=16, h=8)),
+            (window_variance, dict(dmap=PM1, L=16, h=1))]
+    ratios = []
+    for fn, kw in runs:
+        fn(c, samples=1000, seed=0, **kw)           # first-call allocations, untraced
+        ratios.append(peak_of(fn, c, samples=1 << 18, seed=0, **kw)[0] / charges[-1])
+    assert 1.0 / 1.5 <= max(ratios) <= 1.0, ratios
 
 
 def test_generate_paths_match_stationary_law():
