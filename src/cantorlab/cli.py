@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .empirical import (Interval, empirical_cdf, kolmogorov, smoothing_check,
-                        star_discrepancy, value_vector, wasserstein1)
+from .empirical import (empirical_cdf, kolmogorov, smoothing_check, star_discrepancy,
+                        value_vector, wasserstein1)
 from .errors import CantorLabError, ConfigError, ResourceLimit, check_bytes
 from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
@@ -140,10 +140,7 @@ def _cmd_empirical(args) -> int:
     ecdf = empirical_cdf(dmap, base, args.n)
     ref = reference_from_spec(args.ref, dmap, base)
     dk = kolmogorov(ecdf, ref)
-    if isinstance(dk, Interval):
-        print(f"d_K in [{dk.lo!r}, {dk.hi!r}]")
-    else:
-        print(f"d_K = {dk!r}")
+    print(f"d_K in [{dk.lo!r}, {dk.hi!r}]")
     print(f"W1 = {wasserstein1(ecdf, ref)!r}")
     if args.smoothing_rho is not None:
         rep = smoothing_check(ecdf, ref, args.smoothing_rho)

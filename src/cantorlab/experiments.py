@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .empirical import (EmpiricalCDF, Interval, UniformCDF, empirical_cdf,
-                        kolmogorov, star_discrepancy, wasserstein1)
+from .empirical import (EmpiricalCDF, UniformCDF, empirical_cdf, kolmogorov,
+                        star_discrepancy, wasserstein1)
 from .errors import ConfigError, UnknownPreset
 from .limitlaw import cf_truncated, limit_cdf_conv
 from .mixed_radix import CantorBase, build_base, length
@@ -331,10 +331,6 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
                                              rho_inf=rho_inf, ref=ref)
     ecdf = empirical_cdf(dmap, base, n)
     dk = kolmogorov(ecdf, ref)
-    if isinstance(dk, Interval):
-        dk_lo, dk_hi = dk.lo, dk.hi
-    else:
-        dk_lo = dk_hi = dk
     w1 = wasserstein1(ecdf, ref)
     dstar = None
     if dmap.family == "radical-inverse":
@@ -343,8 +339,8 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
     return {"N": n, "L": report.L, "h_star": h_star, "T_star": t_star,
             "regime": report.regime, "bridge": report.bridge,
             "tau1": report.tau1, "tau2": report.tau2_h, "qf": report.qf_term,
-            "g": report.g_term, "total": report.total, "dk_lo": dk_lo,
-            "dk_hi": dk_hi, "w1": w1, "dstar": dstar, "predicted_rate": pred,
+            "g": report.g_term, "total": report.total, "dk_lo": dk.lo,
+            "dk_hi": dk.hi, "w1": w1, "dstar": dstar, "predicted_rate": pred,
             "conditional": report.conditional}
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RangeTooSmall, check_bytes
 from .mixed_radix import CantorBase
-from .qadditive import DigitMap, digit_stats, level_values, tail_sums
+from .qadditive import DigitMap, digit_stats, level_values, table_tail, tail_sums
 
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
@@ -33,11 +33,12 @@ CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepe
 class GridCDF:
     """Right-continuous step CDF on an equally spaced knot lattice.
 
-    cum[k] is the certified-approximate probability of (-inf, x0 + k w].
-    The envelope promises  F_true(x - eps_x) - eps_p <= cdf(x) <=
-    F_true(x + eps_x) + eps_p  for every x in the knot window.  The pitch
-    must be at least 2^-40 of the knots' magnitude, so that each knot is a
-    distinct float and knot_index finds it exactly.
+    cum[k] is the certified-approximate probability of (-inf, x0 + k w],
+    finite and never decreasing in k.  The envelope promises  F_true(x -
+    eps_x) - eps_p <= cdf(x) <= F_true(x + eps_x) + eps_p  for every x in
+    the knot window.  The pitch must be at least 2^-40 of the knots'
+    magnitude, so that each knot is a distinct float and knot_index finds
+    it exactly.
     """
 
     def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float):
@@ -50,6 +51,8 @@ class GridCDF:
             raise ValueError("grid cumulative array must be nonempty and 1-d")
         if not np.all(np.isfinite(self.cum)):
             raise ValueError("grid cumulative array must be finite")
+        if np.any(self.cum[1:] < self.cum[:-1]):
+            raise ValueError("grid cumulative array must not decrease")
         # knot_index is exact, and the float knots strictly increase, only while
         # the pitch stays far above the rounding error of x0 + k w (about 2^-53
         # of the knots' magnitude); 2^-40 leaves a wide margin
@@ -84,26 +87,20 @@ class GridCDF:
         k -= m >= x
         return k, m == x
 
-    def _lookup(self, x, strict: bool):
-        """cum at the last knot x0 + k w that is <= x (< x when strict), else 0."""
+    def cdf(self, x):
+        """cum at the last knot x0 + k w that is <= x, else 0."""
         k, on = self.knot_index(x)
-        if not strict:
-            k += on
+        k += on
         out = self.cum.take(k, mode="clip")
         out[k < 0] = 0.0
         return out.reshape(np.shape(x))
-
-    def cdf(self, x):
-        return self._lookup(x, strict=False)
-
-    def cdf_left(self, x):
-        return self._lookup(x, strict=True)
 
     def window_sup(self, r: float) -> float:
         """max mass of a closed window of width r (knot-anchored, exact).
 
         A window that starts at knot i holds knots i .. i + m, m = floor(r / w),
-        so widths with the same m share one cache entry.
+        so widths with the same m share one cache entry.  Each miss takes one
+        8-byte difference per knot.
         """
         if r < 0:
             raise ValueError(f"window width must be >= 0, got {r}")
@@ -115,10 +112,9 @@ class GridCDF:
         hit = self._win_cache.get(m)
         if hit is None:
             # start 0 holds cum[m]; starts 1 .. k-m-1 hold cum[i+m] - cum[i-1];
-            # the last m starts run past the end and hold cum[-1] - cum[i-1]
+            # as cum never decreases, the m starts past them hold no more
+            check_bytes(8 * k, f"window sums over {k} knots")
             hit = max(float(c[m]), float(np.max(c[m + 1:] - c[:k - m - 1])))
-            if m:
-                hit = max(hit, float(np.max(c[-1] - c[k - m - 1:k - 1])))
             self._win_cache[m] = hit
         return hit
 
@@ -140,19 +136,9 @@ class GridCDF:
 
 
 def _tail_pair(dmap: DigitMap, base: CantorBase, j: int) -> tuple[float, float]:
-    """(mean tail, var tail) beyond level j.
-
-    A bare finite table has no mass past its depth, but its remaining
-    rows between j and the depth still count: they are summed exactly.
-    """
-    if not dmap.has_tail_meta:
-        mt = vt = 0.0
-        for k in range(j + 1, dmap.depth):
-            st = digit_stats(dmap, base, k)
-            mt += abs(st.m)
-            vt += st.s2
-        return mt, vt
-    return tail_sums(dmap, base, j)
+    """(mean tail, var tail) beyond level j; a bare finite table has no mass
+    past its depth, so only its own remaining rows count."""
+    return tail_sums(dmap, base, j) if dmap.has_tail_meta else table_tail(dmap, base, j)
 
 
 def _depth_limit(dmap: DigitMap) -> int:
@@ -223,7 +209,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     vertical split.  Mass above the requested window is charged to eps_p;
     more than a quarter of the mass outside raises RangeTooSmall.  The
     fold holds two 8-byte arrays per lattice knot, then the window one per
-    requested knot and GridCDF's finiteness mask a byte; more than BYTE_CAP
+    requested knot and GridCDF's check masks a byte; more than BYTE_CAP
     bytes of them raises ResourceLimit before anything is allocated.
     """
     if not x1 > x0:

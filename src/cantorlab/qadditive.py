@@ -233,7 +233,8 @@ class DigitMap:
                 if t["mean_coeff"] else 0.0
             var = t["var_coeff"] * t["var_ratio"] ** (L + 1) / (1.0 - t["var_ratio"]) \
                 if t["var_coeff"] else 0.0
-            return mean, var
+            rows_m, rows_v = table_tail(self, base, L)     # where the rows refute it
+            return max(mean, rows_m), max(var, rows_v)
         gbar, gvar = self._g_extremes(base)
         if fam == "geometric":
             beta = self._power[0]
@@ -372,14 +373,25 @@ def _poly_tail(L: int, p: float) -> float:
     return float(L) ** (1.0 - p) / (p - 1.0)
 
 
+def table_tail(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
+    """(sum |m_j|, sum s_j^2) over a custom table's own rows L < j < depth."""
+    mt = vt = 0.0
+    for j in range(L + 1, dmap.depth):
+        st = digit_stats(dmap, base, j)
+        mt += abs(st.m)
+        vt += st.s2
+    return mt, vt
+
+
 def tail_sums(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
     """Certified (sum_{j>L} |m_j| bound, sum_{j>L} s_j^2 bound).
 
     Exact closed forms for the geometric-type families on constant bases;
     integral-comparison bounds for polynomial weights; a doubling bound
     q_j >= q_{L+1} 2^{j-L-1} for radical-inverse on general bases.
-    math.inf signals a certified-divergent tail.  Raises NoTailMeta for a
-    custom table without a tail envelope.
+    math.inf signals a certified-divergent tail.  A custom table's envelope
+    counts for no less than its own remaining rows (table_tail); without an
+    envelope it raises NoTailMeta.
     """
     if L < 0:
         raise ValueError(f"tail level must be >= 0, got {L}")

@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .empirical import Interval, concentration
+from .empirical import concentration
 from .errors import MissingDensityBound, NoTailMeta, RegimeUnavailable
 from .mixed_radix import CantorBase, length
 from .qadditive import DigitMap, _inv, digit_stats, tail_sums
@@ -116,14 +116,6 @@ def bridge_bound(base: CantorBase, N: int, h: int) -> BridgeBound:
     return BridgeBound(coarse=_inv(1.0, A), sharp=r / N, r=r)
 
 
-def _qf(ref, r: float) -> float:
-    """Upper concentration of the reference over windows of width r."""
-    q = concentration(ref, r)
-    if isinstance(q, Interval):
-        return q.hi
-    return float(q)
-
-
 def _mu3_clean(dmap: DigitMap, base: CantorBase, L: int) -> bool:
     return all(digit_stats(dmap, base, j).mu3 == 0.0 for j in range(L + 1))
 
@@ -177,7 +169,7 @@ def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
                 total = bridge + g + sqrt_t1
             else:
                 if T not in qf_cache:
-                    qf_cache[T] = _qf(ref, 1.0 / T)
+                    qf_cache[T] = concentration(ref, 1.0 / T).hi
                 qf = qf_cache[T]
                 total = bridge + qf + 1.0 / T + g + sqrt_t1
             if best is None or total < best[0]:

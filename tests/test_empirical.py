@@ -83,8 +83,8 @@ def test_value_vector_guards(base2, vdc2):
 def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
     # value_vector charges each value the peak of the ladder row it feeds:
     # enumeration, sort, d_K, W1 and, for radical-inverse maps, D*.  A grid's
-    # own per-knot arrays are not charged: the row of one value against the
-    # same reference measures them, and is taken off
+    # own per-knot arrays are W1's charge (tested below): the row of one
+    # value against the same reference measures them, and is taken off
     n = 1 << 16
     refs = [(DigitMap.geometric(0.5, (0.0, 0.0)), EmpiricalCDF([0.0])),
             (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16)),          # K = n
@@ -102,9 +102,25 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
     for dmap, ref in refs:
         row(dmap, ref, 1)                       # first-call allocations, untraced
         knots = peak_of(row, dmap, ref, 1)[0]
+        first = len(charges)
         per_value.append((peak_of(row, dmap, ref, n)[0] - knots) / n)
-    charge = charges[-1] / n
+    charge = charges[first] / n                 # value_vector's, the row's first
     assert max(per_value) <= charge <= 1.5 * max(per_value), per_value
+
+
+def test_w1_grid_peak_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
+    # W1 against a grid charges 26 bytes per knot and 40 per sample value:
+    # one value against K knots, example-II's K = 4N, K = N, and K << N
+    fine = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17)             # K = 2^18 + 1
+    cases = [(geo_half, fine, 1), (geo_half, fine, 1 << 16),
+             (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16), 1 << 16),
+             (geo_half, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16)]
+    for dmap, g, n in cases:
+        ecdf = empirical_cdf(dmap, base2, n)
+        wasserstein1(ecdf, g)                   # first-call allocations, untraced
+        peak, _ = peak_of(wasserstein1, ecdf, g)
+        assert charges[-1] == 26 * g.cum.size + 40 * n
+        assert peak <= charges[-1] <= 1.5 * peak, (g.cum.size, n)
 
 
 def _value_vector_oracle(dmap, base, n):
@@ -200,10 +216,8 @@ def test_empirical_cdf_semantics():
     e = EmpiricalCDF([0.0, 0.0, 1.0, 2.0])
     assert e.n == 4
     assert e.cdf(0.0) == 0.5
-    assert e.cdf_left(0.0) == 0.0
     assert e.cdf(0.5) == 0.5
     assert e.cdf(2.0) == 1.0
-    assert e.cdf_left(2.0) == 0.75
     assert e.cdf(-1.0) == 0.0
     with pytest.raises(ValueError):
         EmpiricalCDF([])
@@ -216,14 +230,14 @@ def test_uniform_and_point_refs():
     with pytest.raises(ValueError):
         UniformCDF(1.0, 1.0)
     p = EmpiricalCDF([2.0])                      # the point mass at 2
-    assert p.cdf(2.0) == 1.0 and p.cdf_left(2.0) == 0.0 and p.cdf(1.9) == 0.0
+    assert p.cdf(2.0) == 1.0 and p.cdf(1.9) == 0.0
 
 
 # -- Kolmogorov ----------------------------------------------------------------
 
 
 def test_kolmogorov_vs_uniform_tiny():
-    assert kolmogorov(EmpiricalCDF([0.25]), UniformCDF()) == 0.75
+    assert kolmogorov(EmpiricalCDF([0.25]), UniformCDF()) == Interval(0.75, 0.75)
 
 
 def test_kolmogorov_vs_uniform_matches_scipy():
@@ -233,7 +247,8 @@ def test_kolmogorov_vs_uniform_matches_scipy():
     for n in (10, 37, 200):
         s = rng.random(n)
         d = kolmogorov(EmpiricalCDF(s), UniformCDF())
-        assert abs(d - kstest(s, "uniform").statistic) <= 1e-14
+        assert d.lo == d.hi
+        assert abs(d.hi - kstest(s, "uniform").statistic) <= 1e-14
 
 
 def test_kolmogorov_step_step_matches_brute():
@@ -243,15 +258,15 @@ def test_kolmogorov_step_step_matches_brute():
     got = kolmogorov(a, b)
     want = _steps_sup_oracle(a.cdf, b.cdf,
                              np.concatenate([a.samples, b.samples]))
-    assert got == want
+    assert got == Interval(want, want)
 
 
 def test_kolmogorov_vs_point_mass():
     e = EmpiricalCDF([0.0, 1.0, 2.0, 3.0])
     # F_n(c) - 1{x >= c} peaks just left of c: value 1 - F_n(c-)
-    assert kolmogorov(e, EmpiricalCDF([2.5])) == 0.75
-    assert kolmogorov(e, EmpiricalCDF([3.0])) == 0.75       # c on a sample
-    assert kolmogorov(e, EmpiricalCDF([-1.0])) == 1.0
+    assert kolmogorov(e, EmpiricalCDF([2.5])) == Interval(0.75, 0.75)
+    assert kolmogorov(e, EmpiricalCDF([3.0])) == Interval(0.75, 0.75)   # c on a sample
+    assert kolmogorov(e, EmpiricalCDF([-1.0])) == Interval(1.0, 1.0)
 
 
 class _PointMassOracle:
@@ -264,9 +279,6 @@ class _PointMassOracle:
 
     def cdf(self, x):
         return (np.asarray(x, dtype=float) >= self.c).astype(float)
-
-    def cdf_left(self, x):
-        return (np.asarray(x, dtype=float) > self.c).astype(float)
 
     def kolmogorov(self, ecdf) -> float:
         best = float(np.max(np.abs(ecdf.cdf(ecdf.samples) - self.cdf(ecdf.samples))))
@@ -291,12 +303,12 @@ def test_point_mass_is_a_one_atom_empirical_cdf(samples, c, on_sample, r):
         c = samples[len(samples) // 2]
     e, p, oracle = EmpiricalCDF(samples), EmpiricalCDF([c]), _PointMassOracle(c)
     xs = np.concatenate([e.samples, [c, np.nextafter(c, -9.0), np.nextafter(c, 9.0)]])
-    for side in ("cdf", "cdf_left"):
-        got, want = getattr(p, side)(xs), getattr(oracle, side)(xs)
-        assert np.array_equal(np.asarray(got, dtype=float).view(np.int64), want.view(np.int64))
-    assert _same_bits(kolmogorov(e, p), oracle.kolmogorov(e))
+    got, want = p.cdf(xs), oracle.cdf(xs)
+    assert np.array_equal(np.asarray(got, dtype=float).view(np.int64), want.view(np.int64))
+    dk, dk_want = kolmogorov(e, p), oracle.kolmogorov(e)
+    assert _same_bits(dk.lo, dk_want) and _same_bits(dk.hi, dk_want)
     assert _same_bits(wasserstein1(e, p), oracle.wasserstein1(e))
-    assert _same_bits(concentration(p, r), 1.0)
+    assert concentration(p, r) == Interval(1.0, 1.0)
 
 
 def test_kolmogorov_grid_interval_formula():
@@ -332,8 +344,10 @@ def _w1_grid_oracle(ecdf, ref):
 def _grid_case(x0, w, k, n, seed, monotone):
     rng = np.random.default_rng(seed)
     cum = rng.random(k)
-    if monotone:
-        cum.sort()
+    if not monotone and np.any(np.diff(cum) < 0):
+        with pytest.raises(ValueError, match="decrease"):
+            GridCDF(x0=x0, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
+    cum.sort()
     g = GridCDF(x0=x0, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
     knots = x0 + w * np.arange(k)
     # values between knots, on knots, on the virtual knots x0 - w and
@@ -386,7 +400,8 @@ def test_star_discrepancy_exact():
 def test_star_discrepancy_equals_uniform_kolmogorov():
     rng = np.random.default_rng(3)
     s = rng.random(101)
-    assert star_discrepancy(s) == kolmogorov(EmpiricalCDF(s), UniformCDF())
+    d = star_discrepancy(s)
+    assert kolmogorov(EmpiricalCDF(s), UniformCDF()) == Interval(d, d)
 
 
 # -- Wasserstein-1 ---------------------------------------------------------------
@@ -432,8 +447,6 @@ class _SquareLaw:
     def cdf(self, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** 2
 
-    cdf_left = cdf
-
     def support(self):
         return 0.0, 1.0
 
@@ -451,19 +464,19 @@ def test_foreign_reference_is_a_type_error():
 
 def test_concentration_uniform():
     u = UniformCDF()
-    assert concentration(u, 0.25) == 0.25
-    assert concentration(u, 0.0) == 0.0
-    assert concentration(u, 2.0) == 1.0
+    assert concentration(u, 0.25) == Interval(0.25, 0.25)
+    assert concentration(u, 0.0) == Interval(0.0, 0.0)
+    assert concentration(u, 2.0) == Interval(1.0, 1.0)
 
 
 def test_concentration_atomic():
     for r in (0.0, 0.1, math.inf):
-        assert concentration(EmpiricalCDF([3.0]), r) == 1.0
+        assert concentration(EmpiricalCDF([3.0]), r) == Interval(1.0, 1.0)
     e = EmpiricalCDF([0.0, 0.5, 0.5, 1.0])
-    assert concentration(e, 0.5) == 0.75
-    assert concentration(e, 0.49) == 0.5
-    assert concentration(e, 0.0) == 0.5
-    assert concentration(e, 1.0) == 1.0
+    assert concentration(e, 0.5) == Interval(0.75, 0.75)
+    assert concentration(e, 0.49) == Interval(0.5, 0.5)
+    assert concentration(e, 0.0) == Interval(0.5, 0.5)
+    assert concentration(e, 1.0) == Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         concentration(e, -0.1)
 

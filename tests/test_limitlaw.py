@@ -14,6 +14,7 @@ from cantorlab import (
     GridCDF,
     RangeTooSmall,
     ResourceLimit,
+    UniformCDF,
     build_base,
     cf_factor,
     cf_truncated,
@@ -24,6 +25,7 @@ from cantorlab import (
     level_values,
     limit_cdf_conv,
     limit_cdf_invert,
+    optimize_window,
     value_vector,
 )
 from cantorlab.limitlaw import _conv_envelope, _tail_pair
@@ -44,9 +46,6 @@ def test_grid_cdf_semantics():
     assert g.cdf(1.2) == 0.2          # between knots: last knot below
     assert g.cdf(2.0) == 0.7
     assert g.cdf(99.0) == 1.0
-    assert g.cdf_left(2.0) == 0.2     # left limit drops the knot's own mass
-    assert g.cdf_left(2.1) == 0.7
-    assert g.cdf_left(1.0) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -61,15 +60,11 @@ def test_grid_cdf_hits_every_knot(x0, w, k):
     ks = np.arange(k + 1)
     knots = x0 + ks * w
     assert np.array_equal(g.cdf(knots), cum)
-    assert np.array_equal(g.cdf_left(knots), np.concatenate(([0.0], cum[:-1])))
     assert g.cdf(x0 + k * w) == cum[k]
-    assert g.cdf_left(x0 + k * w) == (cum[k - 1] if k else 0.0)
-    # strictly between two knots both sides read the lower knot
+    # strictly between two knots cdf reads the lower knot
     mid = x0 + (ks + 0.5) * w
     assert np.array_equal(g.cdf(mid), cum)
-    assert np.array_equal(g.cdf_left(mid), cum)
     assert g.cdf(np.nextafter(x0, -np.inf)) == 0.0
-    assert g.cdf_left(x0) == 0.0
 
 
 def test_grid_cdf_validation():
@@ -79,6 +74,8 @@ def test_grid_cdf_validation():
         GridCDF(0.0, 1.0, np.array([]), 0.0, 0.0)
     with pytest.raises(ValueError, match="finite"):
         GridCDF(0.0, 1.0, np.array([0.5, np.nan]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="decrease"):
+        GridCDF(0.0, 1.0, np.array([0.5, 0.25]), 0.0, 0.0)
     # knots closer than the float spacing near them, or past float range,
     # cannot be told apart: the pitch guard refuses them
     for x0, w, k in ((1e13, 1e-6, 10), (1.0, 1e-13, 3), (1e308, 1e307, 100)):
@@ -119,8 +116,10 @@ def _window_sup_concat(cum, w, r):
 def test_window_sup_matches_concatenation_and_caches_by_knot_count(k, w, seed, monotone):
     rng = np.random.default_rng(seed)
     cum = rng.random(k)
-    if monotone:
-        cum = np.cumsum(cum / cum.sum())
+    if not monotone and np.any(np.diff(cum) < 0):
+        with pytest.raises(ValueError, match="decrease"):
+            GridCDF(x0=0.3, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
+    cum = np.cumsum(cum / cum.sum())
     g = GridCDF(x0=0.3, w=w, cum=cum, eps_x=0.0, eps_p=0.0)
     # m = 0, every 0 < m < k - 1, and m >= k - 1, each at a width inside
     # its knot count
@@ -141,6 +140,18 @@ def test_window_sup_matches_concatenation_and_caches_by_knot_count(k, w, seed, m
     fresh.window_sup(r2)
     fresh.window_sup((k + 1) * w)
     assert list(fresh._win_cache) == ([m] if m < k - 1 else [])
+
+
+def test_window_sup_peak_within_byte_charge(charges, peak_of):
+    # a cache miss takes one difference per window start, k - m - 1 of them;
+    # 8 bytes a knot are charged, which covers numpy's per-call overhead
+    # (about 1.2 KB) as well once m is past about 150
+    k = 1 << 18
+    for m in (k // 64, k // 4):
+        g = GridCDF(0.0, 1.0, np.linspace(0.0, 1.0, k), 0.0, 0.0)
+        peak, _ = peak_of(g.window_sup, m + 0.5)
+        assert charges[-1] == 8 * k
+        assert peak <= charges[-1] <= 1.5 * peak, m
 
 
 def test_vertical_slack_formula():
@@ -357,7 +368,7 @@ def test_conv_window_guards(base2, vdc2):
 
 def test_conv_peak_memory_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
     # the fold reuses two lattice buffers and the cumsum overwrites one of
-    # them; then the window array and GridCDF's finiteness mask exist beside
+    # them; then the window array and one of GridCDF's check masks exist beside
     # it.  The charge sums both stages, 16 bytes per lattice knot and 9 per
     # window knot, so it is within 1.5x the traced peak both for a window as
     # wide as the lattice and for one 64 lattices wide
@@ -540,6 +551,21 @@ def test_invert_uniform_midpoint(base2, vdc2):
                            q_hint=1.0 / 2048.0)
     assert abs(inv.values[0] - 0.5) <= inv.envelope
     assert inv.envelope < 0.05
+
+
+def test_invert_covers_table_whose_rows_refute_its_envelope(base2):
+    # an all-zero tail envelope on 12 rows that still carry mass: the CF
+    # depth must reach them, or level 0 alone answers F(0.25) = 1/2.  The
+    # law is uniform on the 4096 atoms k / 4096
+    rows = [(0.0, 2.0 ** -(j + 1)) for j in range(12)]
+    zero = {"mean_coeff": 0.0, "mean_ratio": 0.5, "var_coeff": 0.0, "var_ratio": 0.25}
+    dmap = DigitMap.custom_table(rows, tail=zero)
+    xs = np.array([0.25, 0.5, 0.75])
+    inv = limit_cdf_invert(dmap, base2, xs, q_hint=1.0 / 2048.0)
+    exact = (np.floor(4096.0 * xs) + 1.0) / 4096.0
+    assert np.max(np.abs(inv.values - exact)) <= inv.envelope
+    _, _, rep = optimize_window(dmap, base2, 1 << 10, "A", ref=UniformCDF())
+    assert rep.tau1 > 0.0 and not rep.conditional
 
 
 def test_invert_agrees_with_conv(base3, tern):

@@ -20,6 +20,7 @@ from cantorlab import (
     level_values,
     tail_sums,
 )
+from cantorlab.qadditive import table_tail
 
 
 def _moments_oracle(values):
@@ -271,6 +272,14 @@ def test_tail_sums_custom(base2):
     mt, vt = tail_sums(enveloped, base2, 2)
     assert mt == 1.0 * 0.5 ** 3 / (1.0 - 0.5)
     assert vt == 0.25 * 0.25 ** 3 / (1.0 - 0.25)
+    # an envelope that the table's own remaining rows refute gives way to them
+    refuted = DigitMap.custom_table(
+        [(0.0, 2.0 ** -(j + 1)) for j in range(12)],
+        tail={"mean_coeff": 0.0, "mean_ratio": 0.5, "var_coeff": 0.0, "var_ratio": 0.25})
+    for L in (0, 5, 11):
+        mt, vt = tail_sums(refuted, base2, L)
+        assert (mt, vt) == table_tail(refuted, base2, L)
+        assert mt == math.fsum(2.0 ** -(j + 2) for j in range(L + 1, 12))
 
 
 def test_no_overflow_on_huge_weights(factorial_base, vdc2):
