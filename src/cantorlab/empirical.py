@@ -181,11 +181,35 @@ def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
     return _GridSteps(kept, gap, pos, starts, levels)
 
 
+def _sup_diff_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
+    """d_K against a grid from F_n at both edges of each knot slot, O(K log N).
+
+    F_n is #samples <= knot j / n at knot j and #samples < knot j + 1 / n
+    just below the next (1 past the last knot; below knot 0, where F is 0,
+    #samples < knot 0 / n).  F is one cum entry per slot and F_n never
+    decreases, so, as c - x rounds monotonically in c, these hold each
+    slot's largest |F_n - F|: the float the step table gives.  Its knot-sized
+    arrays stay within value_vector's per-value charge while N >= 4K.
+    """
+    s, n, cum = ecdf.samples, ecdf.n, ref.cum
+    knots = np.arange(cum.size, dtype=float)
+    knots *= ref.w
+    knots += ref.x0                           # the float knots, as knot_index makes them
+    at = np.searchsorted(s, knots, side="right") / n
+    below = np.searchsorted(s, knots, side="left") / n
+    del knots
+    best = max(float(np.max(np.abs(at - cum))), float(below[0]), abs(1.0 - float(cum[-1])))
+    return max(best, float(np.max(np.abs(below[1:] - cum[:-1]), initial=0.0)))
+
+
 def _sup_diff_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
-    # right values at the sample's jumps and at every knot, as for two steps;
+    # N >= 4K: the knot searches (crossover measured, see the README).  Else
+    # the step table's right values at the sample's jumps and at every knot;
     # on a run of knots with one F_n level c, |c - cum| peaks at the run's
     # least or greatest cum, since c - x rounds monotonically in x, and as
     # cum never decreases these sit at the run's first and last knot
+    if ecdf.n >= 4 * ref.cum.size:
+        return _sup_diff_knots(ecdf, ref)
     st = _grid_steps(ecdf, ref)
     best = float(np.max(st.gap, initial=0.0))
     ends = np.append(st.starts[1:] - 1, ref.cum.size - 1)

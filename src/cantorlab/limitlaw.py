@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import RangeTooSmall, check_bytes
 from .mixed_radix import CantorBase
-from .qadditive import DigitMap, digit_stats, level_values, table_tail, tail_sums
+from .qadditive import (DigitMap, digit_stats, level_values, table_rows, table_tails,
+                        tail_sums)
 
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
@@ -135,10 +136,14 @@ class GridCDF:
 # -- truncation depth ---------------------------------------------------------
 
 
-def _tail_pair(dmap: DigitMap, base: CantorBase, j: int) -> tuple[float, float]:
-    """(mean tail, var tail) beyond level j; a bare finite table has no mass
-    past its depth, so only its own remaining rows count."""
-    return tail_sums(dmap, base, j) if dmap.has_tail_meta else table_tail(dmap, base, j)
+def _tails(dmap: DigitMap, base: CantorBase) -> Callable[[int], tuple[float, float]]:
+    """j -> (mean tail, var tail) beyond level j.  A bare finite table has no
+    mass past its depth, so only its own remaining rows count; a table's rows
+    are summarized once, so a depth search makes one digit_stats call a row."""
+    if dmap.depth is None:
+        return lambda j: tail_sums(dmap, base, j)
+    rows = table_rows(dmap, base)
+    return lambda j: table_tails(dmap, rows, j)
 
 
 def _depth_limit(dmap: DigitMap) -> int:
@@ -146,11 +151,11 @@ def _depth_limit(dmap: DigitMap) -> int:
     return DEPTH_CAP if dmap.depth is None else min(dmap.depth, DEPTH_CAP)
 
 
-def _conv_envelope(dmap: DigitMap, base: CantorBase, w: float,
+def _conv_envelope(tails: Callable[[int], tuple[float, float]], w: float,
                    depth: int) -> tuple[float, float]:
     """(eps_x, tail part of eps_p) of a convolution truncated at depth: the
     lattice rounding (depth + 1) w / 2, the tail mean and a Chebyshev split."""
-    mt, vt = _tail_pair(dmap, base, depth - 1)
+    mt, vt = tails(depth - 1)
     delta = (2.0 * vt) ** (1.0 / 3.0)
     eps_x = (depth + 1) * w / 2.0 + mt + delta
     return eps_x, (vt / (delta * delta)) if delta > 0.0 else 0.0
@@ -158,9 +163,10 @@ def _conv_envelope(dmap: DigitMap, base: CantorBase, w: float,
 
 def choose_depth(dmap: DigitMap, base: CantorBase, w: float) -> int:
     """Depth minimizing the eps_x that limit_cdf_conv charges at it."""
+    tails = _tails(dmap, base)
     best_j, best_cost = 1, math.inf
     for j in range(1, _depth_limit(dmap) + 1):
-        cost = _conv_envelope(dmap, base, w, j)[0]
+        cost = _conv_envelope(tails, w, j)[0]
         if cost < best_cost:
             best_j, best_cost = j, cost
         if math.isfinite(best_cost) and (j + 1) * w / 2.0 > best_cost:
@@ -255,7 +261,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     np.cumsum(cum_all, out=cum_all)
     total = float(cum_all[-1])
 
-    eps_x, eps_p = _conv_envelope(dmap, base, w, depth_j)
+    eps_x, eps_p = _conv_envelope(_tails(dmap, base), w, depth_j)
     eps_p += abs(1.0 - total) + 1e-15   # float mass drift guard
 
     # map the atom lattice {i w} onto the requested knots x0 + k w: atom i
@@ -307,10 +313,14 @@ def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
     return out
 
 
+def _cf_bound(tail: tuple[float, float], t_abs: float) -> float:
+    mt, vt = tail
+    return t_abs * mt + 0.5 * t_abs * t_abs * (vt + mt * mt)
+
+
 def cf_truncation_bound(dmap: DigitMap, base: CantorBase, depth: int, t_abs: float) -> float:
     """Certified sup over |t| <= t_abs of |prod_{j<depth} phi_j - phi|."""
-    mt, vt = _tail_pair(dmap, base, depth - 1)
-    return t_abs * mt + 0.5 * t_abs * t_abs * (vt + mt * mt)
+    return _cf_bound(_tails(dmap, base)(depth - 1), t_abs)
 
 
 def _cf_depth(dmap: DigitMap, base: CantorBase, t_abs: float,
@@ -318,9 +328,10 @@ def _cf_depth(dmap: DigitMap, base: CantorBase, t_abs: float,
     """The depth given, else the shallowest whose certified truncation bound
     over |t| <= t_abs is at most CF_TOL (the table depth or DEPTH_CAP if none)."""
     if depth is None:
+        tails = _tails(dmap, base)
         depth = _depth_limit(dmap)
         for j in range(1, depth + 1):
-            if cf_truncation_bound(dmap, base, j, t_abs) <= CF_TOL:
+            if _cf_bound(tails(j - 1), t_abs) <= CF_TOL:
                 depth = j
                 break
     depth = int(depth)
@@ -454,7 +465,7 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     quad_err = float(np.max(np.abs(vals - vals_half))) / 3.0
 
     # integral of the CF truncation bound against 1/pi dt
-    mt, vt = _tail_pair(dmap, base, depth_used - 1)
+    mt, vt = _tails(dmap, base)(depth_used - 1)
     cf_int = (mt * t_max + (vt + mt * mt) * t_max * t_max / 4.0) / math.pi
 
     smoothing = q_hint if q_hint is not None else 0.0

@@ -86,20 +86,33 @@ def build_chain(P) -> DigitChain:
 
 
 def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> np.ndarray:
-    """(n_paths, length) digit array, charged 40 bytes a digit; stationary start, Philox."""
+    """(n_paths, length) digit array, charged 40 bytes a digit; stationary start, Philox.
+
+    The uniforms are drawn path-major and transposed once, so that each step
+    reads the previous step's digits as one contiguous row.  A digit counts
+    the states s < a - 1 whose cumulative transition probability from the
+    previous digit lies below its uniform: as the cumulative rows never
+    decrease, the count over all a states clipped to a - 1.  The result is
+    C-contiguous, since the estimators' sums along a path depend on it.
+    """
     if length < 1 or n_paths < 1:
         raise ValueError(f"need n_paths >= 1 and length >= 1, got {n_paths}, {length}")
     check_bytes(40 * n_paths * length, f"{n_paths} paths of {length} digits")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((n_paths, length))
-    cum_pi = np.cumsum(chain.pi)
-    cum_p = np.cumsum(chain.P, axis=1)
-    d = np.empty((n_paths, length), dtype=np.int64)
-    d[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right").clip(0, chain.a - 1)
+    u = np.ascontiguousarray(rng.random((n_paths, length)).T)      # (length, n_paths)
+    cols = np.cumsum(chain.P, axis=1).T[:-1].copy()    # cols[s][i] = P[i, 0] + .. + P[i, s]
+    d = np.empty((length, n_paths), dtype=np.int64)
+    d[0] = np.searchsorted(np.cumsum(chain.pi), u[0], side="right").clip(0, chain.a - 1)
+    up = np.empty(n_paths, dtype=bool)
     for k in range(1, length):
-        rows = cum_p[d[:, k - 1]]                       # (n_paths, a)
-        d[:, k] = (u[:, k, None] > rows).sum(axis=1).clip(0, chain.a - 1)
-    return d
+        prev, row = d[k - 1], d[k]
+        np.greater(u[k], cols[0].take(prev), out=up)
+        row[...] = up
+        for c in cols[1:]:
+            np.greater(u[k], c.take(prev), out=up)
+            row += up
+    del u
+    return np.ascontiguousarray(d.T)
 
 
 def generate(chain: DigitChain, L: int, seed: int) -> np.ndarray:
@@ -135,6 +148,8 @@ def covariance_decay(chain: DigitChain, dmap: DigitMap, r_max: int,
     """
     if r_max < 2:
         raise ValueError(f"need r_max >= 2, got {r_max}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     vals = _value_table(chain, dmap)
     if vals.size != chain.a:
         raise AlphabetMismatch("digit map does not cover the chain's alphabet")
@@ -200,6 +215,8 @@ def window_variance(chain: DigitChain, dmap: DigitMap, L: int, h: int,
     """
     if not 1 <= h <= L:
         raise ValueError(f"need 1 <= h <= L, got h={h}, L={L}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     base = build_base({"kind": "constant", "q": chain.a})
     v = np.array([level_values(dmap, base, j) for j in range(L - h, L)])    # (h, a)
     mu = v @ chain.pi                                      # per-level means

@@ -25,6 +25,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import AlphabetMismatch, DigitOutOfRange, NoTailMeta, ResourceLimit
 from .mixed_radix import CantorBase
 
@@ -226,15 +228,9 @@ class DigitMap:
                 raise AlphabetMismatch("symmetric-ternary needs the constant base 3")
             return 0.0, 0.75 * 9.0 ** -(L + 1)
         if fam == "custom-table":
-            t = self._tail
-            if t is None:
+            if self._tail is None:
                 raise NoTailMeta("custom table carries no tail envelope")
-            mean = t["mean_coeff"] * t["mean_ratio"] ** (L + 1) / (1.0 - t["mean_ratio"]) \
-                if t["mean_coeff"] else 0.0
-            var = t["var_coeff"] * t["var_ratio"] ** (L + 1) / (1.0 - t["var_ratio"]) \
-                if t["var_coeff"] else 0.0
-            rows_m, rows_v = table_tail(self, base, L)     # where the rows refute it
-            return max(mean, rows_m), max(var, rows_v)
+            return table_tails(self, table_rows(self, base), L)
         gbar, gvar = self._g_extremes(base)
         if fam == "geometric":
             beta = self._power[0]
@@ -373,14 +369,30 @@ def _poly_tail(L: int, p: float) -> float:
     return float(L) ** (1.0 - p) / (p - 1.0)
 
 
-def table_tail(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
-    """(sum |m_j|, sum s_j^2) over a custom table's own rows L < j < depth."""
-    mt = vt = 0.0
-    for j in range(L + 1, dmap.depth):
-        st = digit_stats(dmap, base, j)
-        mt += abs(st.m)
-        vt += st.s2
-    return mt, vt
+def table_rows(dmap: DigitMap, base: CantorBase) -> np.ndarray:
+    """(|m_j|, s_j^2) of each of a custom table's rows, a (2, depth) array."""
+    stats = [digit_stats(dmap, base, j) for j in range(dmap.depth)]
+    return np.array([[abs(st.m) for st in stats], [st.s2 for st in stats]])
+
+
+def table_tails(dmap: DigitMap, rows: np.ndarray, L: int) -> tuple[float, float]:
+    """A custom table's tails beyond level L from its table_rows.
+
+    The rows L < j are added in ascending j (np.cumsum adds in order, where
+    np.sum pairs and Python's sum compensates).  A bare table has no mass
+    past its depth, so they are its tails; an envelope counts for no less
+    than them, where they refute it.
+    """
+    rest = rows[:, L + 1:]
+    mt, vt = np.cumsum(rest, axis=1)[:, -1].tolist() if rest.size else (0.0, 0.0)
+    t = dmap._tail
+    if t is None:
+        return mt, vt
+    mean = t["mean_coeff"] * t["mean_ratio"] ** (L + 1) / (1.0 - t["mean_ratio"]) \
+        if t["mean_coeff"] else 0.0
+    var = t["var_coeff"] * t["var_ratio"] ** (L + 1) / (1.0 - t["var_ratio"]) \
+        if t["var_coeff"] else 0.0
+    return max(mean, mt), max(var, vt)
 
 
 def tail_sums(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
@@ -390,7 +402,7 @@ def tail_sums(dmap: DigitMap, base: CantorBase, L: int) -> tuple[float, float]:
     integral-comparison bounds for polynomial weights; a doubling bound
     q_j >= q_{L+1} 2^{j-L-1} for radical-inverse on general bases.
     math.inf signals a certified-divergent tail.  A custom table's envelope
-    counts for no less than its own remaining rows (table_tail); without an
+    counts for no less than its own remaining rows (table_tails); without an
     envelope it raises NoTailMeta.
     """
     if L < 0:

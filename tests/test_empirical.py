@@ -375,6 +375,11 @@ def _same_bits(a: float, b: float) -> bool:
 @example(x0=0.1, w=1e-3, sizes=(1, 1), seed=1, monotone=True)
 @example(x0=-1.6, w=1.0 / 3000.0, sizes=(9601, 64), seed=2, monotone=True)
 @example(x0=7.3, w=0.7, sizes=(3, 5000), seed=3, monotone=False)
+# either side of the N >= 4K switch to the knot searches, with values on
+# the first and last knots and on both virtual knots
+@example(x0=-2.3, w=0.37, sizes=(50, 199), seed=25, monotone=True)
+@example(x0=-2.3, w=0.37, sizes=(50, 200), seed=25, monotone=True)
+@example(x0=-2.3, w=0.37, sizes=(50, 201), seed=25, monotone=True)
 def test_grid_distances_match_search_oracle_bitwise(x0, w, sizes, seed, monotone):
     k, n = sizes
     e, g = _grid_case(x0, w, k, n, seed, monotone)

@@ -26,9 +26,11 @@ from cantorlab import (
     limit_cdf_conv,
     limit_cdf_invert,
     optimize_window,
+    tail_sums,
     value_vector,
 )
-from cantorlab.limitlaw import _conv_envelope, _tail_pair
+from cantorlab import qadditive
+from cantorlab.limitlaw import _cf_depth, _conv_envelope, _tails
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -177,6 +179,46 @@ def test_choose_depth_deepens_with_finer_grids(base2, geo_half):
     assert d_coarse < d_fine
 
 
+def _table_tail_loop(stats, L):
+    """A table's tails beyond level L as one ascending loop over its rows."""
+    mt = vt = 0.0
+    for st in stats[L + 1:]:
+        mt += abs(st.m)
+        vt += st.s2
+    return mt, vt
+
+
+@pytest.mark.parametrize("tail", [None, {"mean_coeff": 0.0, "mean_ratio": 0.5,
+                                         "var_coeff": 0.0, "var_ratio": 0.5}],
+                         ids=["bare", "enveloped"])
+def test_depth_searches_sum_table_rows_once(base2, monkeypatch, tail):
+    # 512 rows of uneven magnitudes, so that each order of addition rounds
+    # its own way; both searches run to the table's depth at these settings
+    rng = np.random.default_rng(41)
+    rows = [(0.0, (1.0 + float(rng.random())) * (j + 1.0) ** -2) for j in range(512)]
+    dmap = DigitMap.custom_table(rows, tail=tail)
+    stats = [digit_stats(dmap, base2, j) for j in range(512)]
+    calls = []
+
+    def counted(dmap, base, j):
+        calls.append(j)
+        return digit_stats(dmap, base, j)
+
+    monkeypatch.setattr(qadditive, "digit_stats", counted)
+    assert choose_depth(dmap, base2, w=2.0 ** -20) == 512
+    assert len(calls) == 512
+    calls.clear()
+    assert _cf_depth(dmap, base2, 10.0, None) == 512
+    assert len(calls) == 512
+    tails = _tails(dmap, base2)
+    for L in range(-1, 513):
+        want = np.array(_table_tail_loop(stats, L))
+        assert np.array_equal(np.array(tails(L)).view(np.int64), want.view(np.int64)), L
+        if tail is not None and L >= 0:
+            assert np.array_equal(np.array(tail_sums(dmap, base2, L)).view(np.int64),
+                                  want.view(np.int64)), L
+
+
 # -- convolution route ---------------------------------------------------------------
 
 
@@ -260,7 +302,7 @@ def _two_path_conv(dmap, base, x0, x1, w, depth):
         dist = new
     cum_all = np.cumsum(dist)
     total = float(cum_all[-1])
-    eps_x, eps_p = _conv_envelope(dmap, base, w, depth)
+    eps_x, eps_p = _conv_envelope(_tails(dmap, base), w, depth)
     eps_p += abs(1.0 - total) + 1e-15
     idx = int(math.floor(x0 / w)) + np.arange(k_req, dtype=np.int64) - grid_lo
     idx_c = np.clip(idx, -1, size - 1)
@@ -618,7 +660,7 @@ def _dense_invert(dmap, base, xs, t_max, n_t, q_hint):
     coarse = 2.0 * h * (0.5 * g0 + integrand[:, 1:-1:2].sum(axis=1) + 0.5 * integrand[:, -1])
     vals = 0.5 - full / math.pi
     quad = float(np.max(np.abs(vals - (0.5 - coarse / math.pi)))) / 3.0
-    mt, vt = _tail_pair(dmap, base, depth - 1)
+    mt, vt = _tails(dmap, base)(depth - 1)
     cf_int = (mt * t_max + (vt + mt * mt) * t_max * t_max / 4.0) / math.pi
     mono = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
     adjust = float(np.max(np.abs(mono - vals)))

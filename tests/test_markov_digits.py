@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorlab import (
     AlphabetMismatch,
@@ -19,6 +21,7 @@ from cantorlab import (
     generate_paths,
     window_variance,
 )
+from cantorlab import markov_digits
 
 
 def _two_state(p=0.3, q=0.1):
@@ -80,6 +83,57 @@ def test_generate_paths_deterministic_and_in_range():
         generate_paths(c, 1 << 20, 1 << 20, seed=1)
 
 
+def _column_major_paths(chain, n_paths, length, seed):
+    """generate_paths with the digits kept path-major: each step gathers the
+    (n_paths, a) cumulative rows of the previous digits and counts."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((n_paths, length))
+    cum_p = np.cumsum(chain.P, axis=1)
+    d = np.empty((n_paths, length), dtype=np.int64)
+    d[:, 0] = np.searchsorted(np.cumsum(chain.pi), u[:, 0], side="right").clip(0, chain.a - 1)
+    for k in range(1, length):
+        rows = cum_p[d[:, k - 1]]
+        d[:, k] = (u[:, k, None] > rows).sum(axis=1).clip(0, chain.a - 1)
+    return d
+
+
+def _random_chain(a, seed):
+    # about a third of the off-diagonal moves forbidden; a positive diagonal
+    # keeps a connected chain aperiodic, and a disconnected one is redrawn
+    rng = np.random.default_rng(seed)
+    while True:
+        P = rng.random((a, a)) * (rng.random((a, a)) > 0.35)
+        np.fill_diagonal(P, rng.random(a) + 0.05)
+        try:
+            return build_chain(P / P.sum(axis=1, keepdims=True))
+        except NotPrimitive:
+            continue
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(2, 5), chain_seed=st.integers(0, 2 ** 32 - 1),
+       n_paths=st.integers(1, 2000), length=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_generate_paths_matches_column_major_oracle(a, chain_seed, n_paths, length, seed):
+    c = _random_chain(a, chain_seed)
+    got = generate_paths(c, n_paths, length, seed)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, _column_major_paths(c, n_paths, length, seed))
+
+
+@pytest.mark.parametrize("chain", [_two_state(0.3, 0.1), _random_chain(3, 7)], ids=["a2", "a3"])
+def test_estimators_unchanged_by_step_major_sampling(chain, monkeypatch):
+    # the estimators reduce along each path, so their bits depend on the
+    # digits' memory layout as well as on their values
+    dmap = DigitMap.custom_table([[0.0, 1.0, -2.5]] * 20) if chain.a == 3 else PM1
+    runs = [(covariance_decay, dict(r_max=9)), (window_variance, dict(L=20, h=7)),
+            (window_variance, dict(L=20, h=1))]
+    got = [fn(chain, dmap, samples=50_000, seed=17, **kw) for fn, kw in runs]
+    monkeypatch.setattr(markov_digits, "generate_paths", _column_major_paths)
+    want = [fn(chain, dmap, samples=50_000, seed=17, **kw) for fn, kw in runs]
+    assert repr(got) == repr(want)
+
+
 def test_sampling_peak_memory_within_byte_charge(charges, peak_of):
     # generate_paths charges each digit the peak of the estimators it feeds:
     # the covariance fit (paths of r_max + 16 digits) and the window
@@ -131,6 +185,9 @@ def test_covariance_decay_validation():
     three = build_chain(np.full((3, 3), 1.0 / 3.0))
     with pytest.raises(AlphabetMismatch):
         covariance_decay(three, PM1, r_max=4, samples=1000, seed=0)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            covariance_decay(c, PM1, r_max=4, samples=samples, seed=0)
 
 
 def test_window_variance_iid_matches_tau2(geo_half):
@@ -164,3 +221,6 @@ def test_window_variance_validation(geo_half):
         window_variance(c, geo_half, L=5, h=6, samples=1000, seed=0)
     with pytest.raises(ValueError):
         window_variance(c, geo_half, L=5, h=0, samples=1000, seed=0)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            window_variance(c, geo_half, L=5, h=2, samples=samples, seed=0)
