@@ -335,7 +335,7 @@ def concentration(ref, r: float) -> Interval:
     reference the upper end absorbs the envelope (window widened by
     2 eps_x, plus 2 eps_p).
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"window width must be >= 0, got {r}")
     if isinstance(ref, GridCDF):
         exact = ref.window_sup(r)

@@ -103,7 +103,7 @@ class GridCDF:
         so widths with the same m share one cache entry.  Each miss takes one
         8-byte difference per knot.
         """
-        if r < 0:
+        if not r >= 0:
             raise ValueError(f"window width must be >= 0, got {r}")
         c = self.cum
         k = c.size
@@ -136,7 +136,10 @@ class GridCDF:
 # -- truncation depth ---------------------------------------------------------
 
 
-def _tails(dmap: DigitMap, base: CantorBase) -> Callable[[int], tuple[float, float]]:
+Tails = Callable[[int], tuple[float, float]]
+
+
+def _tails(dmap: DigitMap, base: CantorBase) -> Tails:
     """j -> (mean tail, var tail) beyond level j.  A bare finite table has no
     mass past its depth, so only its own remaining rows count; a table's rows
     are summarized once, so a depth search makes one digit_stats call a row."""
@@ -151,8 +154,7 @@ def _depth_limit(dmap: DigitMap) -> int:
     return DEPTH_CAP if dmap.depth is None else min(dmap.depth, DEPTH_CAP)
 
 
-def _conv_envelope(tails: Callable[[int], tuple[float, float]], w: float,
-                   depth: int) -> tuple[float, float]:
+def _conv_envelope(tails: Tails, w: float, depth: int) -> tuple[float, float]:
     """(eps_x, tail part of eps_p) of a convolution truncated at depth: the
     lattice rounding (depth + 1) w / 2, the tail mean and a Chebyshev split."""
     mt, vt = tails(depth - 1)
@@ -163,7 +165,11 @@ def _conv_envelope(tails: Callable[[int], tuple[float, float]], w: float,
 
 def choose_depth(dmap: DigitMap, base: CantorBase, w: float) -> int:
     """Depth minimizing the eps_x that limit_cdf_conv charges at it."""
-    tails = _tails(dmap, base)
+    return _conv_depth(dmap, _tails(dmap, base), w)
+
+
+def _conv_depth(dmap: DigitMap, tails: Tails, w: float) -> int:
+    """choose_depth on the tails of dmap, summarized once by the caller."""
     best_j, best_cost = 1, math.inf
     for j in range(1, _depth_limit(dmap) + 1):
         cost = _conv_envelope(tails, w, j)[0]
@@ -225,7 +231,8 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     span = (x1 - x0) / w
     check_bytes(9.0 * span, f"window [{x0}, {x1}] at pitch {w}")
     k_req = int(math.floor(span)) + 1
-    depth_j = choose_depth(dmap, base, w) if depth is None else int(depth)
+    tails = _tails(dmap, base)
+    depth_j = _conv_depth(dmap, tails, w) if depth is None else int(depth)
     if depth_j < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
 
@@ -261,7 +268,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     np.cumsum(cum_all, out=cum_all)
     total = float(cum_all[-1])
 
-    eps_x, eps_p = _conv_envelope(_tails(dmap, base), w, depth_j)
+    eps_x, eps_p = _conv_envelope(tails, w, depth_j)
     eps_p += abs(1.0 - total) + 1e-15   # float mass drift guard
 
     # map the atom lattice {i w} onto the requested knots x0 + k w: atom i
@@ -323,12 +330,10 @@ def cf_truncation_bound(dmap: DigitMap, base: CantorBase, depth: int, t_abs: flo
     return _cf_bound(_tails(dmap, base)(depth - 1), t_abs)
 
 
-def _cf_depth(dmap: DigitMap, base: CantorBase, t_abs: float,
-              depth: Optional[int]) -> int:
+def _cf_depth(dmap: DigitMap, tails: Tails, t_abs: float, depth: Optional[int]) -> int:
     """The depth given, else the shallowest whose certified truncation bound
     over |t| <= t_abs is at most CF_TOL (the table depth or DEPTH_CAP if none)."""
     if depth is None:
-        tails = _tails(dmap, base)
         depth = _depth_limit(dmap)
         for j in range(1, depth + 1):
             if _cf_bound(tails(j - 1), t_abs) <= CF_TOL:
@@ -353,11 +358,12 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     if not np.all(np.isfinite(tt)):
         raise ValueError("CF arguments t must be finite")
     t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
-    depth = _cf_depth(dmap, base, t_abs, depth)
+    tails = _tails(dmap, base)
+    depth = _cf_depth(dmap, tails, t_abs, depth)
     out = np.ones(tt.shape, dtype=complex)
     for j in range(depth):
         out *= cf_factor(dmap, base, j, tt)
-    return out, cf_truncation_bound(dmap, base, depth, t_abs), depth
+    return out, _cf_bound(tails(depth - 1), t_abs), depth
 
 
 # -- route 2: characteristic-function inversion ----------------------------------
@@ -419,7 +425,8 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     check_bytes(need, f"inversion on {n_t} cells at {xs.size} points")
 
     ts = np.linspace(0.0, t_max, n_t + 1)
-    depth_used = _cf_depth(dmap, base, t_max, depth)
+    tails = _tails(dmap, base)
+    depth_used = _cf_depth(dmap, tails, t_max, depth)
     mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth_used))
 
     t_hi, t_lo = ts[::cols], ts[:cols]
@@ -465,7 +472,7 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     quad_err = float(np.max(np.abs(vals - vals_half))) / 3.0
 
     # integral of the CF truncation bound against 1/pi dt
-    mt, vt = _tails(dmap, base)(depth_used - 1)
+    mt, vt = tails(depth_used - 1)
     cf_int = (mt * t_max + (vt + mt * mt) * t_max * t_max / 4.0) / math.pi
 
     smoothing = q_hint if q_hint is not None else 0.0

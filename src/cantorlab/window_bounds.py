@@ -25,6 +25,8 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+import numpy as np
+
 from .empirical import concentration
 from .errors import MissingDensityBound, NoTailMeta, RegimeUnavailable
 from .mixed_radix import CantorBase, length
@@ -86,20 +88,26 @@ def tau1(dmap: DigitMap, base: CantorBase, L: int) -> float:
     return mt + vt
 
 
-def regime_term(regime: str, T: float, tau2_h: float,
-                rho_inf: Optional[float] = None) -> float:
-    """G(T,h) for one regime.  B ignores T; A and C need 0 < T < inf."""
+def regime_term(regime: str, T, tau2_h, rho_inf: Optional[float] = None):
+    """G(T,h) for one regime, elementwise over arrays of T and tau2_h.  B
+    ignores T and needs 0 < rho_inf < inf; A and C need 0 < T < inf; every
+    tau2_h must be >= 0."""
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
+    if not np.all(np.asarray(tau2_h) >= 0.0):
+        raise ValueError(f"window variance must be >= 0, got {tau2_h!r}")
     if regime == "B":
         if rho_inf is None:
             raise MissingDensityBound("regime B needs a density sup bound rho_inf")
-        return rho_inf * math.sqrt(tau2_h)
-    if not 0.0 < T < math.inf:
+        if not 0.0 < rho_inf < math.inf:
+            raise ValueError(f"rho_inf must be a positive finite number, got {rho_inf!r}")
+        return rho_inf * np.sqrt(tau2_h)
+    t = np.asarray(T, dtype=float)
+    if not np.all((0.0 < t) & (t < math.inf)):
         raise ValueError(f"regimes A and C need a positive finite T, got {T!r}")
     if regime == "A":
-        return T * math.sqrt(tau2_h)
-    return T * T * tau2_h
+        return t * np.sqrt(tau2_h)
+    return t * t * tau2_h
 
 
 def bridge_bound(base: CantorBase, N: int, h: int) -> BridgeBound:
@@ -120,64 +128,45 @@ def _mu3_clean(dmap: DigitMap, base: CantorBase, L: int) -> bool:
     return all(digit_stats(dmap, base, j).mu3 == 0.0 for j in range(L + 1))
 
 
-def _check_regime(dmap: DigitMap, base: CantorBase, L: int, regime: str,
-                  rho_inf: Optional[float], ref) -> None:
-    """The preconditions of one regime at top level L: a known regime name,
-    vanishing third central moments for C, a positive density bound for B and a
-    reference law for the Q_F(1/T) term of A and C."""
-    if regime not in _REGIMES:
-        raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    if regime == "C" and not _mu3_clean(dmap, base, L):
-        raise RegimeUnavailable(
-            "regime C needs vanishing third central digit moments through level L")
-    if regime == "B" and rho_inf is None:
-        raise MissingDensityBound("regime B needs a density sup bound rho_inf")
-    if regime == "B" and not 0.0 < rho_inf < math.inf:
-        raise ValueError(f"rho_inf must be a positive finite number, got {rho_inf!r}")
-    if regime != "B" and ref is None:
-        raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
-
-
 def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
                  rho_inf: Optional[float], ref, hs, ts) -> WindowBoundReport:
     """The report of the least total over the candidates h in hs, T in ts.
 
-    The first of equal totals wins.  Each total is summed in one order,
-    bridge [+ Q_F(1/T) + 1/T] + G + sqrt(tau1), so the minimum searched is
-    the total reported.  A missing tau1 adds 0.0, which leaves a positive
-    sum unchanged.  Q_F(1/T) is cached per T, so a search costs one scan
-    of ts per h.
+    Every total sits in one (h, T) table, summed in one order, bridge +
+    Q_F(1/T) + 1/T + G + sqrt(tau1), so the minimum searched is the total
+    reported.  Regime B ignores T, so its ts holds one T, and it has a row
+    of 0.0 for Q_F(1/T) and 1/T; a missing tau1 adds 0.0.  Either leaves the
+    positive bridge unchanged.  np.argmin takes the first of equal totals:
+    the smallest h, then the first T in ts.
     """
+    if regime == "C" and not _mu3_clean(dmap, base, L):
+        raise RegimeUnavailable(
+            "regime C needs vanishing third central digit moments through level L")
     try:
         t1: Optional[float] = tau1(dmap, base, L)
     except NoTailMeta:
         t1 = None
-    sqrt_t1 = math.sqrt(t1) if t1 is not None else 0.0
     low = L - max(hs)                       # the deepest level a window reaches
     s2 = [digit_stats(dmap, base, j).s2 for j in range(low, L)]
-
-    qf_cache: dict[float, float] = {}
-    best: Optional[tuple] = None
-    for h in hs:
-        A = window_size(base, L, h)
-        bridge = _inv(1.0, A)
-        t2 = math.fsum(s2[L - h - low:])
-        for T in ts:
-            g = regime_term(regime, T, t2, rho_inf)
-            if regime == "B":
-                qf = 0.0
-                total = bridge + g + sqrt_t1
-            else:
-                if T not in qf_cache:
-                    qf_cache[T] = concentration(ref, 1.0 / T).hi
-                qf = qf_cache[T]
-                total = bridge + qf + 1.0 / T + g + sqrt_t1
-            if best is None or total < best[0]:
-                best = (total, h, A, bridge, t2, T, qf, g)
-    total, h, A, bridge, t2, T, qf, g = best
-    return WindowBoundReport(N=N, L=L, h=h, A_Lh=A, bridge=bridge, tau1=t1,
-                             tau2_h=t2, T=T, qf_term=qf, g_term=g, total=total,
-                             regime=regime, conditional=t1 is None)
+    A = [window_size(base, L, h) for h in hs]
+    bridge = np.array([_inv(1.0, a) for a in A])[:, None]
+    t2 = np.array([math.fsum(s2[L - h - low:]) for h in hs])[:, None]
+    t_row = np.array(ts, dtype=float)
+    g = regime_term(regime, t_row, t2, rho_inf)
+    if regime == "B":
+        qf = inv_t = np.zeros(len(ts))
+    elif ref is None:
+        raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
+    else:
+        qf = np.array([concentration(ref, 1.0 / T).hi for T in ts])
+        inv_t = 1.0 / t_row
+    total = bridge + qf + inv_t + g + (math.sqrt(t1) if t1 is not None else 0.0)
+    i, k = divmod(int(np.argmin(total)), len(ts))
+    return WindowBoundReport(N=N, L=L, h=hs[i], A_Lh=A[i], bridge=float(bridge[i, 0]),
+                             tau1=t1, tau2_h=float(t2[i, 0]), T=ts[k],
+                             qf_term=float(qf[k]), g_term=float(g[i, k]),
+                             total=float(total[i, k]), regime=regime,
+                             conditional=t1 is None)
 
 
 def total_bound(dmap: DigitMap, base: CantorBase, N: int, h: int, T: float,
@@ -194,7 +183,8 @@ def total_bound(dmap: DigitMap, base: CantorBase, N: int, h: int, T: float,
     L = length(base, N)
     if not 1 <= h <= L:
         raise ValueError(f"need 1 <= h <= L(N) = {L}, got h={h}")
-    _check_regime(dmap, base, L, regime, rho_inf, ref)
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be a positive finite number, got {T!r}")
     return _best_report(dmap, base, N, L, regime, rho_inf, ref, (h,), (T,))
 
 
@@ -210,7 +200,6 @@ def optimize_window(dmap: DigitMap, base: CantorBase, N: int, regime: str,
     L = length(base, N)
     if L < 1:
         raise ValueError(f"N = {N} sits below the first level (L = 0)")
-    _check_regime(dmap, base, L, regime, rho_inf, ref)
     report = _best_report(dmap, base, N, L, regime, rho_inf, ref, range(1, L + 1),
                           (1.0,) if regime == "B" else T_GRID)
     return report.h, report.T, report

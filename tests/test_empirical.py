@@ -482,8 +482,15 @@ def test_concentration_atomic():
     assert concentration(e, 0.49) == Interval(0.5, 0.5)
     assert concentration(e, 0.0) == Interval(0.5, 0.5)
     assert concentration(e, 1.0) == Interval(1.0, 1.0)
-    with pytest.raises(ValueError):
-        concentration(e, -0.1)
+    # a negative or NaN width is refused by every reference type, and by the
+    # grid's own window scan
+    g = GridCDF(x0=0.0, w=1.0, cum=np.array([0.5, 1.0]), eps_x=0.0, eps_p=0.0)
+    for r in (-0.1, math.nan):
+        for ref in (e, EmpiricalCDF([3.0]), UniformCDF(), g):
+            with pytest.raises(ValueError):
+                concentration(ref, r)
+        with pytest.raises(ValueError):
+            g.window_sup(r)
 
 
 def test_concentration_grid_interval():

@@ -303,13 +303,17 @@ def test_cli_malformed_descriptor_exits_2(argv):
 @pytest.mark.parametrize("argv", [
     ["bound", "--n", "4096", "--window", "4", "--regime", "A", "--t", "nan",
      "--ref", "uniform:0:2", "--map", '{"family": "geometric", "beta": 0.5, "g": [0, 1]}'],
+    # regime B ignores T, yet the report carries it
+    ["bound", "--n", "4096", "--window", "3", "--regime", "B", "--rho-inf", "1", "--t", "nan"],
+    ["bound", "--n", "4096", "--window", "3", "--regime", "B", "--rho-inf", "1", "--t", "-5"],
     ["empirical", "--n", "64", "--ref", "uniform:0:1", "--smoothing-rho", "nan"],
     ["limit", "--x0", "0", "--x1", "1", "--max-rows", "0"],
     ["limit", "--x0", "0", "--x1", "1", "--max-rows", "-1"],
     ["markov", "--p", "[[0.9, 0.1], [0.1, 0.9]]", "--samples", "-5"],
     ["markov", "--p", "[[0.9, 0.1], [0.1, 0.9]]", "--samples", "0", "--mode", "window"],
-], ids=["bound-t-nan", "empirical-smoothing-rho-nan", "limit-max-rows-0",
-        "limit-max-rows-negative", "markov-samples-negative", "markov-window-samples-0"])
+], ids=["bound-t-nan", "bound-b-t-nan", "bound-b-t-negative", "empirical-smoothing-rho-nan",
+        "limit-max-rows-0", "limit-max-rows-negative", "markov-samples-negative",
+        "markov-window-samples-0"])
 def test_cli_nan_float_flag_exits_2(argv):
     # and a row cap below 1, which would divide by zero or emit every knot,
     # and a Markov sample count below 1, which would still run two paths

@@ -208,8 +208,16 @@ def test_depth_searches_sum_table_rows_once(base2, monkeypatch, tail):
     assert choose_depth(dmap, base2, w=2.0 ** -20) == 512
     assert len(calls) == 512
     calls.clear()
-    assert _cf_depth(dmap, base2, 10.0, None) == 512
+    assert _cf_depth(dmap, _tails(dmap, base2), 10.0, None) == 512
     assert len(calls) == 512
+    # a whole call sums them once too: the bound or envelope at the chosen
+    # depth reads the tails of the depth search
+    for run in (lambda: cf_truncated(dmap, base2, [10.0]),
+                lambda: limit_cdf_invert(dmap, base2, [0.0], t_max=10.0, n_t=8),
+                lambda: limit_cdf_conv(dmap, base2, -1.0, 4.0, 2.0 ** -6)):
+        calls.clear()
+        run()
+        assert len(calls) == 512
     tails = _tails(dmap, base2)
     for L in range(-1, 513):
         want = np.array(_table_tail_loop(stats, L))

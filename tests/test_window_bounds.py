@@ -1,21 +1,27 @@
 """Window bounds: components against exact formulas, the optimizer against
 an independent exhaustive scan, rates against closed forms."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorlab import (
     DigitMap,
     EmpiricalCDF,
+    GridCDF,
     MissingDensityBound,
+    NoTailMeta,
     RegimeUnavailable,
     T_GRID,
     UniformCDF,
+    WindowBoundReport,
     bridge_bound,
     build_base,
+    concentration,
     digit_stats,
     length,
     limit_cdf_conv,
@@ -29,6 +35,7 @@ from cantorlab import (
     total_bound,
     window_size,
 )
+from cantorlab.qadditive import _inv
 
 
 def test_t_grid_shape():
@@ -68,6 +75,18 @@ def test_regime_term_formulas():
             regime_term("A", bad_t, 0.04)
     with pytest.raises(ValueError):
         regime_term("D", 1.0, 0.04)
+    # a density bound outside (0, inf), and a negative or NaN window variance
+    # in every regime
+    for bad_rho in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            regime_term("B", 1.0, 0.25, rho_inf=bad_rho)
+    for regime in "ABC":
+        for bad_t2 in (-0.25, math.nan):
+            with pytest.raises(ValueError):
+                regime_term(regime, 1.0, bad_t2, rho_inf=1.0)
+    # elementwise: a row of T against a column of tau2
+    got = regime_term("C", np.array([8.0, 0.5]), np.array([[0.04], [0.25]]))
+    assert np.array_equal(got, [[64.0 * 0.04, 0.25 * 0.04], [64.0 * 0.25, 0.25 * 0.25]])
 
 
 def test_bridge_bound(base2):
@@ -234,6 +253,122 @@ def test_optimize_window_reports_the_least_total_bound(case, n, regime, rho_inf,
         for tt in (1.0,) if regime == "B" else T_GRID:
             other = total_bound(dmap, base, n, hh, tt, regime, rho_inf=rho, ref=ref)
             assert (other.total, hh, -tt) >= (rep.total, h, -t)
+
+
+def _loop_best_report(dmap, base, N, L, regime, rho_inf, ref, hs, ts):
+    """The optimizer as it was before the table search, kept as an oracle:
+    one candidate at a time, Q_F(1/T) cached per T, strict < so the first
+    of equal totals wins."""
+    try:
+        t1 = tau1(dmap, base, L)
+    except NoTailMeta:
+        t1 = None
+    sqrt_t1 = math.sqrt(t1) if t1 is not None else 0.0
+    low = L - max(hs)
+    s2 = [digit_stats(dmap, base, j).s2 for j in range(low, L)]
+    qf_cache = {}
+    best = None
+    for h in hs:
+        A = window_size(base, L, h)
+        bridge = _inv(1.0, A)
+        t2 = math.fsum(s2[L - h - low:])
+        for T in ts:
+            if regime == "B":
+                g = rho_inf * math.sqrt(t2)
+                qf = 0.0
+                total = bridge + g + sqrt_t1
+            else:
+                g = T * math.sqrt(t2) if regime == "A" else T * T * t2
+                if T not in qf_cache:
+                    qf_cache[T] = concentration(ref, 1.0 / T).hi
+                qf = qf_cache[T]
+                total = bridge + qf + 1.0 / T + g + sqrt_t1
+            if best is None or total < best[0]:
+                best = (total, h, A, bridge, t2, T, qf, g)
+    total, h, A, bridge, t2, T, qf, g = best
+    return WindowBoundReport(N=N, L=L, h=h, A_Lh=A, bridge=bridge, tau1=t1,
+                             tau2_h=t2, T=T, qf_term=qf, g_term=g, total=total,
+                             regime=regime, conditional=t1 is None)
+
+
+def _assert_same_report(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, float):
+            assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64), f.name
+        else:
+            assert a == b, f.name
+
+
+_ORACLE_CASES = {
+    "c2-radical-inverse": ({"kind": "constant", "q": 2}, {"family": "radical-inverse"}),
+    "c2-geometric": ({"kind": "constant", "q": 2},
+                     {"family": "geometric", "beta": 0.5, "g": [0.0, 1.0]}),
+    # beta >= 1: a certified-divergent tail, tau1 = inf and every total inf
+    "c2-geometric-divergent": ({"kind": "constant", "q": 2},
+                               {"family": "geometric", "beta": 1.0, "g": [0.0, 1.0]}),
+    "c2-polynomial": ({"kind": "constant", "q": 2},
+                      {"family": "polynomial", "alpha": 1.5, "g": [0.0, 1.0]}),
+    # no tail envelope: conditional reports
+    "c2-bare-table": ({"kind": "constant", "q": 2},
+                      {"family": "custom-table", "values": [[0.0, 1.0]] * 30}),
+    "c3-ternary": ({"kind": "constant", "q": 3}, {"family": "symmetric-ternary"}),
+    "c3-skewed": ({"kind": "constant", "q": 3}, {"family": "skewed-polyweight"}),
+    "p23-radical-inverse": ({"kind": "periodic", "pattern": [2, 3]},
+                            {"family": "radical-inverse"}),
+    "p23-skewed": ({"kind": "periodic", "pattern": [2, 3]}, {"family": "skewed-polyweight"}),
+    "affine-radical-inverse": ({"kind": "affine", "c": 1, "d": 2}, {"family": "radical-inverse"}),
+    "affine-skewed": ({"kind": "affine", "c": 1, "d": 2}, {"family": "skewed-polyweight"}),
+}
+
+
+def _coarse_grid(x0, w, k, seed):
+    pmf = np.random.default_rng(seed).random(k)
+    return GridCDF(x0=x0, w=w, cum=np.cumsum(pmf / pmf.sum()), eps_x=w / 2.0, eps_p=1e-6)
+
+
+_REFS = st.one_of(
+    st.builds(lambda lo, span: UniformCDF(lo, lo + span),
+              st.floats(-2.0, 2.0), st.floats(0.5, 16.0)),
+    st.builds(EmpiricalCDF, st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6)),
+    st.builds(_coarse_grid, st.floats(-2.0, 0.0), st.sampled_from([2.0 ** -6, 0.01, 0.25]),
+              st.integers(1, 400), st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(sorted(_ORACLE_CASES)), n=st.integers(2, 1 << 20),
+       regime=st.sampled_from("ABC"), rho_inf=st.floats(0.25, 4.0), ref=_REFS,
+       h=st.integers(1, 64),
+       T=st.one_of(st.sampled_from(T_GRID), st.floats(2.0 ** -40, 2.0 ** 40)))
+# a bare table in regime C ties h = 1 and h = 2 at T = 1: each total is
+# 2.25 = 1/A + Q(1) + 1/T + T^2 tau2, with Q(1) = 0.5 and tau2 = h / 4
+@example(case="c2-bare-table", n=1 << 10, regime="C", rho_inf=1.0,
+         ref=EmpiricalCDF([0.0, 5.0]), h=2, T=1.0)
+@example(case="c2-geometric-divergent", n=1 << 20, regime="A", rho_inf=1.0,
+         ref=UniformCDF(0.0, 2.0), h=3, T=8.0)
+@example(case="c2-geometric-divergent", n=1 << 20, regime="B", rho_inf=1.0,
+         ref=UniformCDF(0.0, 2.0), h=3, T=0.5)
+def test_table_search_matches_the_candidate_loop_bitwise(case, n, regime, rho_inf, ref, h, T):
+    base_d, map_d = _ORACLE_CASES[case]
+    base, dmap = build_base(base_d), DigitMap(map_d)
+    rho = rho_inf if regime == "B" else None
+    L = length(base, n)
+    if L < 1:
+        with pytest.raises(ValueError):
+            optimize_window(dmap, base, n, regime, rho_inf=rho, ref=ref)
+        return
+    try:
+        _, _, rep = optimize_window(dmap, base, n, regime, rho_inf=rho, ref=ref)
+    except RegimeUnavailable:
+        assert regime == "C"
+        return
+    ts = (1.0,) if regime == "B" else T_GRID
+    _assert_same_report(rep, _loop_best_report(dmap, base, n, L, regime, rho, ref,
+                                               range(1, L + 1), ts))
+    h = min(h, L)
+    _assert_same_report(total_bound(dmap, base, n, h, T, regime, rho_inf=rho, ref=ref),
+                        _loop_best_report(dmap, base, n, L, regime, rho, ref, (h,), (T,)))
 
 
 def test_optimize_window_guards(base2, vdc2, skew):
