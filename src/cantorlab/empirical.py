@@ -32,8 +32,8 @@ class UniformCDF:
     """Exact uniform reference on [lo, hi]."""
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
-        if not hi > lo:
-            raise ValueError(f"uniform needs hi > lo, got [{lo}, {hi}]")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"uniform needs finite hi > lo, got [{lo}, {hi}]")
         self.lo = float(lo)
         self.hi = float(hi)
 
@@ -55,6 +55,8 @@ class EmpiricalCDF:
         s = np.sort(np.asarray(samples, dtype=float))
         if s.size == 0:
             raise ValueError("empirical CDF needs at least one sample")
+        if not (math.isfinite(s[0]) and math.isfinite(s[-1])):     # NaN sorts last
+            raise ValueError(f"empirical CDF needs finite samples, got {s[0]} .. {s[-1]}")
         self.samples = s
         self.n = int(s.size)
 
@@ -119,6 +121,15 @@ def _sup_diff_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
     return max(best, float(d))
 
 
+def _run_ends(s: np.ndarray) -> np.ndarray:
+    """True at the last index of each run of equal values in the sorted s:
+    #samples <= s[i] is i + 1 there."""
+    last = np.empty(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=last[:-1])
+    last[-1] = True
+    return last
+
+
 class _GridSteps(NamedTuple):
     """A sorted sample's steps placed among a grid's knots.
 
@@ -148,7 +159,7 @@ def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
     """
     s, n, k_all = ecdf.samples, ecdf.n, ref.cum.size
     k, on = ref.knot_index(s)
-    kept = np.append(s[1:] != s[:-1], True)
+    kept = _run_ends(s)
     ends = np.flatnonzero(kept)
     k, on = k[ends], on[ends]
     f = np.add(ends, 1.0)
@@ -181,6 +192,16 @@ def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
     return _GridSteps(kept, gap, pos, starts, levels)
 
 
+def _knot_counts(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(knots, lt, le): the K float knots x0 + k w, as knot_index makes them,
+    and #samples < and <= each knot, by two searches into the sorted sample."""
+    knots = np.arange(ref.cum.size, dtype=float)
+    knots *= ref.w
+    knots += ref.x0
+    s = ecdf.samples
+    return knots, np.searchsorted(s, knots, side="left"), np.searchsorted(s, knots, side="right")
+
+
 def _sup_diff_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
     """d_K against a grid from F_n at both edges of each knot slot, O(K log N).
 
@@ -191,13 +212,10 @@ def _sup_diff_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
     slot's largest |F_n - F|: the float the step table gives.  Its knot-sized
     arrays stay within value_vector's per-value charge while N >= 4K.
     """
-    s, n, cum = ecdf.samples, ecdf.n, ref.cum
-    knots = np.arange(cum.size, dtype=float)
-    knots *= ref.w
-    knots += ref.x0                           # the float knots, as knot_index makes them
-    at = np.searchsorted(s, knots, side="right") / n
-    below = np.searchsorted(s, knots, side="left") / n
-    del knots
+    n, cum = ecdf.n, ref.cum
+    _, lt, le = _knot_counts(ecdf, ref)
+    at = le / n
+    below = lt / n
     best = max(float(np.max(np.abs(at - cum))), float(below[0]), abs(1.0 - float(cum[-1])))
     return max(best, float(np.max(np.abs(below[1:] - cum[:-1]), initial=0.0)))
 
@@ -248,15 +266,14 @@ def _w1_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
     return float(np.sum(diff * np.diff(b)))
 
 
-def _w1_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
-    """sum |F_n - F| diff(b) over b = union1d(samples, knots), bit for bit.
+def _w1_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> np.ndarray:
+    """The summands of W1 against a grid from the step table, N < 8K.
 
-    b is built by scatter, not by sorting: the kept sample values go to
-    their places and the knots fill the others in order.  The summands are
-    the same array as with union1d, so np.sum adds them in the same order.
-    The union's mask, gaps and abscissae and the knots' own abscissae peak
-    near 25 bytes per knot, and with the step table 34 per sample value;
-    26 and 40 are charged.
+    union1d(samples, knots) is built by scatter, not by sorting: the kept
+    sample values go to their places and the knots fill the others in
+    order.  The union's mask, gaps and abscissae and the knots' own
+    abscissae peak near 25 bytes per knot, and with the step table 34 per
+    sample value; 26 and 40 are charged.
     """
     k_all = ref.cum.size
     check_bytes(26 * k_all + 40 * ecdf.n, f"W1 over {k_all} knots and {ecdf.n} values")
@@ -281,27 +298,125 @@ def _w1_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
     d = np.diff(b)
     del b
     d *= gap[:-1]
+    return d
+
+
+def _w1_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> np.ndarray:
+    """The summands of W1 against a grid from the knot counts, N >= 8K.
+
+    The distinct sample values off the knots are the run ends less the
+    run on each knot (its last index is le - 1).  A value between knots j
+    and j + 1 has F_n = (run end + 1) / n and F = cum[j] (0 below knot 0),
+    one np.repeat over the values per slot; knot j has F_n = le_j / n and
+    F = cum[j].  Each width runs to the next point of the union: the next
+    value, or the next knot after the last value before it and after a knot
+    with no value behind it.  So each summand |F_n - F| width is the float
+    of union1d(samples, knots), and np.insert puts the knots' among the
+    values' in that order.  The run ends, the values and their gaps and
+    widths peak near 24 bytes per value, the knot arrays near 48 per knot;
+    26 and 48 are charged.
+    """
+    s, n, cum = ecdf.samples, ecdf.n, ref.cum
+    check_bytes(48 * cum.size + 26 * n, f"W1 over {cum.size} knots and {n} values")
+    knots, lt, le = _knot_counts(ecdf, ref)
+    last = _run_ends(s)
+    last[le[le > lt] - 1] = False           # a run on a knot is the knot's step
+    ends = np.flatnonzero(last)
+    del last
+    below = np.searchsorted(ends, lt)       # values below knot j
+    per_slot = np.diff(below, prepend=0, append=ends.size)
+    v = s[ends]
+    gap = np.add(ends, 1.0)
+    del ends
+    gap /= n
+    width = np.repeat(np.concatenate(([0.0], cum)), per_slot)
+    gap -= width
+    np.abs(gap, out=gap)
+    np.subtract(v[1:], v[:-1], out=width[:-1])
+    width[-1:] = 0.0                        # the last value's is no summand
+    j = np.flatnonzero(per_slot[:-1])       # knots just after a value
+    width[below[j] - 1] = knots[j] - v[below[j] - 1]
+    gap *= width
+    del width
+    nxt = np.append(knots[1:], knots[-1])   # the last knot's only if a value follows
+    j = np.flatnonzero(per_slot[1:])        # knots just before a value
+    nxt[j] = v[below[j]]
+    del v
+    nxt -= knots
+    at = le / n
+    at -= cum
+    np.abs(at, out=at)
+    at *= nxt
+    return np.insert(gap, below, at)[:-1]   # the last point has no width
+
+
+def _w1_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
+    """sum |F_n - F| diff(b) over b = union1d(samples, knots), bit for bit:
+    both paths give the same summands in the same order, so np.sum adds them
+    alike.  N >= 8K takes the knot counts (crossover measured, see the
+    README), else the step table."""
+    d = _w1_knots(ecdf, ref) if ecdf.n >= 8 * ref.cum.size else _w1_steps(ecdf, ref)
     return float(np.sum(d))
 
 
 def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
-    # segments between sorted samples (plus the uniform's own endpoints);
-    # |c - F| with linear F integrates in closed form on each segment
-    b = np.union1d(ecdf.samples, [ref.lo, ref.hi])
-    a, c = b[:-1], b[1:]
-    fa = ref.cdf(a)
-    fb = ref.cdf(c)
-    lev = ecdf.cdf(a)
-    width = c - a
-    below = fa >= lev          # F >= level on the whole segment
-    above = fb <= lev
-    mid = ~(below | above)
-    area = np.where(below, (0.5 * (fa + fb) - lev) * width, 0.0)
-    area = np.where(above, (lev - 0.5 * (fa + fb)) * width, area)
+    """Segments between the distinct sample values and the uniform's own
+    endpoints; |c - F| with linear F integrates in closed form on each.
+
+    The distinct values and #samples <= each come from the run ends of the
+    sorted sample, lo and hi go in by one search, and F is evaluated
+    once over all of them, so nothing is sorted or searched per sample.
+    Off the few segments where F crosses the level c (F_n - F changes sign
+    there), F >= c or F <= c on the whole segment, so the area is
+    |(F(a) + F(b)) / 2 - c| (b - a): the signed form of that side, bit for
+    bit, as the difference is >= 0 there.
+    """
+    s, n = ecdf.samples, ecdf.n
+    ends = np.flatnonzero(_run_ends(s))
+    b = s[ends]
+    lev = np.add(ends, 1.0)                 # #samples <= b, then F_n(b)
+    del ends
+    lev /= n
+    pos = np.searchsorted(b, (ref.lo, ref.hi)).tolist()
+    new = [(i, x) for i, x in zip(pos, (ref.lo, ref.hi)) if i == b.size or b[i] != x]
+    if new:                                 # F_n(x) is F_n of the value below x
+        at, xs = zip(*new)
+        b = np.insert(b, at, xs)
+        lev = np.insert(lev, at, [lev[i - 1] if i else 0.0 for i in at])
+    f = ref.cdf(b)
+    fa, fb, lev = f[:-1], f[1:], lev[:-1]
+    area = fa + fb
+    area *= 0.5
+    area -= lev
+    np.abs(area, out=area)
+    width = np.diff(b)
+    area *= width
+    del width
+    mid = ~((fa >= lev) | (fb <= lev))      # F crosses c inside the segment
     if np.any(mid):
-        slope = np.where(width > 0, (fb - fa) / np.where(width > 0, width, 1.0), 0.0)
-        xs = np.where(mid, a + (lev - fa) / np.where(slope != 0, slope, 1.0), a)
-        area = np.where(mid, 0.5 * (lev - fa) * (xs - a) + 0.5 * (fb - lev) * (c - xs), area)
+        # F meets c at xs = a + (c - F(a)) / slope, which splits the segment
+        # into two triangles.  Gathered one source at a time (b, F and F_n
+        # are freed on the way) and worked in place, so a sample whose every
+        # segment crosses stays within value_vector's charge.
+        a, c = b[:-1][mid], b[1:][mid]
+        del b
+        fa, fb, lev = fa[mid], fb[mid], lev[mid]
+        del f
+        slope = fb - fa
+        slope /= c - a                      # b strictly increases: c - a > 0
+        slope[slope == 0] = 1.0             # an underflowed slope
+        fb -= lev                           # F(c) - level
+        lev -= fa                           # level - F(a)
+        xs = np.divide(lev, slope, out=slope)
+        xs += a
+        np.subtract(xs, a, out=a)
+        np.subtract(c, xs, out=c)
+        lev *= 0.5
+        lev *= a
+        fb *= 0.5
+        fb *= c
+        lev += fb
+        area[mid] = lev
     return float(np.sum(area))
 
 

@@ -139,15 +139,19 @@ def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
     positive bridge unchanged.  np.argmin takes the first of equal totals:
     the smallest h, then the first T in ts.
     """
-    if regime == "C" and not _mu3_clean(dmap, base, L):
-        raise RegimeUnavailable(
-            "regime C needs vanishing third central digit moments through level L")
+    low = L - max(hs)                       # the deepest level a window reaches
+    first = 0 if regime == "C" else low     # C checks mu3 from level 0 through L
+    stats = []
+    for j in range(first, L + (regime == "C")):
+        stats.append(digit_stats(dmap, base, j))
+        if regime == "C" and stats[-1].mu3 != 0.0:
+            raise RegimeUnavailable(
+                "regime C needs vanishing third central digit moments through level L")
     try:
         t1: Optional[float] = tau1(dmap, base, L)
     except NoTailMeta:
         t1 = None
-    low = L - max(hs)                       # the deepest level a window reaches
-    s2 = [digit_stats(dmap, base, j).s2 for j in range(low, L)]
+    s2 = [st.s2 for st in stats[low - first:L - first]]
     A = [window_size(base, L, h) for h in hs]
     bridge = np.array([_inv(1.0, a) for a in A])[:, None]
     t2 = np.array([math.fsum(s2[L - h - low:]) for h in hs])[:, None]

@@ -84,11 +84,14 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
     # value_vector charges each value the peak of the ladder row it feeds:
     # enumeration, sort, d_K, W1 and, for radical-inverse maps, D*.  A grid's
     # own per-knot arrays are W1's charge (tested below): the row of one
-    # value against the same reference measures them, and is taken off
+    # value against the same reference measures them, and is taken off.
+    # Against the uniform shifted by half a cell F crosses F_n inside every
+    # segment, W1's costliest case
     n = 1 << 16
     refs = [(DigitMap.geometric(0.5, (0.0, 0.0)), EmpiricalCDF([0.0])),
             (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16)),          # K = n
             (vdc2, UniformCDF()),
+            (vdc2, UniformCDF(-2.0 ** -17, 1.0 - 2.0 ** -17)),
             (geo_half, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17))]  # K = 4n
 
     def row(dmap, ref, m):
@@ -109,18 +112,23 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
 
 
 def test_w1_grid_peak_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
-    # W1 against a grid charges 26 bytes per knot and 40 per sample value:
-    # one value against K knots, example-II's K = 4N, K = N, and K << N
+    # W1 against a grid charges the step table (N < 8K) 26 bytes per knot and
+    # 40 per sample value, the knot counts (N >= 8K) 48 per knot and 26 per
+    # value: one value against K knots, example-II's K = 4N, K = N, N = 8K
+    # and K << N
     fine = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17)             # K = 2^18 + 1
+    coarse = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -12)           # K = 2^13 + 1
     cases = [(geo_half, fine, 1), (geo_half, fine, 1 << 16),
              (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16), 1 << 16),
+             (geo_half, coarse, 8 * coarse.cum.size),
              (geo_half, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16)]
     for dmap, g, n in cases:
         ecdf = empirical_cdf(dmap, base2, n)
         wasserstein1(ecdf, g)                   # first-call allocations, untraced
         peak, _ = peak_of(wasserstein1, ecdf, g)
-        assert charges[-1] == 26 * g.cum.size + 40 * n
-        assert peak <= charges[-1] <= 1.5 * peak, (g.cum.size, n)
+        k = g.cum.size
+        assert charges[-1] == (48 * k + 26 * n if n >= 8 * k else 26 * k + 40 * n)
+        assert peak <= charges[-1] <= 1.5 * peak, (k, n)
 
 
 def _value_vector_oracle(dmap, base, n):
@@ -221,14 +229,20 @@ def test_empirical_cdf_semantics():
     assert e.cdf(-1.0) == 0.0
     with pytest.raises(ValueError):
         EmpiricalCDF([])
+    # NaN sorts last and -inf first, so the sorted sample's two ends decide
+    for bad in ([0.1, math.nan, 0.5], [math.nan], [0.2, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalCDF(bad)
 
 
 def test_uniform_and_point_refs():
     u = UniformCDF(1.0, 3.0)
     assert u.cdf(0.0) == 0.0 and u.cdf(2.0) == 0.5 and u.cdf(9.0) == 1.0
     assert u.density_sup == 0.5
-    with pytest.raises(ValueError):
-        UniformCDF(1.0, 1.0)
+    for lo, hi in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                   (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            UniformCDF(lo, hi)
     p = EmpiricalCDF([2.0])                      # the point mass at 2
     assert p.cdf(2.0) == 1.0 and p.cdf(1.9) == 0.0
 
@@ -380,6 +394,10 @@ def _same_bits(a: float, b: float) -> bool:
 @example(x0=-2.3, w=0.37, sizes=(50, 199), seed=25, monotone=True)
 @example(x0=-2.3, w=0.37, sizes=(50, 200), seed=25, monotone=True)
 @example(x0=-2.3, w=0.37, sizes=(50, 201), seed=25, monotone=True)
+# and of W1's N >= 8K switch to the knot counts, with runs of repeats on a knot
+@example(x0=-2.3, w=0.37, sizes=(50, 399), seed=207, monotone=True)
+@example(x0=-2.3, w=0.37, sizes=(50, 400), seed=207, monotone=True)
+@example(x0=-2.3, w=0.37, sizes=(50, 401), seed=207, monotone=True)
 def test_grid_distances_match_search_oracle_bitwise(x0, w, sizes, seed, monotone):
     k, n = sizes
     e, g = _grid_case(x0, w, k, n, seed, monotone)
@@ -398,8 +416,9 @@ def test_star_discrepancy_exact():
         assert star_discrepancy(value_vector(m, b, 2 ** k)) == 2.0 ** -k
     with pytest.raises(PointOutOfRange):
         star_discrepancy([0.5, 1.5])
-    with pytest.raises(ValueError):
-        star_discrepancy([])
+    for bad in ([], [math.nan], [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            star_discrepancy(bad)
 
 
 def test_star_discrepancy_equals_uniform_kolmogorov():
@@ -443,6 +462,52 @@ def test_w1_uniform_matches_quadrature():
         want += quad(lambda x: abs(float(e.cdf(x)) - float(u.cdf(x))), lo, hi)[0]
     # the oracle's own quadrature error dominates the comparison
     assert abs(got - want) <= 1e-7
+
+
+def _w1_uniform_oracle(ecdf, ref):
+    """W1 against a uniform over union1d(samples, [lo, hi]), each level found
+    by searching the sample: the union-and-search form, kept as an oracle."""
+    b = np.union1d(ecdf.samples, [ref.lo, ref.hi])
+    a, c = b[:-1], b[1:]
+    fa = ref.cdf(a)
+    fb = ref.cdf(c)
+    lev = ecdf.cdf(a)
+    width = c - a
+    below = fa >= lev          # F >= level on the whole segment
+    above = fb <= lev
+    mid = ~(below | above)
+    area = np.where(below, (0.5 * (fa + fb) - lev) * width, 0.0)
+    area = np.where(above, (lev - 0.5 * (fa + fb)) * width, area)
+    if np.any(mid):
+        slope = np.where(width > 0, (fb - fa) / np.where(width > 0, width, 1.0), 0.0)
+        xs = np.where(mid, a + (lev - fa) / np.where(slope != 0, slope, 1.0), a)
+        area = np.where(mid, 0.5 * (lev - fa) * (xs - a) + 0.5 * (fb - lev) * (c - xs), area)
+    return float(np.sum(area))
+
+
+@st.composite
+def _uniform_case(draw):
+    """(samples, lo, hi): repeats drawn from a pool that holds lo, hi, their
+    float neighbours, -0.0 and values inside and on both sides outside."""
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (1.0 / 3.0, 2.0 / 3.0), (-0.7, 0.1), (-1.5, 1.5)])
+                  | st.tuples(st.floats(-4.0, 4.0), st.floats(1e-3, 8.0)).map(
+                      lambda t: (t[0], t[0] + t[1])))
+    span = hi - lo
+    pool = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), -0.0]
+    pool += draw(st.lists(st.floats(lo - span, hi + span), min_size=1, max_size=30))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80)), lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_uniform_case())
+@example(([0.25], 0.0, 1.0))
+@example(([1.0 / 3.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 2.0 / 3.0], 1.0 / 3.0, 2.0 / 3.0))
+@example(([-5.0, -5.0, -0.7, 0.2, 7.0], -0.7, 0.1))
+@example(([(i + 0.5) / 16.0 for i in range(16)], 0.0, 1.0))   # F crosses in every segment
+def test_w1_uniform_matches_union_oracle_bitwise(case):
+    samples, lo, hi = case
+    e, u = EmpiricalCDF(samples), UniformCDF(lo, hi)
+    assert _same_bits(wasserstein1(e, u), _w1_uniform_oracle(e, u))
 
 
 class _SquareLaw:

@@ -371,6 +371,23 @@ def test_table_search_matches_the_candidate_loop_bitwise(case, n, regime, rho_in
                         _loop_best_report(dmap, base, n, L, regime, rho, ref, (h,), (T,)))
 
 
+def test_regime_c_search_reads_each_level_once(base3, tern, monkeypatch):
+    # the mu3 check over levels 0 .. L and the tau2 column share one
+    # digit_stats call per level
+    from cantorlab import window_bounds
+
+    calls = []
+
+    def counted(dmap, base, j):
+        calls.append(j)
+        return digit_stats(dmap, base, j)
+
+    monkeypatch.setattr(window_bounds, "digit_stats", counted)
+    n = 1 << 20
+    optimize_window(tern, base3, n, "C", ref=UniformCDF(-1.5, 1.5))
+    assert calls == list(range(length(base3, n) + 1))
+
+
 def test_optimize_window_guards(base2, vdc2, skew):
     with pytest.raises(ValueError):
         optimize_window(vdc2, base2, 1, "B", rho_inf=1.0)     # L = 0
