@@ -131,17 +131,13 @@ def _run_ends(s: np.ndarray) -> np.ndarray:
 
 
 class _GridSteps(NamedTuple):
-    """A sorted sample's steps placed among a grid's knots.
-
-    F_n is levels[t] on knots starts[t] .. starts[t + 1] - 1 (through the
-    last knot for the last t).  The sample's own jumps are its kept values:
-    the last sample of each run, unless it is a knot, whose step the knots
-    already hold.
-    """
+    """A sorted sample's steps among a grid's knots: F_n is levels[t] on knots
+    starts[t] .. starts[t + 1] - 1 (to the last knot for the last t), and the
+    kept values, each run's last sample unless it is a knot, hold the rest."""
 
     kept: np.ndarray      # bool over the sample
     gap: np.ndarray       # |F_n - F| at each kept value
-    pos: np.ndarray       # index of each kept value in union1d(samples, knots)
+    slot: np.ndarray      # first knot above each kept value, K above the last
     starts: np.ndarray
     levels: np.ndarray
 
@@ -149,13 +145,10 @@ class _GridSteps(NamedTuple):
 def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
     """O(N + K) step table of both grid distances: one knot index per sample.
 
-    In the sorted sample #samples <= s is the index of the end of s's run
-    plus one, and #samples <= knot j counts the values whose first knot at
-    or above them is j or lower, so neither side needs a search.  Each F_n
-    value is that count / n and each F value a cum entry, as cdf computes
-    them; knot j reads cum[j] bit for bit (GridCDF's pitch guard keeps its
-    float knots exact).  Arrays are freed or reused as soon as they are
-    spent, so that the peak stays at about three sample-sized arrays.
+    #samples <= s is the end of s's run plus one, and #samples <= knot j
+    counts the values whose first knot at or above them is j or lower, so
+    neither side needs a search.  F_n is that count / n and F a cum entry,
+    as cdf computes them (GridCDF's pitch guard keeps its float knots exact).
     """
     s, n, k_all = ecdf.samples, ecdf.n, ref.cum.size
     k, on = ref.knot_index(s)
@@ -176,59 +169,49 @@ def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
     np.clip(k, 0, k_all, out=k)               # knots below the value: its slot
     # F_n steps at the first knot of each slot, to its last value's count
     last = np.flatnonzero(np.append(k[1:] != k[:-1], True))
-    starts, levels = k[last], f[last]
-    del f, last
+    levels = f[last]                          # each gather once its source is spent
+    del f
+    starts = k[last]
+    del last
     if starts[-1] == k_all:                   # values above every knot
         starts, levels = starts[:-1], levels[:-1]
     if starts.size == 0 or starts[0] > 0:
         starts = np.concatenate(([0], starts))
         levels = np.concatenate(([0.0], levels))
     off = ~on
+    del on
     kept[kept] = off
-    pos = k[off]
-    del k
-    gap = gap[off]
-    pos += np.arange(pos.size)
-    return _GridSteps(kept, gap, pos, starts, levels)
+    gap = gap[off]                            # the old gap freed before k[off]
+    return _GridSteps(kept, gap, k[off], starts, levels)
 
 
-def _knot_counts(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(knots, lt, le): the K float knots x0 + k w, as knot_index makes them,
-    and #samples < and <= each knot, by two searches into the sorted sample."""
-    knots = np.arange(ref.cum.size, dtype=float)
-    knots *= ref.w
-    knots += ref.x0
-    s = ecdf.samples
-    return knots, np.searchsorted(s, knots, side="left"), np.searchsorted(s, knots, side="right")
+def _knot_counts(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[np.ndarray, np.ndarray]:
+    """(lt, le): #samples < and <= each knot, by two searches into the sorted sample."""
+    s, knots = ecdf.samples, ref.knots
+    return np.searchsorted(s, knots, side="left"), np.searchsorted(s, knots, side="right")
 
 
-def _sup_diff_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
+def _sup_diff_knots(ecdf: EmpiricalCDF, ref: GridCDF, lt: np.ndarray, le: np.ndarray) -> float:
     """d_K against a grid from F_n at both edges of each knot slot, O(K log N).
 
-    F_n is #samples <= knot j / n at knot j and #samples < knot j + 1 / n
-    just below the next (1 past the last knot; below knot 0, where F is 0,
-    #samples < knot 0 / n).  F is one cum entry per slot and F_n never
-    decreases, so, as c - x rounds monotonically in c, these hold each
-    slot's largest |F_n - F|: the float the step table gives.  Its knot-sized
-    arrays stay within value_vector's per-value charge while N >= 4K.
+    F_n is le_j / n at knot j and lt_{j+1} / n just below the next (1 past the
+    last knot, lt_0 / n below knot 0, where F is 0).  F is one cum entry per
+    slot and F_n never decreases, so, as c - x rounds monotonically in c,
+    these hold each slot's largest |F_n - F|: the step table's float.  The
+    knot arrays stay within value_vector's per-value charge while N >= 4K.
     """
     n, cum = ecdf.n, ref.cum
-    _, lt, le = _knot_counts(ecdf, ref)
     at = le / n
     below = lt / n
     best = max(float(np.max(np.abs(at - cum))), float(below[0]), abs(1.0 - float(cum[-1])))
     return max(best, float(np.max(np.abs(below[1:] - cum[:-1]), initial=0.0)))
 
 
-def _sup_diff_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
-    # N >= 4K: the knot searches (crossover measured, see the README).  Else
+def _sup_diff_steps(ref: GridCDF, st: _GridSteps) -> float:
     # the step table's right values at the sample's jumps and at every knot;
     # on a run of knots with one F_n level c, |c - cum| peaks at the run's
     # least or greatest cum, since c - x rounds monotonically in x, and as
     # cum never decreases these sit at the run's first and last knot
-    if ecdf.n >= 4 * ref.cum.size:
-        return _sup_diff_knots(ecdf, ref)
-    st = _grid_steps(ecdf, ref)
     best = float(np.max(st.gap, initial=0.0))
     ends = np.append(st.starts[1:] - 1, ref.cum.size - 1)
     for knot in (st.starts, ends):
@@ -236,16 +219,19 @@ def _sup_diff_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
     return best
 
 
-def kolmogorov(ecdf: EmpiricalCDF, ref) -> Interval:
-    """sup_x |F_n(x) - F(x)|.
+def _grid_interval(ref: GridCDF, d0: float) -> Interval:
+    slack = ref.vertical_slack()
+    return Interval(max(0.0, d0 - slack), min(1.0, d0 + slack))
 
-    Exact (lo == hi) against uniform and step references; widened by the
-    envelope against a grid reference.
-    """
+
+def kolmogorov(ecdf: EmpiricalCDF, ref) -> Interval:
+    """sup_x |F_n(x) - F(x)|: exact (lo == hi) against uniform and step
+    references, widened by the envelope against a grid, which is read from
+    the knot counts when N >= 4K (crossover measured, see the README)."""
     if isinstance(ref, GridCDF):
-        d0 = _sup_diff_grid(ecdf, ref)
-        slack = ref.vertical_slack()
-        return Interval(max(0.0, d0 - slack), min(1.0, d0 + slack))
+        if ecdf.n >= 4 * ref.cum.size:
+            return _grid_interval(ref, _sup_diff_knots(ecdf, ref, *_knot_counts(ecdf, ref)))
+        return _grid_interval(ref, _sup_diff_steps(ref, _grid_steps(ecdf, ref)))
     if isinstance(ref, EmpiricalCDF):
         d = _sup_diff_step(ecdf, ref)
     elif isinstance(ref, UniformCDF):
@@ -266,59 +252,75 @@ def _w1_step(ecdf: EmpiricalCDF, ref: EmpiricalCDF) -> float:
     return float(np.sum(diff * np.diff(b)))
 
 
-def _w1_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> np.ndarray:
-    """The summands of W1 against a grid from the step table, N < 8K.
+def _w1_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[float, np.ndarray]:
+    """d_K's float and W1's summands against a grid from one step table, N < 8K.
 
-    union1d(samples, knots) is built by scatter, not by sorting: the kept
-    sample values go to their places and the knots fill the others in
-    order.  The union's mask, gaps and abscissae and the knots' own
-    abscissae peak near 25 bytes per knot, and with the step table 34 per
-    sample value; 26 and 40 are charged.
+    d_K is read first, and then W1 frees each array of the table once spent.
+    The knots' |F_n - F| is worked in one array: the slot levels repeated,
+    less cum, times each knot's width to the next knot or, if sooner, to
+    the first value of the next slot, which lies below it.  Each value off the
+    knots takes the width to the next value or, if sooner, to the knot that
+    ends its slot, and goes in by one scatter.  The table's build peaks near
+    42 bytes per value, the union near 17 per knot and 25 per value; the
+    larger of 43 per value and 17 per knot plus 26 per value is charged.
     """
-    k_all = ref.cum.size
-    check_bytes(26 * k_all + 40 * ecdf.n, f"W1 over {k_all} knots and {ecdf.n} values")
-    kept, gap_kept, pos, starts, levels = _grid_steps(ecdf, ref)
-    is_knot = np.ones(k_all + pos.size, dtype=bool)
-    is_knot[pos] = False
-    gap = np.empty(is_knot.size)
-    gap[pos] = gap_kept
-    del gap_kept
-    gap_knots = np.repeat(levels, np.diff(starts, append=k_all))
-    gap_knots -= ref.cum
-    gap[is_knot] = np.abs(gap_knots, out=gap_knots)
-    del gap_knots
-    b = np.empty(is_knot.size)
-    b[pos] = ecdf.samples[kept]
-    del kept, pos
-    knots = np.arange(k_all, dtype=float)
-    knots *= ref.w
-    knots += ref.x0
-    b[is_knot] = knots
-    del knots, is_knot
-    d = np.diff(b)
-    del b
-    d *= gap[:-1]
-    return d
+    x, cum, k_all, n = ref.knots, ref.cum, ref.cum.size, ecdf.n
+    check_bytes(max(17 * k_all + 26 * n, 43 * n), f"W1 over {k_all} knots and {n} values")
+    kept, gap, slot, starts, levels = st = _grid_steps(ecdf, ref)
+    d0 = _sup_diff_steps(ref, st)
+    del st
+    v = ecdf.samples[kept]
+    del kept
+    w = x.take(slot, mode="clip")             # the knot that ends each value's slot,
+    tail = int(np.searchsorted(slot, k_all))
+    w[tail:] = np.inf                         # none above the last knot,
+    np.minimum(w[:-1], v[1:], out=w[:-1])     # unless the next value comes first
+    if tail < v.size:
+        w[-1] = v[-1]                         # the last point has no width
+    w -= v
+    w *= gap
+    del gap
+    d = np.repeat(levels, np.diff(starts, append=k_all))
+    del starts, levels
+    d -= cum
+    np.abs(d, out=d)
+    nxt = np.concatenate(([np.inf], x[1:], [np.inf]))   # the point after knot s - 1:
+    slot[1:][slot[1:] == slot[:-1]] = 0       # the first value in slot s (below x[s]),
+    nxt[slot] = v                             # if any; the others go to nxt[0], never read
+    np.maximum.accumulate(slot, out=slot)     # the slots again, as they never decrease
+    del v
+    if nxt[-1] == np.inf:
+        nxt[-1] = x[-1]                       # the last point has no width
+    width = nxt[1:]
+    width -= x
+    d *= width
+    del nxt, width
+    if slot.size:                             # np.insert, without its index copies
+        slot += np.arange(slot.size)          # each value's place in the union
+        knot = np.ones(k_all + slot.size, dtype=bool)
+        knot[slot] = False
+        union = np.empty(knot.size)
+        union[slot] = w
+        union[knot] = d
+        d = union
+    return d0, d[:-1]                         # the last point has no width
 
 
-def _w1_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> np.ndarray:
-    """The summands of W1 against a grid from the knot counts, N >= 8K.
+def _w1_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[float, np.ndarray]:
+    """d_K's float and W1's summands against a grid from the knot counts, N >= 8K.
 
-    The distinct sample values off the knots are the run ends less the
-    run on each knot (its last index is le - 1).  A value between knots j
-    and j + 1 has F_n = (run end + 1) / n and F = cum[j] (0 below knot 0),
-    one np.repeat over the values per slot; knot j has F_n = le_j / n and
-    F = cum[j].  Each width runs to the next point of the union: the next
-    value, or the next knot after the last value before it and after a knot
-    with no value behind it.  So each summand |F_n - F| width is the float
-    of union1d(samples, knots), and np.insert puts the knots' among the
-    values' in that order.  The run ends, the values and their gaps and
-    widths peak near 24 bytes per value, the knot arrays near 48 per knot;
-    26 and 48 are charged.
+    The distinct values off the knots are the run ends less the run on each
+    knot (its last index is le - 1).  A value between knots j and j + 1 has
+    F_n = (run end + 1) / n and F = cum[j] (0 below knot 0), one np.repeat
+    over the values per slot; knot j has F_n = le_j / n and F = cum[j].  Each
+    width runs to the next point of the union, and np.insert puts the knots'
+    summands among the values'.  With the counts this peaks near 40 bytes
+    per knot and 24 per value; 40 and 26 are charged.
     """
-    s, n, cum = ecdf.samples, ecdf.n, ref.cum
-    check_bytes(48 * cum.size + 26 * n, f"W1 over {cum.size} knots and {n} values")
-    knots, lt, le = _knot_counts(ecdf, ref)
+    s, n, cum, knots = ecdf.samples, ecdf.n, ref.cum, ref.knots
+    check_bytes(40 * cum.size + 26 * n, f"W1 over {cum.size} knots and {n} values")
+    lt, le = _knot_counts(ecdf, ref)
+    d0 = _sup_diff_knots(ecdf, ref, lt, le)
     last = _run_ends(s)
     last[le[le > lt] - 1] = False           # a run on a knot is the knot's step
     ends = np.flatnonzero(last)
@@ -347,16 +349,7 @@ def _w1_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> np.ndarray:
     at -= cum
     np.abs(at, out=at)
     at *= nxt
-    return np.insert(gap, below, at)[:-1]   # the last point has no width
-
-
-def _w1_grid(ecdf: EmpiricalCDF, ref: GridCDF) -> float:
-    """sum |F_n - F| diff(b) over b = union1d(samples, knots), bit for bit:
-    both paths give the same summands in the same order, so np.sum adds them
-    alike.  N >= 8K takes the knot counts (crossover measured, see the
-    README), else the step table."""
-    d = _w1_knots(ecdf, ref) if ecdf.n >= 8 * ref.cum.size else _w1_steps(ecdf, ref)
-    return float(np.sum(d))
+    return d0, np.insert(gap, below, at)[:-1]   # the last point has no width
 
 
 def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
@@ -424,7 +417,7 @@ def wasserstein1(ecdf: EmpiricalCDF, ref) -> float:
     """integral |F_n - F| dx, exact in closed form for every reference type
     (a grid's envelope is not added)."""
     if isinstance(ref, GridCDF):
-        return _w1_grid(ecdf, ref)
+        return distances(ecdf, ref)[1]
     if isinstance(ref, EmpiricalCDF):
         return _w1_step(ecdf, ref)
     if isinstance(ref, UniformCDF):
@@ -432,38 +425,47 @@ def wasserstein1(ecdf: EmpiricalCDF, ref) -> float:
     raise _foreign(ref)
 
 
+def distances(ecdf: EmpiricalCDF, ref) -> tuple[Interval, float]:
+    """(kolmogorov(ecdf, ref), wasserstein1(ecdf, ref)), bit for bit.  Against
+    a grid both read one table, the knot counts when N >= 8K (crossover
+    measured, see the README), else the step table; either gives W1 the
+    summands |F_n - F| diff(b), b = union1d(samples, knots), in b's order."""
+    if not isinstance(ref, GridCDF):
+        return kolmogorov(ecdf, ref), wasserstein1(ecdf, ref)
+    d0, d = (_w1_knots if ecdf.n >= 8 * ref.cum.size else _w1_steps)(ecdf, ref)
+    return _grid_interval(ref, d0), float(np.sum(d))
+
+
 # -- concentration ------------------------------------------------------------
 
 
-def _atom_window_sup(atoms: np.ndarray, masses: np.ndarray, r: float) -> float:
-    # sup_t mass[t, t+r]: optimal closed windows start at an atom
-    cum = np.cumsum(masses)
-    hi = np.searchsorted(atoms, atoms + r, side="right") - 1
-    lo_mass = np.concatenate(([0.0], cum[:-1]))
-    return float(np.max(cum[hi] - lo_mass))
-
-
 def concentration(ref, r: float) -> Interval:
-    """Levy concentration Q(r) = sup_x (F(x + r) - F(x-)).
+    """Levy concentration Q(r) = sup_x (F(x + r) - F(x-)): exact (lo == hi)
+    for atomic and uniform references; against a grid the upper end absorbs
+    the envelope (window widened by 2 eps_x, plus 2 eps_p)."""
+    hi = float(concentration_hi(ref, [r])[0])
+    return Interval(ref.window_sup(r) if isinstance(ref, GridCDF) else hi, hi)
 
-    Exact (lo == hi) for atomic and uniform references; for a grid
-    reference the upper end absorbs the envelope (window widened by
-    2 eps_x, plus 2 eps_p).
-    """
-    if not r >= 0:
+
+def concentration_hi(ref, r) -> np.ndarray:
+    """concentration(ref, r_i).hi for each width r_i of r, as one array; a
+    grid scans its windows once per distinct floor((r_i + 2 eps_x) / w), as
+    window_sup caches, and never for the exact lower end."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0):
         raise ValueError(f"window width must be >= 0, got {r}")
     if isinstance(ref, GridCDF):
-        exact = ref.window_sup(r)
-        hi = min(1.0, ref.window_sup(r + 2.0 * ref.eps_x) + 2.0 * ref.eps_p)
-        return Interval(exact, hi)
-    if isinstance(ref, EmpiricalCDF):
+        sup = np.array([ref.window_sup(v) for v in (r + 2.0 * ref.eps_x).tolist()])
+        return np.minimum(1.0, sup + 2.0 * ref.eps_p)
+    if isinstance(ref, EmpiricalCDF):         # optimal closed windows start at an atom
         atoms, counts = np.unique(ref.samples, return_counts=True)
-        q = _atom_window_sup(atoms, counts / ref.samples.size, r)
-    elif isinstance(ref, UniformCDF):
-        q = min(1.0, r * ref.density_sup)
-    else:
-        raise _foreign(ref)
-    return Interval(q, q)
+        cum = np.cumsum(counts / ref.samples.size)
+        below = np.concatenate(([0.0], cum[:-1]))
+        return np.array([np.max(cum[np.searchsorted(atoms, atoms + v, side="right") - 1] - below)
+                         for v in r.tolist()])
+    if isinstance(ref, UniformCDF):
+        return np.minimum(1.0, r * ref.density_sup)
+    raise _foreign(ref)
 
 
 # -- star discrepancy ----------------------------------------------------------
@@ -474,9 +476,14 @@ def star_discrepancy(points) -> float:
     (already sorted, so not sorted again): d_K of their empirical CDF to U[0, 1],
     D*_n = max_i max(i/n - x_(i), x_(i) - (i-1)/n) over the sorted points."""
     ecdf = points if isinstance(points, EmpiricalCDF) else EmpiricalCDF(points)
-    if ecdf.samples[0] < 0.0 or ecdf.samples[-1] > 1.0:
-        raise PointOutOfRange("star discrepancy inputs must lie in [0, 1]")
+    _unit_check(ecdf)
     return kolmogorov(ecdf, UniformCDF()).hi
+
+
+def _unit_check(ecdf: EmpiricalCDF) -> None:
+    """Raise PointOutOfRange unless every sample lies in [0, 1]."""
+    if not (0.0 <= ecdf.samples[0] and ecdf.samples[-1] <= 1.0):
+        raise PointOutOfRange("star discrepancy inputs must lie in [0, 1]")
 
 
 # -- smoothing inequality check -------------------------------------------------
@@ -509,8 +516,8 @@ def smoothing_check(ecdf: EmpiricalCDF, ref, rho_inf: float) -> SmoothingReport:
     """
     if not 0.0 < rho_inf < math.inf:
         raise ValueError(f"rho_inf must be a positive finite number, got {rho_inf!r}")
-    dk = kolmogorov(ecdf, ref).hi
-    w1 = wasserstein1(ecdf, ref)
+    dk, w1 = distances(ecdf, ref)
+    dk = dk.hi
     center = max(np.sqrt(w1 / rho_inf), 1e-300)
     rows = []
     for s in (center * 2.0 ** k for k in range(-3, 4)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +30,7 @@ from .qadditive import (DigitMap, digit_stats, level_values, table_rows, table_t
 
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
+WINDOW_CHUNK = 1 << 16      # window starts per pass of a window_sup miss (512 KB)
 
 
 class GridCDF:
@@ -66,6 +68,16 @@ class GridCDF:
         self._slack: Optional[float] = None
         self._win_cache: dict[int, float] = {}
 
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """The K float knots x0 + k w, as knot_index makes them; built on first
+        use and kept, 8 bytes a knot."""
+        check_bytes(8 * self.cum.size, f"{self.cum.size} grid knots")
+        knots = np.arange(self.cum.size, dtype=float)
+        knots *= self.w
+        knots += self.x0
+        return knots
+
     def knot_index(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(k, on) for each x: k is the last knot x0 + k w strictly below x
         and on tells whether x is the float knot x0 + (k + 1) w itself.
@@ -100,8 +112,9 @@ class GridCDF:
         """max mass of a closed window of width r (knot-anchored, exact).
 
         A window that starts at knot i holds knots i .. i + m, m = floor(r / w),
-        so widths with the same m share one cache entry.  Each miss takes one
-        8-byte difference per knot.
+        so widths with the same m share one cache entry.  Each miss scans its
+        starts WINDOW_CHUNK at a time, 8 bytes each; 9 are charged, which
+        covers numpy's per-call overhead (about 1.4 KB) past 1500 starts.
         """
         if not r >= 0:
             raise ValueError(f"window width must be >= 0, got {r}")
@@ -114,8 +127,12 @@ class GridCDF:
         if hit is None:
             # start 0 holds cum[m]; starts 1 .. k-m-1 hold cum[i+m] - cum[i-1];
             # as cum never decreases, the m starts past them hold no more
-            check_bytes(8 * k, f"window sums over {k} knots")
-            hit = max(float(c[m]), float(np.max(c[m + 1:] - c[:k - m - 1])))
+            starts = k - m - 1
+            check_bytes(9 * min(WINDOW_CHUNK, starts), f"window sums over {k} knots")
+            hit = float(c[m])
+            for lo in range(0, starts, WINDOW_CHUNK):
+                hi = min(lo + WINDOW_CHUNK, starts)
+                hit = max(hit, float(np.max(c[m + 1 + lo:m + 1 + hi] - c[lo:hi])))
             self._win_cache[m] = hit
         return hit
 
@@ -163,13 +180,8 @@ def _conv_envelope(tails: Tails, w: float, depth: int) -> tuple[float, float]:
     return eps_x, (vt / (delta * delta)) if delta > 0.0 else 0.0
 
 
-def choose_depth(dmap: DigitMap, base: CantorBase, w: float) -> int:
-    """Depth minimizing the eps_x that limit_cdf_conv charges at it."""
-    return _conv_depth(dmap, _tails(dmap, base), w)
-
-
 def _conv_depth(dmap: DigitMap, tails: Tails, w: float) -> int:
-    """choose_depth on the tails of dmap, summarized once by the caller."""
+    """Depth minimizing the eps_x that limit_cdf_conv charges, on dmap's tails."""
     best_j, best_cost = 1, math.inf
     for j in range(1, _depth_limit(dmap) + 1):
         cost = _conv_envelope(tails, w, j)[0]
@@ -323,11 +335,6 @@ def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
 def _cf_bound(tail: tuple[float, float], t_abs: float) -> float:
     mt, vt = tail
     return t_abs * mt + 0.5 * t_abs * t_abs * (vt + mt * mt)
-
-
-def cf_truncation_bound(dmap: DigitMap, base: CantorBase, depth: int, t_abs: float) -> float:
-    """Certified sup over |t| <= t_abs of |prod_{j<depth} phi_j - phi|."""
-    return _cf_bound(_tails(dmap, base)(depth - 1), t_abs)
 
 
 def _cf_depth(dmap: DigitMap, tails: Tails, t_abs: float, depth: Optional[int]) -> int:

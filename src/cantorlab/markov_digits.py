@@ -115,11 +115,6 @@ def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> n
     return np.ascontiguousarray(d.T)
 
 
-def generate(chain: DigitChain, L: int, seed: int) -> np.ndarray:
-    """One digit path of length L (stationary start, deterministic in seed)."""
-    return generate_paths(chain, 1, L, seed)[0]
-
-
 def _value_table(chain: DigitChain, dmap: DigitMap) -> np.ndarray:
     # the stationary functional: the map's level-0 value row on a constant base
     base = build_base({"kind": "constant", "q": chain.a})

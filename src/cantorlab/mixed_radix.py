@@ -182,11 +182,6 @@ def build_base(rule: dict) -> CantorBase:
     return CantorBase(rule)
 
 
-def radix_weight(base: CantorBase, j: int) -> int:
-    """Exact weight q_j."""
-    return base.weight(j)
-
-
 def expand(base: CantorBase, n: int) -> Expansion:
     """Digit expansion of n >= 0.
 

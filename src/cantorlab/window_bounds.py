@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .empirical import concentration
+from .empirical import concentration_hi
 from .errors import MissingDensityBound, NoTailMeta, RegimeUnavailable
 from .mixed_radix import CantorBase, length
 from .qadditive import DigitMap, _inv, digit_stats, tail_sums
@@ -162,7 +162,7 @@ def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
     elif ref is None:
         raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
     else:
-        qf = np.array([concentration(ref, 1.0 / T).hi for T in ts])
+        qf = concentration_hi(ref, 1.0 / t_row)
         inv_t = 1.0 / t_row
     total = bridge + qf + inv_t + g + (math.sqrt(t1) if t1 is not None else 0.0)
     i, k = divmod(int(np.argmin(total)), len(ts))

@@ -31,6 +31,8 @@ from cantorlab import (
     value_vector,
     wasserstein1,
 )
+from cantorlab import T_GRID, empirical
+from cantorlab.empirical import concentration_hi
 
 
 def _steps_sup_oracle(f, g, breakpoints):
@@ -96,8 +98,7 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
 
     def row(dmap, ref, m):
         ecdf = empirical_cdf(dmap, base2, m)
-        kolmogorov(ecdf, ref)
-        wasserstein1(ecdf, ref)
+        empirical.distances(ecdf, ref)
         if dmap.family == "radical-inverse":
             star_discrepancy(ecdf)
 
@@ -111,23 +112,25 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
     assert max(per_value) <= charge <= 1.5 * max(per_value), per_value
 
 
-def test_w1_grid_peak_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
-    # W1 against a grid charges the step table (N < 8K) 26 bytes per knot and
-    # 40 per sample value, the knot counts (N >= 8K) 48 per knot and 26 per
-    # value: one value against K knots, example-II's K = 4N, K = N, N = 8K
-    # and K << N
+def test_w1_grid_peak_within_byte_charge(base2, base3, vdc2, geo_half, tern, charges, peak_of):
+    # W1 against a grid charges the step table's path (N < 8K) the larger of
+    # its build, 43 bytes per value, and its union, 17 per knot and 26 per
+    # value; the knot counts' path (N >= 8K) 40 per knot and 26 per value:
+    # one value against K knots, example-II's K = 4N (every value on a knot),
+    # regimeC's K = 3.25N (every value off the knots), K = N, N = 8K and K << N
     fine = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17)             # K = 2^18 + 1
     coarse = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -12)           # K = 2^13 + 1
-    cases = [(geo_half, fine, 1), (geo_half, fine, 1 << 16),
-             (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16), 1 << 16),
-             (geo_half, coarse, 8 * coarse.cum.size),
-             (geo_half, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16)]
-    for dmap, g, n in cases:
-        ecdf = empirical_cdf(dmap, base2, n)
-        wasserstein1(ecdf, g)                   # first-call allocations, untraced
+    cases = [(geo_half, base2, fine, 1), (geo_half, base2, fine, 1 << 16),
+             (tern, base3, limit_cdf_conv(tern, base3, -1.625, 1.625, 2.0 ** -16), 1 << 16),
+             (vdc2, base2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16), 1 << 16),
+             (geo_half, base2, coarse, 8 * coarse.cum.size),
+             (geo_half, base2, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16)]
+    for dmap, base, g, n in cases:
+        ecdf = empirical_cdf(dmap, base, n)
+        wasserstein1(ecdf, g)                   # first-call allocations and the knots, untraced
         peak, _ = peak_of(wasserstein1, ecdf, g)
         k = g.cum.size
-        assert charges[-1] == (48 * k + 26 * n if n >= 8 * k else 26 * k + 40 * n)
+        assert charges[-1] == (40 * k + 26 * n if n >= 8 * k else max(17 * k + 26 * n, 43 * n))
         assert peak <= charges[-1] <= 1.5 * peak, (k, n)
 
 
@@ -407,6 +410,97 @@ def test_grid_distances_match_search_oracle_bitwise(x0, w, sizes, seed, monotone
     assert _same_bits(wasserstein1(e, g), _w1_grid_oracle(e, g))
 
 
+def _w1_steps_oracle(ecdf, ref):
+    """The step path's W1 summands as they were first built: union1d(samples,
+    knots) scattered through two masks, its diff times the gaps."""
+    k_all = ref.cum.size
+    kept, gap_kept, slot, starts, levels = empirical._grid_steps(ecdf, ref)
+    pos = slot + np.arange(slot.size)
+    is_knot = np.ones(k_all + pos.size, dtype=bool)
+    is_knot[pos] = False
+    gap = np.empty(is_knot.size)
+    gap[pos] = gap_kept
+    gap_knots = np.repeat(levels, np.diff(starts, append=k_all))
+    gap_knots -= ref.cum
+    gap[is_knot] = np.abs(gap_knots, out=gap_knots)
+    b = np.empty(is_knot.size)
+    b[pos] = ecdf.samples[kept]
+    knots = np.arange(k_all, dtype=float)
+    knots *= ref.w
+    knots += ref.x0
+    b[is_knot] = knots
+    d = np.diff(b)
+    d *= gap[:-1]
+    return d
+
+
+@st.composite
+def _step_case(draw):
+    """A grid with non-dyadic x0 and w, and a sample whose values all sit on
+    knots (example-II's rows), all between them (regimeC's), or both, with
+    values below and above the window and, at times, each drawn repeatedly."""
+    x0, w = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 10.0))
+    k, n = draw(st.integers(1, 2000)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    on = x0 + w * rng.integers(0, k, n)
+    off = x0 + w * (rng.integers(-3, k + 3, n) + rng.uniform(0.05, 0.95, n))
+    values = {"on": on, "off": off, "both": np.where(rng.random(n) < 0.5, on, off)}[
+        draw(st.sampled_from(["on", "off", "both"]))]
+    if draw(st.booleans()):
+        values = values[rng.integers(0, max(1, n // 4), n)]
+    return EmpiricalCDF(values), GridCDF(x0, w, np.sort(rng.random(k)), 0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_case())
+@example((EmpiricalCDF([0.47]), GridCDF(0.1, 0.37, np.linspace(0.1, 1.0, 9), 0.0, 0.0)))
+@example((EmpiricalCDF([0.1 + 0.37 * 3]), GridCDF(0.1, 0.37, np.linspace(0.1, 1.0, 9), 0.0, 0.0)))
+@example((EmpiricalCDF([-5.0, 9.0]), GridCDF(0.1, 0.37, np.linspace(0.1, 1.0, 9), 0.0, 0.0)))
+def test_w1_step_path_matches_its_union_scatter_bitwise(case):
+    # the one-array path against the union it replaced, summand by summand;
+    # d_K read off the same table is the float of the step table's d_K
+    e, g = case
+    d0, got = empirical._w1_steps(e, g)
+    want = _w1_steps_oracle(e, g)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert _same_bits(d0, kolmogorov(e, g).lo)
+
+
+@pytest.mark.parametrize("dmap, base, x0, x1, w", [
+    (DigitMap.geometric(0.5, (0.0, 1.0)), {"kind": "constant", "q": 2}, 0.0, 2.0, 2.0 ** -15),
+    (DigitMap.symmetric_ternary(), {"kind": "constant", "q": 3}, -1.625, 1.625, 2.0 ** -14)],
+    ids=["example-II", "regimeC"])
+def test_w1_step_path_matches_its_union_scatter_on_preset_laws(dmap, base, x0, x1, w):
+    # the grid-ladder rows: every value on a knot, and every value off them
+    b = build_base(base)
+    g = limit_cdf_conv(dmap, b, x0, x1, w)
+    for n in (1, 300, 2048, 8000):
+        e = empirical_cdf(dmap, b, n)
+        got, want = empirical._w1_steps(e, g)[1], _w1_steps_oracle(e, g)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=st.floats(-1e3, 1e3), w=st.floats(1e-6, 10.0),
+       sizes=st.one_of(st.tuples(st.integers(1, 400), st.integers(1, 4000)),
+                       st.tuples(st.integers(200, 3000), st.integers(1, 100))),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(x0=-2.3, w=0.37, sizes=(50, 300), seed=25)       # 4K <= N < 8K: d_K off the step table
+@example(x0=-2.3, w=0.37, sizes=(50, 400), seed=207)      # N = 8K: both off the knot counts
+def test_distances_equal_separate_calls_bitwise(x0, w, sizes, seed):
+    # the row's shared table gives d_K and W1 the floats of kolmogorov and
+    # wasserstein1 called alone, for every reference type
+    k, n = sizes
+    e, g = _grid_case(x0, w, k, n, seed, True)
+    g = GridCDF(g.x0, g.w, g.cum, 0.01, 1e-9)               # a nonzero envelope
+    for ref in (g, UniformCDF(x0, x0 + w * k), EmpiricalCDF(g.x0 + g.w * np.arange(k))):
+        dk, w1 = empirical.distances(e, ref)
+        want = kolmogorov(e, ref)
+        assert _same_bits(dk.lo, want.lo) and _same_bits(dk.hi, want.hi)
+        assert _same_bits(w1, wasserstein1(e, ref))
+
+
 def test_star_discrepancy_exact():
     assert star_discrepancy([0.5]) == 0.5
     # van der Corput prefixes hit powers of two exactly
@@ -566,6 +660,26 @@ def test_concentration_grid_interval():
     assert got.lo == 0.5                       # two adjacent atoms
     assert got.hi == g.window_sup(1.1) + 0.02  # widened window plus 2 eps_p
     assert got.lo <= got.hi
+
+
+def test_concentration_hi_row_matches_scalar_calls_bitwise():
+    # the optimizer's Q_F row, one window_sup per distinct floor(r / w),
+    # against concentration's upper end at each width, and for a grid against
+    # its defining sum min(1, window_sup(r + 2 eps_x) + 2 eps_p)
+    r = 1.0 / np.array(T_GRID)
+    rng = np.random.default_rng(11)
+    grid = GridCDF(-0.3, 1.0 / 3000.0, np.cumsum(rng.random(5000)) / 2400.0, 7e-4, 3e-9)
+    refs = (grid, UniformCDF(-0.5, 1.25), EmpiricalCDF(rng.normal(size=40).round(1)))
+    for ref in refs:
+        got = concentration_hi(ref, r)
+        want = [concentration(ref, float(v)).hi for v in r]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    fresh = GridCDF(grid.x0, grid.w, grid.cum, grid.eps_x, grid.eps_p)
+    want = [min(1.0, fresh.window_sup(v + 2.0 * fresh.eps_x) + 2.0 * fresh.eps_p) for v in r]
+    assert np.array_equal(concentration_hi(grid, r).view(np.int64), np.array(want).view(np.int64))
+    assert concentration_hi(grid, r).max() == 1.0          # wide windows meet the clip at 1
+    with pytest.raises(ValueError):
+        concentration_hi(grid, np.array([0.5, -1.0]))
 
 
 # -- smoothing inequality -----------------------------------------------------------

@@ -180,6 +180,48 @@ def test_vdc_q2_rows_reproduce_known_discrepancy():
         assert r["dk_lo"] == r["dk_hi"] == r["dstar"]
 
 
+def test_rows_read_distances_off_one_table_bit_for_bit():
+    # a grid of 129 knots against N = 64 .. 4096 crosses d_K's knot path at
+    # N = 4K and W1's at 8K; each row's d_K and W1 are the floats of
+    # kolmogorov and wasserstein1 called alone, and against U[0, 1] its D*
+    # is that of star_discrepancy
+    from cantorlab import (DigitMap, build_base, empirical_cdf, kolmogorov,
+                           star_discrepancy, wasserstein1)
+    from cantorlab.experiments import build_reference
+
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    grid = ExperimentConfig.from_dict(_minimal_config(
+        reference={"kind": "grid"}, grid={"x0": 0.0, "x1": 2.0, "w": 2.0 ** -6},
+        ns=[64, 256, 512, 516, 1024, 1032, 4096], regime="A", rho_inf=None))
+    vdc = ExperimentConfig.from_dict(_minimal_config(
+        map={"family": "radical-inverse"}, reference={"kind": "uniform", "lo": 0.0, "hi": 1.0},
+        ns=[5, 64, 1000]))
+    for cfg in (grid, vdc):
+        dmap, base = DigitMap(cfg.map), build_base(cfg.base)
+        ref = build_reference(cfg, dmap, base)
+        for row in run_experiment(cfg):
+            ecdf = empirical_cdf(dmap, base, row["N"])
+            dk = kolmogorov(ecdf, ref)
+            assert (bits(row["dk_lo"]), bits(row["dk_hi"])) == (bits(dk.lo), bits(dk.hi))
+            assert bits(row["w1"]) == bits(wasserstein1(ecdf, ref))
+            if cfg is vdc:
+                assert bits(row["dstar"]) == bits(star_discrepancy(ecdf))
+
+
+def test_dstar_from_dk_keeps_the_unit_interval_check(monkeypatch):
+    # against U[0, 1] a radical-inverse row takes D* from d_K, but a value
+    # outside [0, 1] is still refused as star_discrepancy refuses it
+    from cantorlab import EmpiricalCDF, PointOutOfRange, experiments
+
+    monkeypatch.setattr(experiments, "empirical_cdf", lambda *a: EmpiricalCDF([0.25, 1.5]))
+    cfg = ExperimentConfig.from_dict(_minimal_config(
+        map={"family": "radical-inverse"}, reference={"kind": "uniform", "lo": 0.0, "hi": 1.0}))
+    with pytest.raises(PointOutOfRange):
+        run_experiment(cfg)
+
+
 def test_preset_csvs_match_golden_digests(preset_rows):
     # sha256 of each preset's experiment CSV: exact outputs may not drift
     # by a byte

@@ -18,8 +18,6 @@ from cantorlab import (
     build_base,
     cf_factor,
     cf_truncated,
-    cf_truncation_bound,
-    choose_depth,
     concentration,
     digit_stats,
     level_values,
@@ -30,7 +28,8 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
-from cantorlab.limitlaw import _cf_depth, _conv_envelope, _tails
+from cantorlab.limitlaw import (WINDOW_CHUNK, _cf_bound, _cf_depth, _conv_depth, _conv_envelope,
+                               _tails)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -145,15 +144,20 @@ def test_window_sup_matches_concatenation_and_caches_by_knot_count(k, w, seed, m
 
 
 def test_window_sup_peak_within_byte_charge(charges, peak_of):
-    # a cache miss takes one difference per window start, k - m - 1 of them;
-    # 8 bytes a knot are charged, which covers numpy's per-call overhead
-    # (about 1.2 KB) as well once m is past about 150
-    k = 1 << 18
-    for m in (k // 64, k // 4):
-        g = GridCDF(0.0, 1.0, np.linspace(0.0, 1.0, k), 0.0, 0.0)
-        peak, _ = peak_of(g.window_sup, m + 0.5)
-        assert charges[-1] == 8 * k
+    # a cache miss scans its k - m - 1 window starts WINDOW_CHUNK at a time,
+    # in one buffer, so a grid of 2^20 knots charges and takes one chunk (9
+    # bytes a start, numpy's overhead included), not 8 bytes a knot; the max
+    # over the chunks is the float of one scan
+    k = 1 << 20
+    cum = np.cumsum(np.random.default_rng(3).random(k))
+    cum /= cum[-1]
+    for m in (k // 64, k // 4, k - 2 - WINDOW_CHUNK // 2):
+        g = GridCDF(0.0, 1.0, cum, 0.0, 0.0)
+        peak, got = peak_of(g.window_sup, m + 0.5)
+        assert charges[-1] == 9 * min(WINDOW_CHUNK, k - m - 1)
         assert peak <= charges[-1] <= 1.5 * peak, m
+        want = max(float(cum[m]), float(np.max(cum[m + 1:] - cum[:k - m - 1])))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), m
 
 
 def test_vertical_slack_formula():
@@ -168,14 +172,14 @@ def test_vertical_slack_formula():
 def test_choose_depth_consumes_bare_table(base2):
     rows = [(0.0, 2.0 ** -j) for j in range(6)]
     dmap = DigitMap.custom_table(rows)
-    assert choose_depth(dmap, base2, w=2.0 ** -12) == 6
+    assert _conv_depth(dmap, _tails(dmap, base2), w=2.0 ** -12) == 6
     # a coarse lattice refuses to pay for rows it cannot resolve
-    assert choose_depth(dmap, base2, w=0.25) < 6
+    assert _conv_depth(dmap, _tails(dmap, base2), w=0.25) < 6
 
 
 def test_choose_depth_deepens_with_finer_grids(base2, geo_half):
-    d_coarse = choose_depth(geo_half, base2, w=2.0 ** -6)
-    d_fine = choose_depth(geo_half, base2, w=2.0 ** -20)
+    d_coarse = _conv_depth(geo_half, _tails(geo_half, base2), w=2.0 ** -6)
+    d_fine = _conv_depth(geo_half, _tails(geo_half, base2), w=2.0 ** -20)
     assert d_coarse < d_fine
 
 
@@ -205,7 +209,7 @@ def test_depth_searches_sum_table_rows_once(base2, monkeypatch, tail):
         return digit_stats(dmap, base, j)
 
     monkeypatch.setattr(qadditive, "digit_stats", counted)
-    assert choose_depth(dmap, base2, w=2.0 ** -20) == 512
+    assert _conv_depth(dmap, _tails(dmap, base2), w=2.0 ** -20) == 512
     assert len(calls) == 512
     calls.clear()
     assert _cf_depth(dmap, _tails(dmap, base2), 10.0, None) == 512
@@ -423,7 +427,7 @@ def test_conv_peak_memory_within_byte_charge(base2, vdc2, geo_half, charges, pea
     # window knot, so it is within 1.5x the traced peak both for a window as
     # wide as the lattice and for one 64 lattices wide
     for dmap, x1, w in ((geo_half, 2.0, 2.0 ** -16), (vdc2, 64.0, 2.0 ** -12)):
-        depth = choose_depth(dmap, base2, w)
+        depth = _conv_depth(dmap, _tails(dmap, base2), w)
         size = 1 + sum(max(round(v / w) for v in level_values(dmap, base2, j))
                        for j in range(depth))
         k_req = int(x1 / w) + 1
@@ -484,7 +488,7 @@ def test_cf_product_telescopes(base2, vdc2):
     # and it sits within the certified bound of the uniform-limit CF
     lim = (np.exp(1j * ts) - 1.0) / (1j * ts)
     assert np.max(np.abs(phi - lim)) <= bound
-    assert bound <= cf_truncation_bound(vdc2, base2, J, 11.0) + 1e-18
+    assert bound <= _cf_bound(_tails(vdc2, base2)(J - 1), 11.0) + 1e-18
 
 
 def _cf_factor_complex_exp(dmap, base, j, t):

@@ -17,7 +17,6 @@ from cantorlab import (
     ResourceLimit,
     build_chain,
     covariance_decay,
-    generate,
     generate_paths,
     window_variance,
 )
@@ -74,7 +73,7 @@ def test_generate_paths_deterministic_and_in_range():
     assert not np.array_equal(d1, d3)
     assert d1.shape == (3, 50)
     assert d1.min() >= 0 and d1.max() <= 1
-    assert generate(c, 20, seed=7).shape == (20,)
+    assert generate_paths(c, 1, 20, seed=7).shape == (1, 20)
     with pytest.raises(ValueError):
         generate_paths(c, 0, 5, seed=1)
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from cantorlab import (
     compress,
     expand,
     length,
-    radix_weight,
 )
 
 
@@ -82,7 +81,6 @@ def test_weight_exact_bigint(factorial_base):
     # q_j = (j+1)! exactly; floats would lose this beyond ~20 levels
     for j in (0, 1, 5, 30, 60):
         assert factorial_base.weight(j) == math.factorial(j + 1)
-    assert radix_weight(factorial_base, 30) == math.factorial(31)
 
 
 def test_weight_periodic(base23):
