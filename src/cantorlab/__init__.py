@@ -22,10 +22,9 @@ from .empirical import (EmpiricalCDF, Interval, SmoothingReport,
                         wasserstein1)
 from .limitlaw import (GridCDF, InvertedCDF, cf_factor, cf_truncated, limit_cdf_conv,
                        limit_cdf_invert)
-from .window_bounds import (T_GRID, BridgeBound, WindowBoundReport,
-                            bridge_bound, optimize_window, predicted_rate,
-                            regime_term, resolve_regime, tau1, tau2,
-                            total_bound, window_size)
+from .window_bounds import (T_GRID, WindowBoundReport, optimize_window,
+                            predicted_rate, regime_term, resolve_regime, tau1,
+                            tau2, total_bound, window_size)
 from .markov_digits import (CovarianceDecay, DigitChain, WindowVariance,
                             build_chain, covariance_decay, generate_paths, window_variance)
 from .experiments import (CSV_COLUMNS, ExperimentConfig, PRESET_NAMES, preset,
@@ -34,7 +33,7 @@ from .experiments import (CSV_COLUMNS, ExperimentConfig, PRESET_NAMES, preset,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetMismatch", "BridgeBound", "CSV_COLUMNS", "CantorBase",
+    "AlphabetMismatch", "CSV_COLUMNS", "CantorBase",
     "CantorLabError", "ConfigError", "CovarianceDecay", "DigitChain",
     "DigitMap", "DigitStats", "EmpiricalCDF", "EwReport", "Expansion",
     "ExperimentConfig", "GridCDF", "Interval", "InvalidBase", "InvertedCDF",

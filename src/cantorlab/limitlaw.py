@@ -31,6 +31,7 @@ from .qadditive import (DigitMap, digit_stats, level_values, table_rows, table_t
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
 WINDOW_CHUNK = 1 << 16      # window starts per pass of a window_sup miss (512 KB)
+FOLD_CHUNK = 1 << 16        # destination knots per pass of a fold level (512 KB)
 
 
 class GridCDF:
@@ -86,19 +87,30 @@ class GridCDF:
         dyadic, so it only picks the nearest knot m, clipped to -1 .. K; the
         float knot x0 + m w itself decides whether k is m or m - 1.  k runs
         from -2 to K, K the number of knots; on at k = -2 or K - 1 marks the
-        virtual knots x0 - w and x0 + K w, not a knot of the grid.
+        virtual knots x0 - w and x0 + K w, not a knot of the grid.  The x
+        are taken WINDOW_CHUNK at a time, so that beside k and on, 9 bytes
+        a value, only one chunk of float knots exists.
         """
         x = np.asarray(x, dtype=float)
-        m = np.array(x, ndmin=1)
-        m -= self.x0
-        m /= self.w
-        np.rint(m, out=m)
-        np.clip(m, -1.0, self.cum.size, out=m)
-        k = m.astype(np.int64)
-        m *= self.w              # m now holds the float knot x0 + m w
-        m += self.x0
-        k -= m >= x
-        return k, m == x
+        flat = x.reshape(-1)
+        k = np.empty(flat.size, dtype=np.int64)
+        on = np.empty(flat.size, dtype=bool)
+        m = np.empty(min(WINDOW_CHUNK, flat.size))
+        for lo in range(0, flat.size, WINDOW_CHUNK):
+            xc = flat[lo:lo + WINDOW_CHUNK]
+            mc, kc, oc = m[:xc.size], k[lo:lo + xc.size], on[lo:lo + xc.size]
+            np.subtract(xc, self.x0, out=mc)
+            mc /= self.w
+            np.rint(mc, out=mc)
+            np.clip(mc, -1.0, self.cum.size, out=mc)
+            np.copyto(kc, mc, casting="unsafe")
+            mc *= self.w         # mc now holds the float knot x0 + m w
+            mc += self.x0
+            np.greater_equal(mc, xc, out=oc)
+            kc -= oc
+            np.equal(mc, xc, out=oc)
+        shape = x.shape or (1,)
+        return k.reshape(shape), on.reshape(shape)
 
     def cdf(self, x):
         """cum at the last knot x0 + k w that is <= x, else 0."""
@@ -195,30 +207,81 @@ def _conv_depth(dmap: DigitMap, tails: Tails, w: float) -> int:
 # -- route 1: lattice convolution ----------------------------------------------
 
 
+def _fold_narrow(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
+    """One level into b: the first shift copies, the rest add in place."""
+    n = a.size
+    if len(o) > 1:
+        a *= 1.0 / len(o)               # one product per sublattice knot
+    for i, s in enumerate(o):
+        lo, hi = max(s, 0), n + min(s, 0)
+        if i:
+            b[lo:hi] += a[lo - s:hi - s]
+            continue
+        b[lo:hi] = a[lo - s:hi - s]
+        if lo:
+            b[:lo] = 0.0
+        if hi < n:
+            b[hi:] = 0.0
+
+
+def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
+    """One level of two or more shifts into b, FOLD_CHUNK destination knots
+    at a time, the source scaled by 1/a just ahead of them.  The pair
+    l <= r of the first two shifts reaches l .. n + l and r .. n + r: its
+    terms are added straight into b where both reach, and copied where one
+    reaches alone (0 + x is x for masses, never -0.0)."""
+    n = a.size
+    l, r = sorted(o[:2])
+    # (destination range, its shift, the pair's other shift or None); off
+    # them b is 0, as off the gap between two ranges that do not meet
+    parts = [(l, min(r, n + l), l, None), (r, max(r, n + l), l, r),
+             (max(r, n + l), n + r, r, None)]
+    p, lo = 1.0 / len(o), min(o)
+    scaled = 0                          # a[:scaled] holds the 1/a products
+    for c0 in range(0, n, FOLD_CHUNK):
+        c1 = min(c0 + FOLD_CHUNK, n)
+        need = min(c1 - lo, n)          # the chunk reads the source below it
+        if need > scaled:
+            a[scaled:need] *= p
+            scaled = need
+        done = c0
+        for x, y, s, t in parts:
+            x, y = min(max(x, c0), c1), min(max(y, c0), c1)
+            if x < y:
+                if done < x:
+                    b[done:x] = 0.0
+                if t is None:
+                    b[x:y] = a[x - s:y - s]
+                else:
+                    np.add(a[x - s:y - s], a[x - t:y - t], out=b[x:y])
+                done = y
+        if done < c1:
+            b[done:c1] = 0.0
+        for s in o[2:]:
+            x, y = max(s, c0), min(n + s, c1)
+            if x < y:
+                b[x:y] += a[x - s:y - s]
+
+
 def _fold(levels: list[list[int]], size: int, origin: int) -> np.ndarray:
     """The lattice law after the levels' shifts, index origin holding 0.
     Every prefix sum of shifts is a multiple of g, the gcd of the shifts so
-    far: the law lives on origin + gZ, and off it both buffers stay 0."""
+    far: the law lives on origin + gZ, and off it both buffers stay 0.
+
+    Shifting by s moves mass from index m to m + s / g of the view, inside
+    it by the prefix-hull sizing, and index m of the destination sums, in
+    digit order, the source at m - s over the shifts s that reach it.  A
+    level of more than FOLD_CHUNK knots works in chunks that stay in cache;
+    a narrower one, already in cache, copies and adds whole (README).
+    """
     src, dst = np.zeros(size), np.zeros(size)
     src[origin] = 1.0                   # the all-zero expansion sits at value 0
     g = 0
     for o in levels:
         g = math.gcd(g, *o)
         a, b = src[origin % g::g], dst[origin % g::g]
-        n = a.size
-        if len(o) > 1:
-            a *= 1.0 / len(o)           # one product per sublattice knot
-        for i, s in enumerate(o):
-            # shifting by s moves mass from index m to m + s / g of the view,
-            # inside it by the prefix-hull sizing; the first shift overwrites
-            # the destination, the rest add in digit order (0 + x is x)
-            s //= g
-            lo, hi = max(s, 0), n + min(s, 0)
-            if i:
-                b[lo:hi] += a[lo - s:hi - s]
-            else:
-                b[lo:hi] = a[lo - s:hi - s]
-                b[:lo] = b[hi:] = 0.0
+        o = [s // g for s in o]
+        (_fold_wide if len(o) > 1 and a.size > FOLD_CHUNK else _fold_narrow)(a, b, o)
         src, dst = dst, src
     return src
 
@@ -307,18 +370,15 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
 # -- characteristic function ----------------------------------------------------
 
 
-def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
-    """phi_j(t) = mean over digits d of exp(i t f(d q_j)).
-
-    Summed as cos/sin pairs in real arithmetic; a zero digit value adds
-    exactly 1 to the real part and needs no trigonometry.
-    """
-    vals = level_values(dmap, base, j)
-    tt = np.asarray(t, dtype=float)
-    re = np.zeros(tt.shape)
-    im = np.zeros(tt.shape)
-    ang = np.empty(tt.shape)
-    trig = np.empty(tt.shape)
+def _level_factor(fac: np.ndarray, vals: list[float], tt: np.ndarray,
+                  bufs: list[np.ndarray]) -> np.ndarray:
+    """fac = mean over the level's digit values v of exp(i t v), summed as
+    cos/sin pairs in real arithmetic into the first two of the four float
+    buffers of t's shape (the other two are scratch); a zero value adds
+    exactly 1 to the real part and needs no trigonometry."""
+    re, im, ang, trig = bufs
+    re.fill(0.0)
+    im.fill(0.0)
     for v in vals:
         if v == 0.0:
             re += 1.0
@@ -326,10 +386,20 @@ def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
         np.multiply(tt, v, out=ang)
         re += np.cos(ang, out=trig)
         im += np.sin(ang, out=trig)
-    out = np.empty(tt.shape, dtype=complex)
-    out.real = re / len(vals)
-    out.imag = im / len(vals)
-    return out
+    np.divide(re, len(vals), out=fac.real)
+    np.divide(im, len(vals), out=fac.imag)
+    return fac
+
+
+def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
+    """phi_j(t) = mean over digits d of exp(i t f(d q_j)).
+
+    Summed as cos/sin pairs in real arithmetic; a zero digit value adds
+    exactly 1 to the real part and needs no trigonometry.
+    """
+    tt = np.asarray(t, dtype=float)
+    return _level_factor(np.empty(tt.shape, dtype=complex), level_values(dmap, base, j), tt,
+                         [np.empty(tt.shape) for _ in range(4)])
 
 
 def _cf_bound(tail: tuple[float, float], t_abs: float) -> float:
@@ -367,9 +437,12 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
     tails = _tails(dmap, base)
     depth = _cf_depth(dmap, tails, t_abs, depth)
+    # one factor and its four float buffers serve every level
+    fac = np.empty(tt.shape, dtype=complex)
+    bufs = [np.empty(tt.shape) for _ in range(4)]
     out = np.ones(tt.shape, dtype=complex)
     for j in range(depth):
-        out *= cf_factor(dmap, base, j, tt)
+        out *= _level_factor(fac, level_values(dmap, base, j), tt, bufs)
     return out, _cf_bound(tails(depth - 1), t_abs), depth
 
 
@@ -402,9 +475,10 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
 
     The nodes t_k = k h, k = 0..n_t, sit in a rows x cols table, k = cols a
     + b, so e^{ict_k} = e^{ict_{cols a}} e^{ict_b} takes rows + cols cos/sin
-    pairs per value c: per nonzero digit value in the CF product, and per
-    x in the kernel, whose sum over k is one matrix product.  More than
-    BYTE_CAP bytes of these tables raises ResourceLimit before they exist.
+    pairs per value c: per digit value in the CF product, where a level is
+    one matrix product over its digits, and per x in the kernel, whose sum
+    over k is one matrix product.  More than BYTE_CAP bytes of these tables
+    raises ResourceLimit before they exist.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -439,15 +513,13 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     t_hi, t_lo = ts[::cols], ts[:cols]
     phi = np.ones((rows, cols), dtype=complex)
     for j in range(depth_used):
-        digits = level_values(dmap, base, j)
-        nz = np.array([v for v in digits if v != 0.0])
+        digits = np.array(level_values(dmap, base, j))
         # the level's two exponential tables, each with its outer product
-        check_bytes(need + 32 * (rows + cols) * nz.size, f"level {j} of the CF product")
-        # the digit mean of e^{itv}; a zero digit value adds exactly 1
-        f = (np.exp(1j * np.multiply.outer(t_hi, nz)) / len(digits)
-             @ np.exp(1j * np.multiply.outer(nz, t_lo)))
-        if nz.size < len(digits):
-            f.real += (len(digits) - nz.size) / len(digits)
+        check_bytes(need + 32 * (rows + cols) * digits.size, f"level {j} of the CF product")
+        # the digit mean of e^{itv} as one (rows x a) @ (a x cols) product,
+        # zero digit values included
+        f = (np.exp(1j * np.multiply.outer(t_hi, digits)) / digits.size
+             @ np.exp(1j * np.multiply.outer(digits, t_lo)))
         phi *= f
     del f
 

@@ -59,15 +59,6 @@ class WindowBoundReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class BridgeBound:
-    """Coarse and sharp forms of the block-alignment bridge."""
-
-    coarse: float               # q_{L-h}/q_L = 1/A(L,h)
-    sharp: float                # r/N with r = N mod q_{L-h}
-    r: int
-
-
 def window_size(base: CantorBase, L: int, h: int) -> int:
     """A(L,h) = a_{L-h} ... a_{L-1} = q_L / q_{L-h}, exact."""
     if not 1 <= h <= L:
@@ -108,20 +99,6 @@ def regime_term(regime: str, T, tau2_h, rho_inf: Optional[float] = None):
     if regime == "A":
         return t * np.sqrt(tau2_h)
     return t * t * tau2_h
-
-
-def bridge_bound(base: CantorBase, N: int, h: int) -> BridgeBound:
-    """Bridge from height N to the nearest aligned height below.
-
-    coarse = 1/A(L,h) never needs N's fine structure; sharp = r/N with
-    r = N mod q_{L-h} is exact and can vanish at aligned heights.
-    """
-    L = length(base, N)
-    if not 1 <= h <= L:
-        raise ValueError(f"need 1 <= h <= L(N) = {L}, got h={h}")
-    A = window_size(base, L, h)
-    r = N % base.weight(L - h)
-    return BridgeBound(coarse=_inv(1.0, A), sharp=r / N, r=r)
 
 
 def _mu3_clean(dmap: DigitMap, base: CantorBase, L: int) -> bool:

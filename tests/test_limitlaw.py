@@ -28,8 +28,8 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
-from cantorlab.limitlaw import (WINDOW_CHUNK, _cf_bound, _cf_depth, _conv_depth, _conv_envelope,
-                               _tails)
+from cantorlab.limitlaw import (FOLD_CHUNK, WINDOW_CHUNK, _cf_bound, _cf_depth, _conv_depth,
+                               _conv_envelope, _fold, _tails)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -66,6 +66,35 @@ def test_grid_cdf_hits_every_knot(x0, w, k):
     mid = x0 + (ks + 0.5) * w
     assert np.array_equal(g.cdf(mid), cum)
     assert g.cdf(np.nextafter(x0, -np.inf)) == 0.0
+
+
+def _knot_index_whole(g, x):
+    """knot_index on the whole array at once: the oracle of its chunks."""
+    m = np.array(x, dtype=float, ndmin=1)
+    m = np.clip(np.rint((m - g.x0) / g.w), -1.0, g.cum.size)
+    k = m.astype(np.int64)
+    m = m * g.w + g.x0
+    return k - (m >= x), m == x
+
+
+@pytest.mark.parametrize("n", [1, WINDOW_CHUNK - 1, WINDOW_CHUNK, 2 * WINDOW_CHUNK + 1])
+def test_knot_index_chunks_match_whole_array(n):
+    # a non-dyadic pitch, x on the knots, between them, on their float
+    # neighbours and past both ends of the grid, across the chunk seams
+    g = GridCDF(x0=-0.3, w=1.0 / 3000.0, cum=np.linspace(0.0, 1.0, 5001), eps_x=0.0, eps_p=0.0)
+    rng = np.random.default_rng(n)
+    knots = g.x0 + g.w * rng.integers(-3, 5004, size=n)
+    x = np.sort(np.select([rng.random(n) < 0.4, rng.random(n) < 0.5],
+                          [knots, np.nextafter(knots, rng.choice([-np.inf, np.inf], size=n))],
+                          rng.uniform(-0.4, 1.4, size=n)))
+    k, on = g.knot_index(x)
+    want_k, want_on = _knot_index_whole(g, x)
+    assert k.dtype == np.int64 and on.dtype == bool
+    assert np.array_equal(k, want_k) and np.array_equal(on, want_on)
+    # a scalar reads as one value, a 2-d array keeps its shape
+    assert [a.shape for a in g.knot_index(float(x[0]))] == [(1,), (1,)]
+    k2, on2 = g.knot_index(x[:n - n % 2].reshape(2, -1) if n > 1 else x.reshape(1, 1))
+    assert np.array_equal(k2.reshape(-1), k[:k2.size]) and np.array_equal(on2.reshape(-1), on[:k2.size])
 
 
 def test_grid_cdf_validation():
@@ -387,6 +416,77 @@ def test_conv_fold_matches_two_path_oracle_bitwise(levels, w, pad, cut, twos):
                           np.array([eps_x, eps_p]).view(np.int64))
 
 
+def _fold_oracle(levels, size, origin):
+    """The fold a whole level at a time: the source scaled by 1/a, the first
+    shift copied and the edges zeroed, then each other shift added in digit
+    order.  The oracle of the chunked fold and of its pair added straight
+    into the destination."""
+    src, dst = np.zeros(size), np.zeros(size)
+    src[origin] = 1.0
+    g = 0
+    for o in levels:
+        g = math.gcd(g, *o)
+        a, b = src[origin % g::g], dst[origin % g::g]
+        n = a.size
+        if len(o) > 1:
+            a *= 1.0 / len(o)
+        for i, s in enumerate(o):
+            s //= g
+            lo, hi = max(s, 0), n + min(s, 0)
+            if i:
+                b[lo:hi] += a[lo - s:hi - s]
+            else:
+                b[lo:hi] = a[lo - s:hi - s]
+                b[:lo] = b[hi:] = 0.0
+        src, dst = dst, src
+    return src
+
+
+_FOLD_SIZES = [FOLD_CHUNK - 1, FOLD_CHUNK, FOLD_CHUNK + 1, 2 * FOLD_CHUNK + 1]
+
+
+@st.composite
+def _fold_input(draw):
+    """(levels, size, origin): shifts of either sign and 0, repeated, single,
+    at stride f for the first levels, and as long as the lattice; before
+    them, optionally, levels {0, f 3^i, 2 f 3^i} that spread the mass over
+    most of the lattice, so that every chunk seam sees it."""
+    size = draw(st.one_of(st.integers(1, 400), st.sampled_from(_FOLD_SIZES)))
+    origin = draw(st.integers(0, size - 1))
+    f = draw(st.sampled_from([1, 2, 4]))
+    levels = []
+    if draw(st.booleans()):
+        i = 0
+        while f * (3 ** (i + 1) - 1) < size:
+            levels.append([0, f * 3 ** i, 2 * f * 3 ** i])
+            i += 1
+    far = sorted({v for v in (FOLD_CHUNK - 1, FOLD_CHUNK, FOLD_CHUNK + 1, size // 2, size - 1,
+                               size) if 0 < v <= size} | {1})
+    shift = st.one_of(st.integers(-4, 4).map(lambda s: max(-size, min(size, s * f))),
+                      st.sampled_from(far), st.sampled_from(far).map(lambda s: -s))
+    level = st.lists(shift, min_size=1, max_size=4).filter(any)
+    levels += draw(st.lists(level, min_size=1, max_size=4))
+    return levels, size, origin
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fold_input())
+# regimeA-skewed's shape [0, 0, 1, 1] over two chunk seams
+@example(case=([[0, 1, 3]] * 8 + [[0, 0, 1, 1]] * 3, 2 * FOLD_CHUNK + 1, FOLD_CHUNK - 2))
+# the pair's ranges apart, with a gap of one knot, past one seam
+@example(case=([[0, 3, 6]] * 9 + [[-2, FOLD_CHUNK, 1]], FOLD_CHUNK + 1, 7))
+# g = 2 on a level one knot wider than a chunk, then one shift alone
+@example(case=([[0, 2, 4]] * 9 + [[FOLD_CHUNK, -2, 2]], 2 * FOLD_CHUNK + 1, 0))
+@example(case=([[0, 1]] * 16 + [[5]], FOLD_CHUNK + 1, 3))
+# shifts that straddle a seam, the second pair shift the lower
+@example(case=([[0, 1, 2]] * 10 + [[FOLD_CHUNK - 1, -1, 3, -1]], 2 * FOLD_CHUNK + 1, 40000))
+def test_fold_matches_whole_level_oracle_bitwise(case):
+    levels, size, origin = case
+    got = _fold(levels, size, origin)
+    want = _fold_oracle(levels, size, origin)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_conv_envelope_covers_deep_truth(base3, tern):
     # proxy for the true law: full enumeration 12 levels deep, far beyond
     # the depth the pitch justifies; disagreement must fit in the slack
@@ -517,6 +617,71 @@ def test_cf_factor_matches_complex_exp(base2, base3, factorial_base, vdc2, tern,
             assert got.shape == ts.shape and got.dtype == complex
             assert np.max(np.abs(got - want)) <= 1e-15, (dmap, base, j)
             assert np.all(got[ts == 0.0] == 1.0)
+
+
+def _cf_factor_sums(dmap, base, j, t):
+    """cf_factor with its own arrays: zeroed sums, one cos/sin pair per
+    nonzero digit value, divided into a fresh complex array."""
+    vals = level_values(dmap, base, j)
+    tt = np.asarray(t, dtype=float)
+    re, im = np.zeros(tt.shape), np.zeros(tt.shape)
+    for v in vals:
+        if v == 0.0:
+            re += 1.0
+            continue
+        re += np.cos(tt * v)
+        im += np.sin(tt * v)
+    out = np.empty(tt.shape, dtype=complex)
+    out.real = re / len(vals)
+    out.imag = im / len(vals)
+    return out
+
+
+_CF_T = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                           st.floats(-3000.0, 3000.0)), min_size=1, max_size=40)
+
+
+@st.composite
+def _cf_case(draw):
+    """(dmap, base): a family on a constant base q = 2..7, or a custom table
+    whose rows hold zero digit values anywhere in the row."""
+    q = draw(st.integers(2, 7))
+    base = build_base({"kind": "constant", "q": q})
+    kind = draw(st.sampled_from(["radical-inverse", "geometric", "polynomial", "table"]))
+    if kind == "radical-inverse":
+        return DigitMap.radical_inverse(), base
+    if kind == "geometric":
+        return DigitMap.geometric(0.5, draw(st.lists(st.floats(-1.0, 1.0), min_size=q,
+                                                     max_size=q))), base
+    if kind == "polynomial":
+        return DigitMap.polynomial(1.5, [0.0] * (q - 1) + [1.0]), base
+    row = st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=q, max_size=q)
+    return DigitMap.custom_table(draw(st.lists(row, min_size=1, max_size=6))), base
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cf_case(), t=_CF_T, depth=st.integers(1, 8))
+# zero digit values first, in the middle and last; -0.0 makes sin -0.0
+@example(case=(DigitMap.custom_table([(0.0, 0.5, -0.25), (0.75, 0.0, 0.5), (1.0, -2.0, 0.0),
+                                      (0.0, 0.0, 0.0)]), build_base({"kind": "constant", "q": 3})),
+         t=[-0.0, 0.0, 3.0, -1000.5], depth=None)
+@example(case=(DigitMap.radical_inverse(), build_base({"kind": "constant", "q": 7})),
+         t=[-0.0, 2048.0, -1e-300], depth=None)
+def test_cf_truncated_matches_factor_product_bitwise(case, t, depth):
+    # the truncated product reuses one factor and its buffers at every level;
+    # depth None (the examples) deepens it to the certified tolerance
+    dmap, base = case
+    if depth is not None and dmap.depth is not None:
+        depth = min(depth, dmap.depth)
+    phi, _, used = cf_truncated(dmap, base, t, depth=depth)
+    if depth is not None:
+        assert used == depth
+    want = np.ones(len(t), dtype=complex)
+    for j in range(used):
+        fac = _cf_factor_sums(dmap, base, j, t)
+        assert np.array_equal(cf_factor(dmap, base, j, t).view(np.int64), fac.view(np.int64))
+        want *= fac
+    assert np.array_equal(phi.view(np.int64), want.view(np.int64))
 
 
 def test_cf_product_telescopes_at_benchmark_scale(base2, vdc2):
@@ -718,6 +883,15 @@ def _invert_input(draw):
                build_base({"kind": "periodic", "pattern": [2, 3]}),
                np.array([-0.8, -0.8, -0.1, 0.3, 0.3, 0.3, 0.9])),
          n_t=1 << 11, t_max=512.0)
+# several zero digit values per level, and ten digit values per level, all
+# of them in each level's matrix product
+@example(case=(DigitMap.custom_table([(0.0, 0.0, 0.5, 0.0), (0.25, 0.0, 0.0, -0.75),
+                                      (0.0, 0.125, 0.0, 0.0)]),
+               build_base({"kind": "constant", "q": 4}), np.array([-0.8, -0.1, 0.0, 0.3, 0.9])),
+         n_t=1 << 16, t_max=2048.0)
+@example(case=(DigitMap.radical_inverse(), build_base({"kind": "constant", "q": 10}),
+               np.array([0.05, 0.5, 0.5, 0.95, 1.1])),
+         n_t=1 << 16, t_max=2048.0)
 def test_invert_tables_match_dense_oracle(case, n_t, t_max):
     # n_t = 8, 2^11, 2^16 give (rows, cols) = (3, 4), (33, 64), (257, 256)
     dmap, base, xs = case

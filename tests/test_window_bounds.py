@@ -19,7 +19,6 @@ from cantorlab import (
     T_GRID,
     UniformCDF,
     WindowBoundReport,
-    bridge_bound,
     build_base,
     concentration,
     digit_stats,
@@ -87,32 +86,6 @@ def test_regime_term_formulas():
     # elementwise: a row of T against a column of tau2
     got = regime_term("C", np.array([8.0, 0.5]), np.array([[0.04], [0.25]]))
     assert np.array_equal(got, [[64.0 * 0.04, 0.25 * 0.04], [64.0 * 0.25, 0.25 * 0.25]])
-
-
-def test_bridge_bound(base2):
-    # aligned N: r vanishes, the sharp form beats the coarse one outright
-    b = bridge_bound(base2, 1 << 12, 4)
-    assert b.r == 0 and b.sharp == 0.0
-    assert b.coarse == 1.0 / 16.0
-    n = (1 << 12) + 77
-    b2 = bridge_bound(base2, n, 4)
-    assert b2.r == n % (1 << 8)
-    assert b2.sharp == b2.r / n
-    with pytest.raises(ValueError):
-        bridge_bound(base2, 4, 5)
-
-
-def test_bridge_sharp_never_exceeds_coarse(base2, base23):
-    import numpy as np
-
-    rng = np.random.default_rng(29)
-    for base in (base2, base23):
-        for n in rng.integers(17, 1 << 20, size=200):
-            n = int(n)
-            L = length(base, n)
-            for h in (1, max(1, L // 2), L):
-                b = bridge_bound(base, n, h)
-                assert b.sharp <= b.coarse * (1.0 + 1e-12)
 
 
 def test_total_bound_regime_a_assembly(base2, geo_half):
