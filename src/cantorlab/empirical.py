@@ -261,11 +261,16 @@ def _w1_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[float, np.ndarray]:
     the first value of the next slot, which lies below it.  Each value off the
     knots takes the width to the next value or, if sooner, to the knot that
     ends its slot, and goes in by one scatter.  The table's build peaks near
-    42 bytes per value, the union near 17 per knot and 25 per value; the
-    larger of 43 per value and 17 per knot plus 26 per value is charged.
+    42 bytes per value, the knots' widths near 8 per knot (16 when the knot
+    steps are not all w, for their differences) and 40 per value; the larger
+    of 43 per value and 9 or 17 per knot plus 40 per value is charged first,
+    the ninth byte for numpy's per-call overhead.  The union, made only when
+    some of the m distinct values lie off the knots, peaks near 17 per knot
+    and 25 per such value; 17 and 26 are charged before it.
     """
     x, cum, k_all, n = ref.knots, ref.cum, ref.cum.size, ecdf.n
-    check_bytes(max(17 * k_all + 26 * n, 43 * n), f"W1 over {k_all} knots and {n} values")
+    check_bytes(max((9 if ref.even_steps else 17) * k_all + 40 * n, 43 * n),
+                f"W1 over {k_all} knots and {n} values")
     kept, gap, slot, starts, levels = st = _grid_steps(ecdf, ref)
     d0 = _sup_diff_steps(ref, st)
     del st
@@ -284,18 +289,28 @@ def _w1_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[float, np.ndarray]:
     del starts, levels
     d -= cum
     np.abs(d, out=d)
-    nxt = np.concatenate(([np.inf], x[1:], [np.inf]))   # the point after knot s - 1:
-    slot[1:][slot[1:] == slot[:-1]] = 0       # the first value in slot s (below x[s]),
-    nxt[slot] = v                             # if any; the others go to nxt[0], never read
-    np.maximum.accumulate(slot, out=slot)     # the slots again, as they never decrease
+    # knot s - 1 reaches the first value of slot s >= 1, if it has one (it
+    # lies below x[s]), else the next knot; the last knot reaches none, and
+    # with no value above it, it is the union's last point, cut below
+    first = np.empty(slot.size, dtype=bool)
+    first[:1] = slot[:1] > 0
+    np.not_equal(slot[1:], slot[:-1], out=first[1:])
+    redo = v[first]
     del v
-    if nxt[-1] == np.inf:
-        nxt[-1] = x[-1]                       # the last point has no width
-    width = nxt[1:]
-    width -= x
-    d *= width
-    del nxt, width
+    before = slot[first]
+    del first
+    before -= 1
+    redo -= x[before]
+    redo *= d[before]
+    if ref.even_steps:
+        d *= ref.w
+    else:
+        d[:-1] *= np.diff(x)
+    d[before] = redo
+    del before, redo
     if slot.size:                             # np.insert, without its index copies
+        check_bytes(17 * k_all + 26 * slot.size, f"W1 union of {k_all} knots and "
+                    f"{slot.size} values")
         slot += np.arange(slot.size)          # each value's place in the union
         knot = np.ones(k_all + slot.size, dtype=bool)
         knot[slot] = False

@@ -354,13 +354,21 @@ def rows_to_csv(rows: list[dict]) -> str:
     return csv_text(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS] for row in rows))
 
 
+def _cf_trace_csv(ts: np.ndarray, phi: np.ndarray, err: float, depth: int) -> str:
+    """csv_text of the rows (t, Re phi, Im phi, |phi|, err, depth), built from
+    Python floats and complexes: their reprs are _fmt's, and Python's abs of
+    a complex is hypot, as numpy's is."""
+    tail = f",{_fmt(err)},{_fmt(depth)}\n"
+    rows = (f"{t!r},{p.real!r},{p.imag!r},{abs(p)!r}{tail}"
+            for t, p in zip(ts.tolist(), phi.tolist()))
+    return "t,re_phi,im_phi,abs_phi,truncation_bound,depth\n" + "".join(rows)
+
+
 def write_cf_trace(dmap: DigitMap, base: CantorBase, path: str) -> None:
     """CSV trace of the truncated per-digit product at 201 even t in [-10, 10]."""
     ts = np.linspace(-10.0, 10.0, 201)
-    phi, err, depth = cf_truncated(dmap, base, ts)
     with open(path, "w") as fh:
-        fh.write(csv_text(("t", "re_phi", "im_phi", "abs_phi", "truncation_bound", "depth"),
-                          ((t, p.real, p.imag, abs(p), err, depth) for t, p in zip(ts, phi))))
+        fh.write(_cf_trace_csv(ts, *cf_truncated(dmap, base, ts)))
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

@@ -32,6 +32,9 @@ DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
 WINDOW_CHUNK = 1 << 16      # window starts per pass of a window_sup miss (512 KB)
 FOLD_CHUNK = 1 << 16        # destination knots per pass of a fold level (512 KB)
+CARRY_BITS = 1021           # the fold carries 1/a's powers of two while prod a < 2^1021
+TINY_ANGLE = 2.0 ** -28     # below it cos is 1.0 and sin the angle itself (tested)
+HELD_PAIRS = 4              # cos/sin pairs a CF level holds for a |v| that comes again
 
 
 class GridCDF:
@@ -78,6 +81,14 @@ class GridCDF:
         knots *= self.w
         knots += self.x0
         return knots
+
+    @cached_property
+    def even_steps(self) -> bool:
+        """Whether every float knot step knots[k + 1] - knots[k] is w exactly;
+        checked on first use, WINDOW_CHUNK steps at a time, and kept."""
+        x = self.knots
+        return all(np.all(np.diff(x[lo:lo + WINDOW_CHUNK + 1]) == self.w)
+                   for lo in range(0, x.size - 1, WINDOW_CHUNK))
 
     def knot_index(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(k, on) for each x: k is the last knot x0 + k w strictly below x
@@ -207,11 +218,12 @@ def _conv_depth(dmap: DigitMap, tails: Tails, w: float) -> int:
 # -- route 1: lattice convolution ----------------------------------------------
 
 
-def _fold_narrow(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
-    """One level into b: the first shift copies, the rest add in place."""
+def _fold_narrow(a: np.ndarray, b: np.ndarray, o: list[int], p: float) -> None:
+    """One level into b, the source scaled by p unless p is 1: the first
+    shift copies, the rest add in place."""
     n = a.size
-    if len(o) > 1:
-        a *= 1.0 / len(o)               # one product per sublattice knot
+    if p != 1.0:
+        a *= p                          # one product per sublattice knot
     for i, s in enumerate(o):
         lo, hi = max(s, 0), n + min(s, 0)
         if i:
@@ -224,9 +236,9 @@ def _fold_narrow(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
             b[hi:] = 0.0
 
 
-def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
+def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int], p: float) -> None:
     """One level of two or more shifts into b, FOLD_CHUNK destination knots
-    at a time, the source scaled by 1/a just ahead of them.  The pair
+    at a time, the source scaled by p (unless p is 1) just ahead of them.  The pair
     l <= r of the first two shifts reaches l .. n + l and r .. n + r: its
     terms are added straight into b where both reach, and copied where one
     reaches alone (0 + x is x for masses, never -0.0)."""
@@ -236,8 +248,8 @@ def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
     # them b is 0, as off the gap between two ranges that do not meet
     parts = [(l, min(r, n + l), l, None), (r, max(r, n + l), l, r),
              (max(r, n + l), n + r, r, None)]
-    p, lo = 1.0 / len(o), min(o)
-    scaled = 0                          # a[:scaled] holds the 1/a products
+    lo = min(o)
+    scaled = n if p == 1.0 else 0       # a[:scaled] holds the products
     for c0 in range(0, n, FOLD_CHUNK):
         c1 = min(c0 + FOLD_CHUNK, n)
         need = min(c1 - lo, n)          # the chunk reads the source below it
@@ -263,27 +275,45 @@ def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int]) -> None:
                 b[x:y] += a[x - s:y - s]
 
 
-def _fold(levels: list[list[int]], size: int, origin: int) -> np.ndarray:
-    """The lattice law after the levels' shifts, index origin holding 0.
-    Every prefix sum of shifts is a multiple of g, the gcd of the shifts so
-    far: the law lives on origin + gZ, and off it both buffers stay 0.
+def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, int]:
+    """(law, e): 2^e times the lattice law after the levels' shifts, index
+    origin holding 0.  Every prefix sum of shifts is a multiple of g, the
+    gcd of the shifts so far: the law lives on origin + gZ, and off it both
+    buffers stay 0.
 
     Shifting by s moves mass from index m to m + s / g of the view, inside
     it by the prefix-hull sizing, and index m of the destination sums, in
     digit order, the source at m - s over the shifts s that reach it.  A
     level of more than FOLD_CHUNK knots works in chunks that stay in cache;
     a narrower one, already in cache, copies and adds whole (README).
+
+    A level of a = 2^k m digits, m odd, scales by fl(1/m), skipped at m = 1,
+    and adds k to e: fl(1/a) is 2^-k fl(1/m), and scaling by a power of two
+    commutes with every product and sum while the masses are normal.  That
+    holds while the product P of the digit counts stays below 2^CARRY_BITS:
+    each nonzero mass is then at least (1 - 2^-53)^(2 log2 P) / P > 2^-1022.
+    Past it the fold scales back once and goes on with fl(1/a), e = 0.
     """
     src, dst = np.zeros(size), np.zeros(size)
     src[origin] = 1.0                   # the all-zero expansion sits at value 0
-    g = 0
+    g = e = 0
+    prod = 1                            # P while the carry runs, then 0
     for o in levels:
         g = math.gcd(g, *o)
         a, b = src[origin % g::g], dst[origin % g::g]
+        p = 1.0 / len(o)
+        if prod and len(o) > 1:
+            prod *= len(o)
+            if prod.bit_length() <= CARRY_BITS:
+                k = (len(o) & -len(o)).bit_length() - 1
+                p, e = 1.0 / (len(o) >> k), e + k
+            else:
+                a *= 2.0 ** -e          # the masses of the fold by fl(1/a)
+                prod = e = 0
         o = [s // g for s in o]
-        (_fold_wide if len(o) > 1 and a.size > FOLD_CHUNK else _fold_narrow)(a, b, o)
+        (_fold_wide if len(o) > 1 and a.size > FOLD_CHUNK else _fold_narrow)(a, b, o, p)
         src, dst = dst, src
-    return src
+    return src, e
 
 
 def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
@@ -339,9 +369,10 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         raise RangeTooSmall(f"window [{x0}, {x1}] misses the lattice hull "
                             f"[{grid_lo * w}, {grid_hi * w}] that holds all of the mass")
 
-    cum_all = _fold(levels, size, -grid_lo)
-    np.cumsum(cum_all, out=cum_all)
-    total = float(cum_all[-1])
+    cum_all, e = _fold(levels, size, -grid_lo)
+    np.cumsum(cum_all, out=cum_all)     # sums of normal masses: exact to scale
+    unit = 2.0 ** -e
+    total = float(cum_all[-1]) * unit
 
     eps_x, eps_p = _conv_envelope(tails, w, depth_j)
     eps_p += abs(1.0 - total) + 1e-15   # float mass drift guard
@@ -354,7 +385,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     k_hi = min(max(size - i0, k_lo), k_req)
     cum = np.empty(k_req)
     cum[:k_lo] = 0.0
-    cum[k_lo:k_hi] = cum_all[i0 + k_lo:i0 + k_hi]
+    np.multiply(cum_all[i0 + k_lo:i0 + k_hi], unit, out=cum[k_lo:k_hi])
     cum[k_hi:] = total
 
     mass_below = float(cum[0])
@@ -370,22 +401,46 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
 # -- characteristic function ----------------------------------------------------
 
 
-def _level_factor(fac: np.ndarray, vals: list[float], tt: np.ndarray,
+def _level_factor(fac: np.ndarray, vals: list[float], tt: np.ndarray, t_abs: float,
                   bufs: list[np.ndarray]) -> np.ndarray:
-    """fac = mean over the level's digit values v of exp(i t v), summed as
-    cos/sin pairs in real arithmetic into the first two of the four float
-    buffers of t's shape (the other two are scratch); a zero value adds
-    exactly 1 to the real part and needs no trigonometry."""
-    re, im, ang, trig = bufs
-    re.fill(0.0)
-    im.fill(0.0)
-    for v in vals:
-        if v == 0.0:
-            re += 1.0
-            continue
-        np.multiply(tt, v, out=ang)
-        re += np.cos(ang, out=trig)
-        im += np.sin(ang, out=trig)
+    """fac = mean over the level's digit values v of exp(i t v), t_abs = max |t|.
+
+    The cos/sin pairs are summed in digit order, in real arithmetic, into
+    the first two float buffers of t's shape; the next two are scratch and
+    any past them spares for held pairs.  Each sum starts as 0.0 plus its
+    first term.  A value -v adds the cos and the negated sin of t v, as cos
+    is even and sin odd, so a |v| that comes again takes its pair once and
+    holds it until its last use (at most HELD_PAIRS at a time).  A zero
+    value adds exactly 1 to the real part; one with |v| t_abs below
+    TINY_ANGLE adds 1 and t v, which is what cos and sin return there.
+    """
+    re, im, ang, trig = bufs[:4]
+    last = {abs(v): i for i, v in enumerate(vals)}
+    held: dict[float, list[np.ndarray]] = {}
+    im_on = False
+    for i, v in enumerate(vals):
+        u = abs(v)
+        if u == 0.0 or u * t_abs < TINY_ANGLE:
+            c, s = 1.0, None if u == 0.0 else np.multiply(tt, u, out=ang)
+        elif u in held:
+            c, s = held[u]
+            if last[u] == i:
+                bufs += held.pop(u)
+        else:
+            np.multiply(tt, u, out=ang)
+            if last[u] > i and len(held) < HELD_PAIRS:
+                c, s = held[u] = [bufs.pop() if len(bufs) > 4 else np.empty(tt.shape)
+                                  for _ in range(2)]
+                np.cos(ang, out=c)
+                np.sin(ang, out=s)
+            else:
+                c, s = np.cos(ang, out=trig), np.sin(ang, out=ang)
+        np.add(re if i else 0.0, c, out=re)
+        if s is not None:
+            (np.add if v > 0.0 else np.subtract)(im if im_on else 0.0, s, out=im)
+            im_on = True
+    if not im_on:
+        im.fill(0.0)
     np.divide(re, len(vals), out=fac.real)
     np.divide(im, len(vals), out=fac.imag)
     return fac
@@ -398,8 +453,9 @@ def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
     exactly 1 to the real part and needs no trigonometry.
     """
     tt = np.asarray(t, dtype=float)
+    t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
     return _level_factor(np.empty(tt.shape, dtype=complex), level_values(dmap, base, j), tt,
-                         [np.empty(tt.shape) for _ in range(4)])
+                         t_abs, [np.empty(tt.shape) for _ in range(4)])
 
 
 def _cf_bound(tail: tuple[float, float], t_abs: float) -> float:
@@ -437,12 +493,12 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
     tails = _tails(dmap, base)
     depth = _cf_depth(dmap, tails, t_abs, depth)
-    # one factor and its four float buffers serve every level
+    # one factor and its float buffers serve every level
     fac = np.empty(tt.shape, dtype=complex)
     bufs = [np.empty(tt.shape) for _ in range(4)]
     out = np.ones(tt.shape, dtype=complex)
     for j in range(depth):
-        out *= _level_factor(fac, level_values(dmap, base, j), tt, bufs)
+        out *= _level_factor(fac, level_values(dmap, base, j), tt, t_abs, bufs)
     return out, _cf_bound(tails(depth - 1), t_abs), depth
 
 

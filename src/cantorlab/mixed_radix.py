@@ -59,8 +59,9 @@ class CantorBase:
     rule with c = 0, is the pattern [q]) or a_j = c j + d.  Past the prefix
     the rule reads the level index j itself, not j - len(prefix).
 
-    The weight cache only ever grows (append-only under a lock), so
-    concurrent readers of an already-built prefix are safe.
+    The weight cache and the digit-size table that expand and compress
+    read only ever grow (append-only under one lock), so concurrent readers
+    of an already-built prefix are safe.
     """
 
     def __init__(self, descriptor: dict):
@@ -77,6 +78,7 @@ class CantorBase:
         else:
             self._c, self._d = rule["c"], rule["d"]
         self._weights = [1]
+        self._sizes: list[int] = []    # a_0, a_1, ... as far as read
         self._lock = threading.Lock()
 
     # -- digit sizes ----------------------------------------------------
@@ -90,6 +92,14 @@ class CantorBase:
         if self._pattern is None:
             return self._c * j + self._d
         return self._pattern[j % len(self._pattern)]
+
+    def _size_table(self, levels: int) -> list[int]:
+        """The table a_0, a_1, ..., grown to at least `levels` entries."""
+        if levels > len(self._sizes):
+            with self._lock:
+                while levels > len(self._sizes):
+                    self._sizes.append(self.digit_size(len(self._sizes)))
+        return self._sizes
 
     def alphabet_sizes(self) -> Optional[frozenset[int]]:
         """Set of digit sizes this base can ever produce, or None if unbounded."""
@@ -194,12 +204,12 @@ def expand(base: CantorBase, n: int) -> Expansion:
     if n < 0:
         raise ValueError(f"expand wants n >= 0, got {n}")
     digits = []
-    j = 0
-    while n > 0:
-        a = base.digit_size(j)
+    # every a_j >= 2, so n has at most n.bit_length() digits
+    for a in base._size_table(n.bit_length()):
+        if not n:
+            break
         n, d = divmod(n, a)
         digits.append(d)
-        j += 1
     return Expansion(tuple(digits))
 
 
@@ -214,15 +224,16 @@ def compress(base: CantorBase, digits) -> int:
     DigitOutOfRange
         If some delta_j is negative or >= a_j.
     """
-    total = 0
+    digits = tuple(digits)
+    sizes = base._size_table(len(digits))
     for j, d in enumerate(digits):
         if not isinstance(d, int) or isinstance(d, bool):
             raise DigitOutOfRange(f"digit at level {j} must be an int, got {d!r}")
-        a = base.digit_size(j)
-        if d < 0 or d >= a:
-            raise DigitOutOfRange(f"digit {d} at level {j} outside [0, {a - 1}]")
-        if d:
-            total += d * base.weight(j)
+        if d < 0 or d >= sizes[j]:
+            raise DigitOutOfRange(f"digit {d} at level {j} outside [0, {sizes[j] - 1}]")
+    total = 0
+    for j in range(len(digits) - 1, -1, -1):      # Horner, from the top digit down
+        total = total * sizes[j] + digits[j]
     return total
 
 

@@ -113,25 +113,42 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
 
 
 def test_w1_grid_peak_within_byte_charge(base2, base3, vdc2, geo_half, tern, charges, peak_of):
-    # W1 against a grid charges the step table's path (N < 8K) the larger of
-    # its build, 43 bytes per value, and its union, 17 per knot and 26 per
-    # value; the knot counts' path (N >= 8K) 40 per knot and 26 per value:
-    # one value against K knots, example-II's K = 4N (every value on a knot),
-    # regimeC's K = 3.25N (every value off the knots), K = N, N = 8K and K << N
+    # W1 against a grid charges the step table's path (N < 8K) first the
+    # larger of its build, 43 bytes per value, and its knots' widths, 9 per
+    # knot (17 if the knot steps are not all w) and 40 per value, then, if m
+    # distinct values lie off the knots, their union, 17 per knot and 26 per
+    # such value; the knot counts' path (N >= 8K) 40 per knot and 26 per
+    # value: one value against K knots, example-II's K = 4N (every value on
+    # a knot), regimeC's K = 3.25N (every value off the knots), K = N, N = 8K,
+    # K << N, and a grid of pitch 0.3 (not all steps w) with values on and
+    # off its knots
     fine = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17)             # K = 2^18 + 1
     coarse = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -12)           # K = 2^13 + 1
+    odd = GridCDF(0.1, 0.3, np.linspace(0.0, 1.0, 1 << 18), 0.0, 0.0)
+    assert fine.even_steps and not odd.even_steps
+    rng = np.random.default_rng(3)
     cases = [(geo_half, base2, fine, 1), (geo_half, base2, fine, 1 << 16),
              (tern, base3, limit_cdf_conv(tern, base3, -1.625, 1.625, 2.0 ** -16), 1 << 16),
              (vdc2, base2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16), 1 << 16),
              (geo_half, base2, coarse, 8 * coarse.cum.size),
-             (geo_half, base2, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16)]
+             (geo_half, base2, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16),
+             (None, None, odd, np.array([0.1 + 0.3 * 7])),
+             (None, None, odd, odd.knots[rng.integers(0, odd.cum.size, 1 << 12)]),
+             (None, None, odd, rng.uniform(0.0, 0.3 * odd.cum.size, 1 << 12))]
     for dmap, base, g, n in cases:
-        ecdf = empirical_cdf(dmap, base, n)
+        ecdf = empirical_cdf(dmap, base, n) if dmap is not None else EmpiricalCDF(n)
+        n, k = ecdf.n, g.cum.size
         wasserstein1(ecdf, g)                   # first-call allocations and the knots, untraced
+        first = len(charges)
         peak, _ = peak_of(wasserstein1, ecdf, g)
-        k = g.cum.size
-        assert charges[-1] == (40 * k + 26 * n if n >= 8 * k else max(17 * k + 26 * n, 43 * n))
-        assert peak <= charges[-1] <= 1.5 * peak, (k, n)
+        if n >= 8 * k:
+            want = [40 * k + 26 * n]
+        else:
+            m = int(np.count_nonzero(empirical._grid_steps(ecdf, g)[0]))
+            want = [max((9 if g.even_steps else 17) * k + 40 * n, 43 * n)]
+            want += [17 * k + 26 * m] if m else []
+        assert charges[first:] == want, (k, n)
+        assert peak <= max(want) <= 1.5 * peak, (k, n)
 
 
 def _value_vector_oracle(dmap, base, n):
@@ -436,10 +453,14 @@ def _w1_steps_oracle(ecdf, ref):
 
 @st.composite
 def _step_case(draw):
-    """A grid with non-dyadic x0 and w, and a sample whose values all sit on
-    knots (example-II's rows), all between them (regimeC's), or both, with
-    values below and above the window and, at times, each drawn repeatedly."""
-    x0, w = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 10.0))
+    """A grid with non-dyadic x0 and w (its knot steps seldom all w) or with
+    dyadic ones (all w), and a sample whose values all sit on knots
+    (example-II's rows), all between them (regimeC's), or both, with values
+    below and above the window and, at times, each drawn repeatedly."""
+    if draw(st.booleans()):
+        x0, w = draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-6, 10.0))
+    else:
+        x0, w = draw(st.integers(-2 ** 12, 2 ** 12)) / 64.0, 2.0 ** -draw(st.integers(0, 12))
     k, n = draw(st.integers(1, 2000)), draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     on = x0 + w * rng.integers(0, k, n)
@@ -456,10 +477,15 @@ def _step_case(draw):
 @example((EmpiricalCDF([0.47]), GridCDF(0.1, 0.37, np.linspace(0.1, 1.0, 9), 0.0, 0.0)))
 @example((EmpiricalCDF([0.1 + 0.37 * 3]), GridCDF(0.1, 0.37, np.linspace(0.1, 1.0, 9), 0.0, 0.0)))
 @example((EmpiricalCDF([-5.0, 9.0]), GridCDF(0.1, 0.37, np.linspace(0.1, 1.0, 9), 0.0, 0.0)))
+# knot steps not all w (pitch 0.3), with values on and off the knots
+@example((EmpiricalCDF([0.25, 0.1 + 0.3 * 5, 0.1 + 0.3 * 5, 0.5, 3.0, 700.0]),
+          GridCDF(0.1, 0.3, np.linspace(0.0, 1.0, 2000), 0.0, 0.0)))
 def test_w1_step_path_matches_its_union_scatter_bitwise(case):
     # the one-array path against the union it replaced, summand by summand;
-    # d_K read off the same table is the float of the step table's d_K
+    # d_K read off the same table is the float of the step table's d_K.  A
+    # grid whose knot steps are all w takes w, others their differences
     e, g = case
+    assert g.even_steps == bool(np.all(np.diff(g.knots) == g.w))
     d0, got = empirical._w1_steps(e, g)
     want = _w1_steps_oracle(e, g)
     assert got.shape == want.shape
@@ -475,6 +501,7 @@ def test_w1_step_path_matches_its_union_scatter_on_preset_laws(dmap, base, x0, x
     # the grid-ladder rows: every value on a knot, and every value off them
     b = build_base(base)
     g = limit_cdf_conv(dmap, b, x0, x1, w)
+    assert g.even_steps
     for n in (1, 300, 2048, 8000):
         e = empirical_cdf(dmap, b, n)
         got, want = empirical._w1_steps(e, g)[1], _w1_steps_oracle(e, g)

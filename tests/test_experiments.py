@@ -24,7 +24,9 @@ from cantorlab import (
     rows_to_csv,
     run_experiment,
 )
+from cantorlab import experiments
 from cantorlab.cli import ROW_BYTES, main
+from cantorlab.experiments import _cf_trace_csv, csv_text
 
 
 def _minimal_config(**over) -> dict:
@@ -170,6 +172,37 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert float(re0) == 1.0 and float(im0) == 0.0            # phi(0) = 1
     assert float(err0) <= 1e-12
     assert int(depth0) >= 1
+
+
+def _cf_trace_oracle(ts, phi, err, depth) -> str:
+    """The trace writer as it was: _fmt on numpy scalars, cell by cell."""
+    return csv_text(("t", "re_phi", "im_phi", "abs_phi", "truncation_bound", "depth"),
+                    ((t, p.real, p.imag, abs(p), err, depth) for t, p in zip(ts, phi)))
+
+
+def test_cf_trace_matches_cell_by_cell_writer(tmp_path):
+    # t = +-0.0 and tiny, phi of every preset's map, and complexes with
+    # -0.0, subnormal, huge and non-finite parts, byte for byte
+    rng = np.random.default_rng(7)
+    ts = np.concatenate((np.linspace(-10.0, 10.0, 201), [0.0, -0.0, 5e-324, -1e-300],
+                         rng.uniform(-3e3, 3e3, 200)))
+    for name in PRESET_NAMES:
+        cfg = preset(name)
+        dmap, base = cantorlab.DigitMap(cfg.map), cantorlab.build_base(cfg.base)
+        phi, err, depth = cantorlab.cf_truncated(dmap, base, ts)
+        assert _cf_trace_csv(ts, phi, err, depth) == _cf_trace_oracle(ts, phi, err, depth)
+        path = tmp_path / f"{name}.csv"
+        experiments.write_cf_trace(dmap, base, str(path))
+        grid = np.linspace(-10.0, 10.0, 201)
+        want = _cf_trace_oracle(grid, *cantorlab.cf_truncated(dmap, base, grid))
+        assert path.read_text() == want
+    parts = np.concatenate((rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500),
+                            [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]))
+    z = np.empty(2000, dtype=complex)
+    z.real, z.imag = parts[rng.integers(0, parts.size, (2, 2000))]
+    zt = parts[rng.integers(0, parts.size, 2000)]
+    for err, depth in ((1e-13, 7), (np.float64(0.0), np.int64(3))):
+        assert _cf_trace_csv(zt, z, err, depth) == _cf_trace_oracle(zt, z, err, depth)
 
 
 def test_vdc_q2_rows_reproduce_known_discrepancy():

@@ -28,8 +28,8 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
-from cantorlab.limitlaw import (FOLD_CHUNK, WINDOW_CHUNK, _cf_bound, _cf_depth, _conv_depth,
-                               _conv_envelope, _fold, _tails)
+from cantorlab.limitlaw import (CARRY_BITS, FOLD_CHUNK, TINY_ANGLE, WINDOW_CHUNK, _cf_bound,
+                               _cf_depth, _conv_depth, _conv_envelope, _fold, _tails)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -95,6 +95,19 @@ def test_knot_index_chunks_match_whole_array(n):
     assert [a.shape for a in g.knot_index(float(x[0]))] == [(1,), (1,)]
     k2, on2 = g.knot_index(x[:n - n % 2].reshape(2, -1) if n > 1 else x.reshape(1, 1))
     assert np.array_equal(k2.reshape(-1), k[:k2.size]) and np.array_equal(on2.reshape(-1), on[:k2.size])
+
+
+@pytest.mark.parametrize("k", [1, 2, WINDOW_CHUNK, WINDOW_CHUNK + 1, WINDOW_CHUNK + 2,
+                               2 * WINDOW_CHUNK + 3])
+def test_even_steps_matches_whole_difference(k):
+    # dyadic grids have every float step w, non-dyadic ones seldom; the last
+    # has steps w up to knot WINDOW_CHUNK + 5, where the knots cross 2^13
+    # and lose their last bit, so only its second chunk can find a step off w
+    w13 = 2.0 ** -26 + 2.0 ** -40
+    for x0, w in ((-1.5, 2.0 ** -6), (0.0, 2.0 ** -20), (0.1, 0.3), (-0.3, 1.0 / 3000.0),
+                  (2.0 ** 13 - (WINDOW_CHUNK + 5) * w13, w13)):
+        g = GridCDF(x0, w, np.linspace(0.0, 1.0, k), 0.0, 0.0)
+        assert g.even_steps == bool(np.all(np.diff(g.knots) == w)), (x0, w)
 
 
 def test_grid_cdf_validation():
@@ -447,7 +460,7 @@ _FOLD_SIZES = [FOLD_CHUNK - 1, FOLD_CHUNK, FOLD_CHUNK + 1, 2 * FOLD_CHUNK + 1]
 
 @st.composite
 def _fold_input(draw):
-    """(levels, size, origin): shifts of either sign and 0, repeated, single,
+    """(levels, size, origin): 1 to 8 shifts of either sign and 0, repeated,
     at stride f for the first levels, and as long as the lattice; before
     them, optionally, levels {0, f 3^i, 2 f 3^i} that spread the mass over
     most of the lattice, so that every chunk seam sees it."""
@@ -464,7 +477,7 @@ def _fold_input(draw):
                                size) if 0 < v <= size} | {1})
     shift = st.one_of(st.integers(-4, 4).map(lambda s: max(-size, min(size, s * f))),
                       st.sampled_from(far), st.sampled_from(far).map(lambda s: -s))
-    level = st.lists(shift, min_size=1, max_size=4).filter(any)
+    level = st.lists(shift, min_size=1, max_size=8).filter(any)
     levels += draw(st.lists(level, min_size=1, max_size=4))
     return levels, size, origin
 
@@ -480,11 +493,39 @@ def _fold_input(draw):
 @example(case=([[0, 1]] * 16 + [[5]], FOLD_CHUNK + 1, 3))
 # shifts that straddle a seam, the second pair shift the lower
 @example(case=([[0, 1, 2]] * 10 + [[FOLD_CHUNK - 1, -1, 3, -1]], 2 * FOLD_CHUNK + 1, 40000))
+# levels of 2, 4, 6 and 8 digits, each a power of two times 1 or 3, and single shifts
+@example(case=([[0, 1], [3], [0, 1, 2, 3], [0, 0, 1, 2, 2, 5], [-1], [0, 1, 2, 3, 4, 5, 6, 7]] * 3,
+               200, 60))
+@example(case=([[0, 1, 2, 3, 4, 5, 6, 7]] * 5 + [[0, 2, 2, 4, 6, 8]] * 4, FOLD_CHUNK + 1, 9))
+# past the carry limit (prod a >= 2^1021): 600 four-digit levels, 400 six-digit
+# ones, 10 two-digit ones carried while 660 three-digit ones take the masses
+# below 2^-1022, and 515 four-digit levels of the wide path
+@example(case=([[0, 0, 1, 1]] * 600, 601, 0))
+@example(case=([[0, 1, 2, 3, 4, 5]] * 400, 2001, 0))
+@example(case=([[0, 1]] * 10 + [[0, 1, 2]] * 660, 1400, 0))
+@example(case=([[0, 0, 1, 1]] * 515 + [[0, 3, FOLD_CHUNK, 1]], FOLD_CHUNK + 600, 0))
 def test_fold_matches_whole_level_oracle_bitwise(case):
+    # the fold carries 1/a's powers of two as one exponent e
     levels, size, origin = case
-    got = _fold(levels, size, origin)
+    got, e = _fold(levels, size, origin)
+    got *= 2.0 ** -e
     want = _fold_oracle(levels, size, origin)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_fold_carries_powers_of_two_below_the_limit():
+    # 2^e comes out of the fold whole while prod a < 2^CARRY_BITS, and the
+    # level that would reach it scales the masses back
+    n = CARRY_BITS - 1                              # 2^n < 2^CARRY_BITS <= 2^(n + 1)
+    n6 = int(CARRY_BITS / math.log2(6))             # 6^n6 < 2^CARRY_BITS <= 6^(n6 + 1)
+    assert 6 ** n6 < 2 ** CARRY_BITS <= 6 ** (n6 + 1)
+    six = [[0, 1, 2, 3, 4, 5]]
+    for levels, e_want in (([[0, 1]] * n, n), ([[0, 1]] * (n + 1), 0), (six * n6, n6),
+                           (six * (n6 + 1), 0), ([[0, 1, 2]] * 3 + [[7]], 0)):
+        got, e = _fold(levels, len(levels) * 5 + 8, 0)
+        assert e == e_want
+        want = _fold_oracle(levels, got.size, 0)
+        assert np.array_equal((got * 2.0 ** -e).view(np.int64), want.view(np.int64))
 
 
 def test_conv_envelope_covers_deep_truth(base3, tern):
@@ -637,17 +678,28 @@ def _cf_factor_sums(dmap, base, j, t):
     return out
 
 
+# |v| max|t| = 2^-28 = TINY_ANGLE for |v| = 2^-40 at |t| = 4096, 2^-30 at 4
+_T_EDGE = [4096.0, 4096.0 * (1 - 2.0 ** -53), 4.0, 3.999, 4.000001]
 _CF_T = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+                           st.sampled_from(_T_EDGE + [-t for t in _T_EDGE]),
                            st.floats(-3000.0, 3000.0)), min_size=1, max_size=40)
+_MIRRORED = [0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 1.0, -1.0, 2.0 ** -30, -2.0 ** -30,
+             2.0 ** -40, -2.0 ** -40, 1e-300]
 
 
 @st.composite
 def _cf_case(draw):
     """(dmap, base): a family on a constant base q = 2..7, or a custom table
-    whose rows hold zero digit values anywhere in the row."""
+    whose rows hold zero digit values anywhere in the row, or values drawn
+    from a few, so that they repeat, mirror (-v ... v) and, at t near 4
+    and 4096, straddle TINY_ANGLE."""
     q = draw(st.integers(2, 7))
     base = build_base({"kind": "constant", "q": q})
-    kind = draw(st.sampled_from(["radical-inverse", "geometric", "polynomial", "table"]))
+    kind = draw(st.sampled_from(["radical-inverse", "geometric", "polynomial", "table",
+                                 "mirrored"]))
+    if kind == "mirrored":
+        row = st.lists(st.sampled_from(_MIRRORED), min_size=q, max_size=q)
+        return DigitMap.custom_table(draw(st.lists(row, min_size=1, max_size=6))), base
     if kind == "radical-inverse":
         return DigitMap.radical_inverse(), base
     if kind == "geometric":
@@ -667,9 +719,19 @@ def _cf_case(draw):
          t=[-0.0, 0.0, 3.0, -1000.5], depth=None)
 @example(case=(DigitMap.radical_inverse(), build_base({"kind": "constant", "q": 7})),
          t=[-0.0, 2048.0, -1e-300], depth=None)
+# mirrored rows, more |v| held at once than HELD_PAIRS, and |v| max|t| on both sides of
+# TINY_ANGLE: 2^-30 * 4 is at it, 2^-30 * 3.999 below
+@example(case=(DigitMap.custom_table([(-1.0, -0.5, -0.25, -0.125, -2.0, 0.0, 2.0, 0.125, 0.25,
+                                       0.5, 1.0), (0.5, -0.5, 0.5, 0.0, -0.5, 0.5, 0.25, -0.25,
+                                                   -0.25, 0.25, 0.0)]),
+               build_base({"kind": "constant", "q": 11})), t=[-0.0, 3.0, -1000.5, 0.0], depth=2)
+@example(case=(DigitMap.custom_table([(2.0 ** -30, 0.0, -2.0 ** -30)] * 2),
+               build_base({"kind": "constant", "q": 3})), t=[1.0, -4.0, 0.0], depth=2)
+@example(case=(DigitMap.custom_table([(2.0 ** -30, 0.0, -2.0 ** -30)] * 2),
+               build_base({"kind": "constant", "q": 3})), t=[1.0, -3.999, -0.0], depth=2)
 def test_cf_truncated_matches_factor_product_bitwise(case, t, depth):
     # the truncated product reuses one factor and its buffers at every level;
-    # depth None (the examples) deepens it to the certified tolerance
+    # depth None (the first two examples) deepens it to the certified tolerance
     dmap, base = case
     if depth is not None and dmap.depth is not None:
         depth = min(depth, dmap.depth)
@@ -682,6 +744,42 @@ def test_cf_truncated_matches_factor_product_bitwise(case, t, depth):
         assert np.array_equal(cf_factor(dmap, base, j, t).view(np.int64), fac.view(np.int64))
         want *= fac
     assert np.array_equal(phi.view(np.int64), want.view(np.int64))
+
+
+def _pins_cos_even_sin_odd(x):
+    assert np.array_equal(np.cos(-x), np.cos(x))
+    assert np.array_equal(np.sin(-x), -np.sin(x))
+
+
+def _pins_tiny_angles(x):
+    assert np.all(np.cos(x) == 1.0)
+    assert np.array_equal(np.sin(x).view(np.int64), x.view(np.int64))
+
+
+# the CF kernel takes cos(-x) as cos(x), sin(-x) as -sin(x), and below
+# TINY_ANGLE cos(x) as 1 and sin(x) as x; a libm where one fails would move
+# the CF's bits, so the suite stops there
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=70),
+       tiny=st.lists(st.floats(-TINY_ANGLE, TINY_ANGLE, exclude_min=True, exclude_max=True),
+                     min_size=1, max_size=70))
+def test_libm_cos_even_sin_odd_and_tiny_angles_exact(xs, tiny):
+    _pins_cos_even_sin_odd(np.array(xs))
+    _pins_tiny_angles(np.array(tiny))
+
+
+def test_libm_pins_across_magnitudes():
+    # 256K angles of every binary exponent, 64K below TINY_ANGLE and its
+    # edges, whole and in short arrays (SIMD bodies and scalar tails)
+    rng = np.random.default_rng(19)
+    mag = np.ldexp(rng.uniform(1.0, 2.0, 1 << 18), rng.integers(-1074, 1024, 1 << 18))
+    small = np.ldexp(rng.uniform(1.0, 2.0, 1 << 16), rng.integers(-1074, -28, 1 << 16))
+    small = np.concatenate((small, [np.nextafter(TINY_ANGLE, 0.0), 5e-324, 0.0]))
+    for x in (mag, mag[1:], mag[:7], mag[3:6]):
+        _pins_cos_even_sin_odd(x)
+    for x in (small, -small, small[1:], small[:5]):
+        _pins_tiny_angles(x)
 
 
 def test_cf_product_telescopes_at_benchmark_scale(base2, vdc2):
