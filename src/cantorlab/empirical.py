@@ -234,10 +234,14 @@ def kolmogorov(ecdf: EmpiricalCDF, ref) -> Interval:
         return _grid_interval(ref, _sup_diff_steps(ref, _grid_steps(ecdf, ref)))
     if isinstance(ref, EmpiricalCDF):
         d = _sup_diff_step(ecdf, ref)
-    elif isinstance(ref, UniformCDF):
-        f = ref.cdf(ecdf.samples)
-        i_n = np.arange(ecdf.n + 1) / ecdf.n
-        d = float(max(np.max(i_n[1:] - f), np.max(f - i_n[:-1]), 0.0))
+    elif isinstance(ref, UniformCDF):          # ref.cdf in place, then i/n - F and F - (i-1)/n
+        f = np.subtract(ecdf.samples, ref.lo)
+        f /= ref.hi - ref.lo
+        np.clip(f, 0.0, 1.0, out=f)
+        i_n = np.arange(ecdf.n + 1, dtype=float)
+        i_n /= ecdf.n
+        above = np.max(i_n[1:] - f)
+        d = float(max(above, np.max(np.subtract(f, i_n[:-1], out=f)), 0.0))
     else:
         raise _foreign(ref)
     return Interval(d, d)

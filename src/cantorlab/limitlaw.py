@@ -42,10 +42,14 @@ class GridCDF:
 
     cum[k] is the certified-approximate probability of (-inf, x0 + k w],
     finite and never decreasing in k.  The envelope promises  F_true(x -
-    eps_x) - eps_p <= cdf(x) <= F_true(x + eps_x) + eps_p  for every x in
-    the knot window.  The pitch must be at least 2^-40 of the knots'
-    magnitude, so that each knot is a distinct float and knot_index finds
-    it exactly.
+    eps_x) - eps_p <= cdf(x) <= F_true(x + eps_x) + eps_p  at every knot,
+    and between knots only when x0 / w is an integer: otherwise an atom
+    rounded onto the lattice {i w} may lie between x and the knot below it.
+    limit_cdf_conv of the one-row table [0.012, 0.013, 0.025, -0.005,
+    -0.018, 0.015] at q = 6, x0 = -0.0825, w = 0.01 has eps_x = 0.01 and
+    cdf(0.025) = 2/3, yet F_true(0.015) = 5/6.  The pitch must be at least
+    2^-40 of the knots' magnitude, so that each knot is a distinct float and
+    knot_index finds it exactly.
     """
 
     def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float):

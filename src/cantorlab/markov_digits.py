@@ -19,6 +19,9 @@ from .mixed_radix import build_base
 from .qadditive import DigitMap, level_values
 
 EIG_CAP = 16            # full eigendecomposition only for small alphabets
+BLOCK_DIGITS = 1 << 15  # digits sampled and reduced per block (measured, see the README)
+BLOCK_PATHS = 512       # and at least this many paths, so a step's numpy calls stay busy
+BLOCK_BYTES = 26        # peak bytes per block digit: one block drawn beside the last
 _ROW_TOL = 1e-12
 _PI_TOL = 1e-10
 
@@ -85,34 +88,52 @@ def build_chain(P) -> DigitChain:
     return DigitChain(a=a, P=P, pi=v, lam=lam)
 
 
-def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> np.ndarray:
-    """(n_paths, length) digit array, charged 40 bytes a digit; stationary start, Philox.
+def _path_blocks(chain: DigitChain, n_paths: int, length: int, seed: int):
+    """Yield (its rows, C-contiguous (b, length) digits) per block of
+    _block_digits; stationary start, one Philox stream for all blocks.
 
-    The uniforms are drawn path-major and transposed once, so that each step
-    reads the previous step's digits as one contiguous row.  A digit counts
-    the states s < a - 1 whose cumulative transition probability from the
-    previous digit lies below its uniform: as the cumulative rows never
-    decrease, the count over all a states clipped to a - 1.  The result is
-    C-contiguous, since the estimators' sums along a path depend on it.
+    A block's uniforms are drawn path-major and transposed once, so that each
+    step reads the previous step's digits as one contiguous row.  A digit
+    counts the states s < a - 1 whose cumulative transition probability from
+    the previous digit lies below its uniform: as the cumulative rows never
+    decrease, the count over all a states clipped to a - 1.
     """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cols = np.cumsum(chain.P, axis=1).T[:-1].copy()    # cols[s][i] = P[i, 0] + .. + P[i, s]
+    start = np.cumsum(chain.pi)
+    step = _block_digits(n_paths, length) // length
+    for lo in range(0, n_paths, step):
+        b = min(step, n_paths - lo)
+        u = np.ascontiguousarray(rng.random((b, length)).T)      # (length, b)
+        d = np.empty((length, b), dtype=np.int64)
+        np.minimum(np.searchsorted(start, u[0], side="right"), chain.a - 1, out=d[0])
+        up = np.empty(b, dtype=bool)
+        for k in range(1, length):          # no view of d outlives the block
+            np.greater(u[k], cols[0].take(d[k - 1]), out=up)
+            d[k] = up
+            for c in cols[1:]:
+                np.greater(u[k], c.take(d[k - 1]), out=up)
+                np.add(d[k], up, out=d[k])
+        del u
+        d = np.ascontiguousarray(d.T)          # path sums take their bits from C order
+        yield slice(lo, lo + b), d
+
+
+def _block_digits(n_paths: int, length: int) -> int:
+    return min(n_paths, max(BLOCK_PATHS, BLOCK_DIGITS // length)) * length
+
+
+def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> np.ndarray:
+    """(n_paths, length) C-contiguous digit array, filled block by block by
+    _path_blocks; charged 8 bytes a digit plus one block."""
     if length < 1 or n_paths < 1:
         raise ValueError(f"need n_paths >= 1 and length >= 1, got {n_paths}, {length}")
-    check_bytes(40 * n_paths * length, f"{n_paths} paths of {length} digits")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = np.ascontiguousarray(rng.random((n_paths, length)).T)      # (length, n_paths)
-    cols = np.cumsum(chain.P, axis=1).T[:-1].copy()    # cols[s][i] = P[i, 0] + .. + P[i, s]
-    d = np.empty((length, n_paths), dtype=np.int64)
-    d[0] = np.searchsorted(np.cumsum(chain.pi), u[0], side="right").clip(0, chain.a - 1)
-    up = np.empty(n_paths, dtype=bool)
-    for k in range(1, length):
-        prev, row = d[k - 1], d[k]
-        np.greater(u[k], cols[0].take(prev), out=up)
-        row[...] = up
-        for c in cols[1:]:
-            np.greater(u[k], c.take(prev), out=up)
-            row += up
-    del u
-    return np.ascontiguousarray(d.T)
+    check_bytes(8 * n_paths * length + BLOCK_BYTES * _block_digits(n_paths, length),
+                f"{n_paths} paths of {length} digits")
+    d = np.empty((n_paths, length), dtype=np.int64)
+    for rows, blk in _path_blocks(chain, n_paths, length, seed):
+        d[rows] = blk
+    return d
 
 
 def _value_table(chain: DigitChain, dmap: DigitMap) -> np.ndarray:
@@ -150,18 +171,17 @@ def covariance_decay(chain: DigitChain, dmap: DigitMap, r_max: int,
         raise AlphabetMismatch("digit map does not cover the chain's alphabet")
     path_len = r_max + 16
     n_paths = max(2, samples // path_len)
-    d = generate_paths(chain, n_paths, path_len, seed)
-    z = vals[d] - float(chain.pi @ vals)
+    check_bytes(8 * (r_max + 1) * n_paths + (BLOCK_BYTES + 8) * _block_digits(n_paths, path_len),
+                f"{n_paths} paths of {path_len} digits")      # lag means, std's copy; z
+    lag_means = np.empty((r_max, n_paths))             # per path, at lags 1..r_max
+    for rows, d in _path_blocks(chain, n_paths, path_len, seed):
+        z = vals[d] - float(chain.pi @ vals)
+        for r in range(1, r_max + 1):
+            lag_means[r - 1, rows] = (z[:, :path_len - r] * z[:, r:]).mean(axis=1)
 
-    lags, covs, ses = [], [], []
-    for r in range(1, r_max + 1):
-        prod = z[:, :path_len - r] * z[:, r:]
-        per_path = prod.mean(axis=1)
-        c = float(per_path.mean())
-        se = float(per_path.std(ddof=1) / math.sqrt(n_paths))
-        lags.append(r)
-        covs.append(c)
-        ses.append(se)
+    lags = list(range(1, r_max + 1))
+    covs = [float(m.mean()) for m in lag_means]
+    ses = [float(m.std(ddof=1) / math.sqrt(n_paths)) for m in lag_means]
 
     used, ys, ws = [], [], []
     for r, c, se in zip(lags, covs, ses):
@@ -217,9 +237,14 @@ def window_variance(chain: DigitChain, dmap: DigitMap, L: int, h: int,
     mu = v @ chain.pi                                      # per-level means
     s2 = ((v - mu[:, None]) ** 2) @ chain.pi
     n_paths = max(2, samples // h)
-    d = generate_paths(chain, n_paths, h, seed)
-    r_sum = (v[np.arange(h)[None, :], d] - mu).sum(axis=1)
-    sq = r_sum * r_sum
+    check_bytes(16 * n_paths + BLOCK_BYTES * _block_digits(n_paths, h),    # r_sum and std's copy
+                f"{n_paths} paths of {h} digits")
+    flat, offsets = v.ravel(), chain.a * np.arange(h)      # v[k, d] is flat[d + a k]
+    r_sum = np.empty(n_paths)
+    for rows, d in _path_blocks(chain, n_paths, h, seed):
+        d += offsets
+        r_sum[rows] = (flat.take(d) - mu).sum(axis=1)
+    sq = np.multiply(r_sum, r_sum, out=r_sum)
     var_hat = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_paths))
     tau2_pi = float(s2.sum())

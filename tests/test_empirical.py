@@ -631,6 +631,22 @@ def test_w1_uniform_matches_union_oracle_bitwise(case):
     assert _same_bits(wasserstein1(e, u), _w1_uniform_oracle(e, u))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_uniform_case())
+@example(([(i + 0.5) / 16.0 for i in range(16)], 0.0, 1.0))
+@example(([-0.0, 0.0, 1.0, 1.0], 0.0, 1.0))
+def test_kolmogorov_uniform_matches_separate_arrays_oracle_bitwise(case):
+    # ref.cdf, i/n and both differences each as their own array, as d_K
+    # against a uniform was computed before F was made in place
+    samples, lo, hi = case
+    e, u = EmpiricalCDF(samples), UniformCDF(lo, hi)
+    f = u.cdf(e.samples)
+    i_n = np.arange(e.n + 1) / e.n
+    want = float(max(np.max(i_n[1:] - f), np.max(f - i_n[:-1]), 0.0))
+    got = kolmogorov(e, u)
+    assert _same_bits(got.lo, want) and _same_bits(got.hi, want)
+
+
 class _SquareLaw:
     """The law with CDF x^2 on [0, 1]: CDF-like, but none of the three
     reference types."""

@@ -2,6 +2,7 @@
 against closed forms, inversion against the convolution route."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -538,6 +539,25 @@ def test_conv_envelope_covers_deep_truth(base3, tern):
     diff = np.max(np.abs(np.asarray(g.cdf(xs)) - np.asarray(proxy.cdf(xs))))
     # the proxy itself sits within ~3^-12 of the limit in horizontal terms
     assert diff <= g.vertical_slack() + 1e-3
+
+
+def test_conv_envelope_brackets_exact_law_at_knots_off_the_lattice():
+    # the origin -0.0825 is no multiple of the pitch 0.01, so the knots sit
+    # off the atom lattice; the envelope still holds at every knot (between
+    # knots it does not: see the GridCDF docstring)
+    row = [0.012, 0.013, 0.025, -0.005, -0.018, 0.015]
+    g = limit_cdf_conv(DigitMap.custom_table([row]), build_base({"kind": "constant", "q": 6}),
+                       -0.0825, 0.1, 0.01)
+    atoms = [Fraction(v) for v in row]
+
+    def law(x):                 # the exact limit law: one level of six equal atoms
+        return Fraction(sum(v <= x for v in atoms), len(atoms))
+
+    ex, ep = Fraction(g.eps_x), Fraction(g.eps_p)
+    assert g.cum.size == 19
+    for x, c in zip(g.knots, g.cdf(g.knots)):
+        x, c = Fraction(float(x)), Fraction(float(c))
+        assert law(x - ex) - ep <= c <= law(x + ex) + ep, float(x)
 
 
 def test_conv_window_guards(base2, vdc2):

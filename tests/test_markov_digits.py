@@ -15,9 +15,11 @@ from cantorlab import (
     NotPrimitive,
     NotStochastic,
     ResourceLimit,
+    build_base,
     build_chain,
     covariance_decay,
     generate_paths,
+    level_values,
     window_variance,
 )
 from cantorlab import markov_digits
@@ -133,10 +135,74 @@ def test_estimators_unchanged_by_step_major_sampling(chain, monkeypatch):
     assert repr(got) == repr(want)
 
 
+def _whole_covariance_decay(chain, dmap, r_max, samples, seed):
+    """covariance_decay's lags, covariances, standard errors and path count
+    from one whole (n_paths, r_max + 16) digit array, as computed before the
+    paths came in blocks; the slope fit reads nothing else."""
+    vals = markov_digits._value_table(chain, dmap)
+    path_len = r_max + 16
+    n_paths = max(2, samples // path_len)
+    z = vals[_column_major_paths(chain, n_paths, path_len, seed)] - float(chain.pi @ vals)
+    covs, ses = [], []
+    for r in range(1, r_max + 1):
+        per_path = (z[:, :path_len - r] * z[:, r:]).mean(axis=1)
+        covs.append(float(per_path.mean()))
+        ses.append(float(per_path.std(ddof=1) / math.sqrt(n_paths)))
+    return tuple(range(1, r_max + 1)), tuple(covs), tuple(ses), n_paths
+
+
+def _whole_window_variance(chain, dmap, L, h, samples, seed):
+    """window_variance's var_hat, its standard error and path count from one
+    whole (n_paths, h) digit array and a 2-d gather, as computed before the
+    paths came in blocks."""
+    base = build_base({"kind": "constant", "q": chain.a})
+    v = np.array([level_values(dmap, base, j) for j in range(L - h, L)])
+    mu = v @ chain.pi
+    n_paths = max(2, samples // h)
+    d = _column_major_paths(chain, n_paths, h, seed)
+    r_sum = (v[np.arange(h)[None, :], d] - mu).sum(axis=1)
+    sq = r_sum * r_sum
+    return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths
+
+
+@pytest.mark.parametrize("block_digits, block_paths",
+                         [(markov_digits.BLOCK_DIGITS, markov_digits.BLOCK_PATHS), (64, 1), (64, 3)],
+                         ids=["module", "64-digits", "64-digits-3-paths"])
+@pytest.mark.parametrize("a", [2, 3, 4, 5])
+def test_blocks_match_whole_array_oracles_at_block_edges(a, block_digits, block_paths,
+                                                         monkeypatch):
+    # each shape runs 2 paths and 0-3 whole blocks of b paths, on the block
+    # edges and one path either side; at 64 digits a block the paths of 76
+    # and 70 digits are each longer than a block
+    monkeypatch.setattr(markov_digits, "BLOCK_DIGITS", block_digits)
+    monkeypatch.setattr(markov_digits, "BLOCK_PATHS", block_paths)
+    chain = _random_chain(a, 40 + a)
+    dmap = DigitMap.custom_table([[(j + 1) * (s - 1.3) / (s * s + 2.0) for s in range(a)]
+                                  for j in range(70)])
+    shapes = [("decay", 2, 18), ("decay", 60, 76), ("window", (7, 1), 1),
+              ("window", (7, 7), 7), ("window", (70, 70), 70)]
+    for kind, arg, length in shapes:
+        b = max(block_paths, block_digits // length)
+        counts = sorted({n for k in range(4) for n in (k * b - 1, k * b, k * b + 1) if n >= 2})
+        for n_paths in counts:
+            samples, seed = n_paths * length, 1000 * a + n_paths
+            if kind == "decay":
+                dec = covariance_decay(chain, dmap, r_max=arg, samples=samples, seed=seed)
+                got = (dec.lags, dec.cov, dec.se, dec.n_paths)
+                want = _whole_covariance_decay(chain, dmap, arg, samples, seed)
+            else:
+                wv = window_variance(chain, dmap, L=arg[0], h=arg[1], samples=samples, seed=seed)
+                got = (wv.var_hat, wv.se, wv.n_paths)
+                want = _whole_window_variance(chain, dmap, arg[0], arg[1], samples, seed)
+            assert repr(got) == repr(want), (kind, arg, n_paths)
+            assert np.array_equal(generate_paths(chain, n_paths, length, seed),
+                                  _column_major_paths(chain, n_paths, length, seed))
+
+
 def test_sampling_peak_memory_within_byte_charge(charges, peak_of):
-    # generate_paths charges each digit the peak of the estimators it feeds:
-    # the covariance fit (paths of r_max + 16 digits) and the window
-    # variance at a wide and at the narrowest window
+    # each estimator charges its per-path arrays plus one block of digits
+    # drawn beside the last: the covariance fit (paths of r_max + 16
+    # digits) and the window variance at a wide and at the narrowest window
     c = _two_state()
     runs = [(covariance_decay, dict(dmap=PM1, r_max=12)),
             (window_variance, dict(dmap=PM1, L=16, h=8)),
@@ -146,6 +212,16 @@ def test_sampling_peak_memory_within_byte_charge(charges, peak_of):
         fn(c, samples=1000, seed=0, **kw)           # first-call allocations, untraced
         ratios.append(peak_of(fn, c, samples=1 << 18, seed=0, **kw)[0] / charges[-1])
     assert 1.0 / 1.5 <= max(ratios) <= 1.0, ratios
+
+
+@pytest.mark.parametrize("n_paths, length", [(1000, 20), (100, 1000), (1 << 14, 8), (600, 200)],
+                         ids=["one-block", "all-paths", "four-blocks", "two-floor-blocks"])
+def test_generate_paths_peak_within_byte_charge(n_paths, length, charges, peak_of):
+    # the int64 output plus one block drawn beside the last
+    c = _two_state()
+    generate_paths(c, 4, 4, seed=0)                 # first-call allocations, untraced
+    peak = peak_of(generate_paths, c, n_paths, length, seed=0)[0]
+    assert 1.0 / 1.5 <= peak / charges[-1] <= 1.0, (peak, charges[-1])
 
 
 def test_generate_paths_match_stationary_law():
