@@ -115,6 +115,14 @@ def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
     of 0.0 for Q_F(1/T) and 1/T; a missing tau1 adds 0.0.  Either leaves the
     positive bridge unchanged.  np.argmin takes the first of equal totals:
     the smallest h, then the first T in ts.
+
+    Regimes A and C read Q_F(1/T) only in the T columns that can still win.
+    The table summed with Q_F = 0 bounds every total from below, as Q_F >= 0
+    and rounded addition is monotone in each operand.  The column of the
+    least such bound reads Q_F, and the least of its totals is best.  The
+    columns whose least bound is <= best read Q_F and, in their order, form
+    the table searched; every other column's totals exceed best, so it can
+    neither win nor tie.
     """
     low = L - max(hs)                       # the deepest level a window reaches
     first = 0 if regime == "C" else low     # C checks mu3 from level 0 through L
@@ -134,14 +142,21 @@ def _best_report(dmap: DigitMap, base: CantorBase, N: int, L: int, regime: str,
     t2 = np.array([math.fsum(s2[L - h - low:]) for h in hs])[:, None]
     t_row = np.array(ts, dtype=float)
     g = regime_term(regime, t_row, t2, rho_inf)
+    tail = math.sqrt(t1) if t1 is not None else 0.0
     if regime == "B":
         qf = inv_t = np.zeros(len(ts))
     elif ref is None:
         raise ValueError("regimes A and C need a reference law for Q_F(1/T)")
     else:
-        qf = concentration_hi(ref, 1.0 / t_row)
         inv_t = 1.0 / t_row
-    total = bridge + qf + inv_t + g + (math.sqrt(t1) if t1 is not None else 0.0)
+        least = (bridge + inv_t + g + tail).min(axis=0)    # bridge + 0.0 is bridge
+        j = least.argmin()
+        best = (bridge[:, 0] + concentration_hi(ref, inv_t[j:j + 1]) + inv_t[j] + g[:, j]
+                + tail).min()
+        cols = (least <= best).nonzero()[0]
+        ts, inv_t, g = [ts[c] for c in cols.tolist()], inv_t[cols], g[:, cols]
+        qf = concentration_hi(ref, inv_t)
+    total = bridge + qf + inv_t + g + tail
     i, k = divmod(int(np.argmin(total)), len(ts))
     return WindowBoundReport(N=N, L=L, h=hs[i], A_Lh=A[i], bridge=float(bridge[i, 0]),
                              tau1=t1, tau2_h=float(t2[i, 0]), T=ts[k],

@@ -125,12 +125,17 @@ def test_generate_paths_matches_column_major_oracle(a, chain_seed, n_paths, leng
 @pytest.mark.parametrize("chain", [_two_state(0.3, 0.1), _random_chain(3, 7)], ids=["a2", "a3"])
 def test_estimators_unchanged_by_step_major_sampling(chain, monkeypatch):
     # the estimators reduce along each path, so their bits depend on the
-    # digits' memory layout as well as on their values
+    # digits' memory layout as well as on their values; the oracle hands them
+    # the whole C-contiguous path-major draw as one block
     dmap = DigitMap.custom_table([[0.0, 1.0, -2.5]] * 20) if chain.a == 3 else PM1
     runs = [(covariance_decay, dict(r_max=9)), (window_variance, dict(L=20, h=7)),
             (window_variance, dict(L=20, h=1))]
     got = [fn(chain, dmap, samples=50_000, seed=17, **kw) for fn, kw in runs]
-    monkeypatch.setattr(markov_digits, "generate_paths", _column_major_paths)
+
+    def one_block(chain, n_paths, length, seed):
+        yield slice(0, n_paths), _column_major_paths(chain, n_paths, length, seed)
+
+    monkeypatch.setattr(markov_digits, "_path_blocks", one_block)
     want = [fn(chain, dmap, samples=50_000, seed=17, **kw) for fn, kw in runs]
     assert repr(got) == repr(want)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cantorlab import (
     DigitMap,
     EmpiricalCDF,
+    ExperimentConfig,
     GridCDF,
     MissingDensityBound,
     NoTailMeta,
@@ -26,14 +27,17 @@ from cantorlab import (
     limit_cdf_conv,
     optimize_window,
     predicted_rate,
+    preset,
     regime_term,
     resolve_regime,
+    run_experiment,
     tail_sums,
     tau1,
     tau2,
     total_bound,
     window_size,
 )
+from cantorlab import experiments
 from cantorlab.qadditive import _inv
 
 
@@ -318,8 +322,24 @@ _REFS = st.one_of(
 # 2.25 = 1/A + Q(1) + 1/T + T^2 tau2, with Q(1) = 0.5 and tau2 = h / 4
 @example(case="c2-bare-table", n=1 << 10, regime="C", rho_inf=1.0,
          ref=EmpiricalCDF([0.0, 5.0]), h=2, T=1.0)
+# every total is inf (tau1 = inf), so every T column is kept and reads Q_F
 @example(case="c2-geometric-divergent", n=1 << 20, regime="A", rho_inf=1.0,
          ref=UniformCDF(0.0, 2.0), h=3, T=8.0)
+# T = 2 and T = 1 tie at the least total 2.25 with h = 1; the column of the
+# least bound with Q_F = 0 is T = 1, so the winning T = 2 column is another
+# column kept for its bound, not the one read first
+@example(case="c2-bare-table", n=1 << 15, regime="C", rho_inf=1.0,
+         ref=EmpiricalCDF([-2.0, -1.0, 2.0, 4.0]), h=1, T=2.0)
+# Q_F(1/T) <= 2^-160 vanishes in every sum, so the column read first has
+# its bound equal to best: a bound equal to best must keep its column
+@example(case="c2-geometric", n=1 << 16, regime="A", rho_inf=1.0,
+         ref=UniformCDF(0.0, 2.0 ** 200), h=5, T=64.0)
+# grid references, where 4 and 6 of the 81 T columns read Q_F;
+# total_bound's single column is always the one read first
+@example(case="c3-ternary", n=3 ** 10, regime="C", rho_inf=1.0,
+         ref=_coarse_grid(-1.5, 2.0 ** -6, 200, 7), h=4, T=64.0)
+@example(case="c2-geometric", n=1 << 20, regime="A", rho_inf=1.0,
+         ref=_coarse_grid(0.0, 2.0 ** -6, 128, 3), h=7, T=128.0)
 @example(case="c2-geometric-divergent", n=1 << 20, regime="B", rho_inf=1.0,
          ref=UniformCDF(0.0, 2.0), h=3, T=0.5)
 def test_table_search_matches_the_candidate_loop_bitwise(case, n, regime, rho_inf, ref, h, T):
@@ -342,6 +362,24 @@ def test_table_search_matches_the_candidate_loop_bitwise(case, n, regime, rho_in
     h = min(h, L)
     _assert_same_report(total_bound(dmap, base, n, h, T, regime, rho_inf=rho, ref=ref),
                         _loop_best_report(dmap, base, n, L, regime, rho, ref, (h,), (T,)))
+
+
+def test_ladder_scans_only_the_widths_that_can_win(monkeypatch):
+    # example-II's 4-row ladder on a 65,537-knot grid: the optimizer reads Q_F
+    # in 2-3 T columns a row, 4 distinct widths in all, and vertical_slack
+    # scans one more; reading every column scans 18
+    refs, build = [], experiments.build_reference
+
+    def kept(*args):
+        refs.append(build(*args))
+        return refs[-1]
+
+    monkeypatch.setattr(experiments, "build_reference", kept)
+    d = preset("example-II").to_dict()
+    d.update(ladder={"start": 256, "stop": 2048, "factor": 2}, grid=dict(d["grid"], w=2.0 ** -15))
+    run_experiment(ExperimentConfig.from_dict(d))
+    assert refs[0].cum.size == 65537
+    assert len(refs[0]._win_cache) <= 5
 
 
 def test_regime_c_search_reads_each_level_once(base3, tern, monkeypatch):
