@@ -10,14 +10,15 @@ available).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
 
 import numpy as np
 
-from .empirical import (empirical_cdf, kolmogorov, smoothing_check, star_discrepancy,
-                        value_vector, wasserstein1)
+from .empirical import (distances, empirical_cdf, smoothing_check, star_discrepancy,
+                        value_vector)
 from .errors import CantorLabError, ConfigError, ResourceLimit, check_bytes
 from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
@@ -139,9 +140,9 @@ def _cmd_empirical(args) -> int:
     dmap, base = _build_pair(args)
     ecdf = empirical_cdf(dmap, base, args.n)
     ref = reference_from_spec(args.ref, dmap, base)
-    dk = kolmogorov(ecdf, ref)
+    dk, w1 = distances(ecdf, ref)
     print(f"d_K in [{dk.lo!r}, {dk.hi!r}]")
-    print(f"W1 = {wasserstein1(ecdf, ref)!r}")
+    print(f"W1 = {w1!r}")
     if args.smoothing_rho is not None:
         rep = smoothing_check(ecdf, ref, args.smoothing_rho)
         print(f"smoothing: d_K={rep.dk!r} <= 2 sqrt(rho W1) = {rep.optimized_bound!r}"
@@ -205,15 +206,8 @@ def _cmd_experiment(args) -> int:
             config = ExperimentConfig.from_json(fh.read())
     else:
         raise ConfigError("experiment", "need --preset or --config")
-    overrides = {}
-    if args.out:
-        overrides["out"] = args.out
-    if args.trace_out:
-        overrides["trace_out"] = args.trace_out
-    if overrides:
-        d = config.to_dict()
-        d.update(overrides)
-        config = ExperimentConfig.from_dict(d)
+    config = dataclasses.replace(config, out=args.out or config.out,
+                                 trace_out=args.trace_out or config.trace_out)
     log.info("running %s over N = %s", config.name, config.heights())
     rows = run_experiment(config)
     if not config.out:

@@ -185,6 +185,12 @@ def _grid_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> _GridSteps:
     return _GridSteps(kept, gap, k[off], starts, levels)
 
 
+def _by_knot_counts(ecdf: EmpiricalCDF, ref: GridCDF) -> bool:
+    """Whether the grid distances read the knot counts, N >= 8K (crossover
+    measured, see the README), rather than the step table."""
+    return ecdf.n >= 8 * ref.cum.size
+
+
 def _knot_counts(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[np.ndarray, np.ndarray]:
     """(lt, le): #samples < and <= each knot, by two searches into the sorted sample."""
     s, knots = ecdf.samples, ref.knots
@@ -198,7 +204,7 @@ def _sup_diff_knots(ecdf: EmpiricalCDF, ref: GridCDF, lt: np.ndarray, le: np.nda
     last knot, lt_0 / n below knot 0, where F is 0).  F is one cum entry per
     slot and F_n never decreases, so, as c - x rounds monotonically in c,
     these hold each slot's largest |F_n - F|: the step table's float.  The
-    knot arrays stay within value_vector's per-value charge while N >= 4K.
+    knot arrays stay within value_vector's per-value charge while N >= 8K.
     """
     n, cum = ecdf.n, ref.cum
     at = le / n
@@ -226,10 +232,10 @@ def _grid_interval(ref: GridCDF, d0: float) -> Interval:
 
 def kolmogorov(ecdf: EmpiricalCDF, ref) -> Interval:
     """sup_x |F_n(x) - F(x)|: exact (lo == hi) against uniform and step
-    references, widened by the envelope against a grid, which is read from
-    the knot counts when N >= 4K (crossover measured, see the README)."""
+    references, widened by the envelope against a grid, read off the table
+    that distances takes at the same N and K."""
     if isinstance(ref, GridCDF):
-        if ecdf.n >= 4 * ref.cum.size:
+        if _by_knot_counts(ecdf, ref):
             return _grid_interval(ref, _sup_diff_knots(ecdf, ref, *_knot_counts(ecdf, ref)))
         return _grid_interval(ref, _sup_diff_steps(ref, _grid_steps(ecdf, ref)))
     if isinstance(ref, EmpiricalCDF):
@@ -446,12 +452,12 @@ def wasserstein1(ecdf: EmpiricalCDF, ref) -> float:
 
 def distances(ecdf: EmpiricalCDF, ref) -> tuple[Interval, float]:
     """(kolmogorov(ecdf, ref), wasserstein1(ecdf, ref)), bit for bit.  Against
-    a grid both read one table, the knot counts when N >= 8K (crossover
-    measured, see the README), else the step table; either gives W1 the
-    summands |F_n - F| diff(b), b = union1d(samples, knots), in b's order."""
+    a grid both read one table, the knot counts or the step table as
+    _by_knot_counts picks; either gives W1 the summands |F_n - F| diff(b),
+    b = union1d(samples, knots), in b's order."""
     if not isinstance(ref, GridCDF):
         return kolmogorov(ecdf, ref), wasserstein1(ecdf, ref)
-    d0, d = (_w1_knots if ecdf.n >= 8 * ref.cum.size else _w1_steps)(ecdf, ref)
+    d0, d = (_w1_knots if _by_knot_counts(ecdf, ref) else _w1_steps)(ecdf, ref)
     return _grid_interval(ref, d0), float(np.sum(d))
 
 

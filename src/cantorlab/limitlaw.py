@@ -30,11 +30,9 @@ from .qadditive import (DigitMap, digit_stats, level_values, table_rows, table_t
 
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
-WINDOW_CHUNK = 1 << 16      # window starts per pass of a window_sup miss (512 KB)
-FOLD_CHUNK = 1 << 16        # destination knots per pass of a fold level (512 KB)
+CHUNK = 1 << 16             # floats per pass of a knot, window or fold scan (512 KB)
 CARRY_BITS = 1021           # the fold carries 1/a's powers of two while prod a < 2^1021
 TINY_ANGLE = 2.0 ** -28     # below it cos is 1.0 and sin the angle itself (tested)
-HELD_PAIRS = 4              # cos/sin pairs a CF level holds for a |v| that comes again
 
 
 class GridCDF:
@@ -89,10 +87,10 @@ class GridCDF:
     @cached_property
     def even_steps(self) -> bool:
         """Whether every float knot step knots[k + 1] - knots[k] is w exactly;
-        checked on first use, WINDOW_CHUNK steps at a time, and kept."""
+        checked on first use, CHUNK steps at a time, and kept."""
         x = self.knots
-        return all(np.all(np.diff(x[lo:lo + WINDOW_CHUNK + 1]) == self.w)
-                   for lo in range(0, x.size - 1, WINDOW_CHUNK))
+        return all(np.all(np.diff(x[lo:lo + CHUNK + 1]) == self.w)
+                   for lo in range(0, x.size - 1, CHUNK))
 
     def knot_index(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(k, on) for each x: k is the last knot x0 + k w strictly below x
@@ -103,16 +101,16 @@ class GridCDF:
         float knot x0 + m w itself decides whether k is m or m - 1.  k runs
         from -2 to K, K the number of knots; on at k = -2 or K - 1 marks the
         virtual knots x0 - w and x0 + K w, not a knot of the grid.  The x
-        are taken WINDOW_CHUNK at a time, so that beside k and on, 9 bytes
+        are taken CHUNK at a time, so that beside k and on, 9 bytes
         a value, only one chunk of float knots exists.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(-1)
         k = np.empty(flat.size, dtype=np.int64)
         on = np.empty(flat.size, dtype=bool)
-        m = np.empty(min(WINDOW_CHUNK, flat.size))
-        for lo in range(0, flat.size, WINDOW_CHUNK):
-            xc = flat[lo:lo + WINDOW_CHUNK]
+        m = np.empty(min(CHUNK, flat.size))
+        for lo in range(0, flat.size, CHUNK):
+            xc = flat[lo:lo + CHUNK]
             mc, kc, oc = m[:xc.size], k[lo:lo + xc.size], on[lo:lo + xc.size]
             np.subtract(xc, self.x0, out=mc)
             mc /= self.w
@@ -140,7 +138,7 @@ class GridCDF:
 
         A window that starts at knot i holds knots i .. i + m, m = floor(r / w),
         so widths with the same m share one cache entry.  Each miss scans its
-        starts WINDOW_CHUNK at a time, 8 bytes each; 9 are charged, which
+        starts CHUNK at a time, 8 bytes each; 9 are charged, which
         covers numpy's per-call overhead (about 1.4 KB) past 1500 starts.
         """
         if not r >= 0:
@@ -155,10 +153,10 @@ class GridCDF:
             # start 0 holds cum[m]; starts 1 .. k-m-1 hold cum[i+m] - cum[i-1];
             # as cum never decreases, the m starts past them hold no more
             starts = k - m - 1
-            check_bytes(9 * min(WINDOW_CHUNK, starts), f"window sums over {k} knots")
+            check_bytes(9 * min(CHUNK, starts), f"window sums over {k} knots")
             hit = float(c[m])
-            for lo in range(0, starts, WINDOW_CHUNK):
-                hi = min(lo + WINDOW_CHUNK, starts)
+            for lo in range(0, starts, CHUNK):
+                hi = min(lo + CHUNK, starts)
                 hit = max(hit, float(np.max(c[m + 1 + lo:m + 1 + hi] - c[lo:hi])))
             self._win_cache[m] = hit
         return hit
@@ -241,7 +239,7 @@ def _fold_narrow(a: np.ndarray, b: np.ndarray, o: list[int], p: float) -> None:
 
 
 def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int], p: float) -> None:
-    """One level of two or more shifts into b, FOLD_CHUNK destination knots
+    """One level of two or more shifts into b, CHUNK destination knots
     at a time, the source scaled by p (unless p is 1) just ahead of them.  The pair
     l <= r of the first two shifts reaches l .. n + l and r .. n + r: its
     terms are added straight into b where both reach, and copied where one
@@ -254,8 +252,8 @@ def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int], p: float) -> None:
              (max(r, n + l), n + r, r, None)]
     lo = min(o)
     scaled = n if p == 1.0 else 0       # a[:scaled] holds the products
-    for c0 in range(0, n, FOLD_CHUNK):
-        c1 = min(c0 + FOLD_CHUNK, n)
+    for c0 in range(0, n, CHUNK):
+        c1 = min(c0 + CHUNK, n)
         need = min(c1 - lo, n)          # the chunk reads the source below it
         if need > scaled:
             a[scaled:need] *= p
@@ -288,7 +286,7 @@ def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, 
     Shifting by s moves mass from index m to m + s / g of the view, inside
     it by the prefix-hull sizing, and index m of the destination sums, in
     digit order, the source at m - s over the shifts s that reach it.  A
-    level of more than FOLD_CHUNK knots works in chunks that stay in cache;
+    level of more than CHUNK knots works in chunks that stay in cache;
     a narrower one, already in cache, copies and adds whole (README).
 
     A level of a = 2^k m digits, m odd, scales by fl(1/m), skipped at m = 1,
@@ -315,7 +313,7 @@ def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, 
                 a *= 2.0 ** -e          # the masses of the fold by fl(1/a)
                 prod = e = 0
         o = [s // g for s in o]
-        (_fold_wide if len(o) > 1 and a.size > FOLD_CHUNK else _fold_narrow)(a, b, o, p)
+        (_fold_wide if len(o) > 1 and a.size > CHUNK else _fold_narrow)(a, b, o, p)
         src, dst = dst, src
     return src, e
 
@@ -410,35 +408,27 @@ def _level_factor(fac: np.ndarray, vals: list[float], tt: np.ndarray, t_abs: flo
     """fac = mean over the level's digit values v of exp(i t v), t_abs = max |t|.
 
     The cos/sin pairs are summed in digit order, in real arithmetic, into
-    the first two float buffers of t's shape; the next two are scratch and
-    any past them spares for held pairs.  Each sum starts as 0.0 plus its
-    first term.  A value -v adds the cos and the negated sin of t v, as cos
-    is even and sin odd, so a |v| that comes again takes its pair once and
-    holds it until its last use (at most HELD_PAIRS at a time).  A zero
-    value adds exactly 1 to the real part; one with |v| t_abs below
-    TINY_ANGLE adds 1 and t v, which is what cos and sin return there.
+    the first two of four float buffers of t's shape; the other two hold
+    the pair of the last nonzero |v| taken.  Each sum starts as 0.0 plus
+    its first term.  A value -v adds the cos and the negated sin of t v, as
+    cos is even and sin odd, so a |v| that comes again next, or after zero
+    values only, takes no new pair.  A zero value adds exactly 1 to the
+    real part and takes no pair; one with |v| t_abs below TINY_ANGLE adds 1
+    and t v, which is what cos and sin return there.
     """
-    re, im, ang, trig = bufs[:4]
-    last = {abs(v): i for i, v in enumerate(vals)}
-    held: dict[float, list[np.ndarray]] = {}
+    re, im, trig, ang = bufs
+    held = None
     im_on = False
     for i, v in enumerate(vals):
         u = abs(v)
-        if u == 0.0 or u * t_abs < TINY_ANGLE:
-            c, s = 1.0, None if u == 0.0 else np.multiply(tt, u, out=ang)
-        elif u in held:
-            c, s = held[u]
-            if last[u] == i:
-                bufs += held.pop(u)
-        else:
-            np.multiply(tt, u, out=ang)
-            if last[u] > i and len(held) < HELD_PAIRS:
-                c, s = held[u] = [bufs.pop() if len(bufs) > 4 else np.empty(tt.shape)
-                                  for _ in range(2)]
-                np.cos(ang, out=c)
-                np.sin(ang, out=s)
+        if u and u != held:
+            held = u
+            if u * t_abs < TINY_ANGLE:
+                pair = 1.0, np.multiply(tt, u, out=ang)
             else:
-                c, s = np.cos(ang, out=trig), np.sin(ang, out=ang)
+                np.multiply(tt, u, out=ang)
+                pair = np.cos(ang, out=trig), np.sin(ang, out=ang)
+        c, s = pair if u else (1.0, None)
         np.add(re if i else 0.0, c, out=re)
         if s is not None:
             (np.add if v > 0.0 else np.subtract)(im if im_on else 0.0, s, out=im)

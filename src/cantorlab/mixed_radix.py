@@ -141,10 +141,15 @@ class CantorBase:
         return hash(repr(self._descriptor))
 
 
+def _int(v) -> bool:
+    """True for an int that is not a bool (JSON true and false are no integers)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _sizes_ok(sizes) -> bool:
     """True for a nonempty list of integer digit sizes >= 2."""
     return (isinstance(sizes, (list, tuple)) and len(sizes) > 0
-            and all(isinstance(a, int) and a >= 2 for a in sizes))
+            and all(_int(a) and a >= 2 for a in sizes))
 
 
 def _validate_rule(rule: dict) -> dict:
@@ -155,7 +160,7 @@ def _validate_rule(rule: dict) -> dict:
         raise InvalidBase(f"unknown rule kind {kind!r}")
     if kind == "constant":
         q = rule.get("q")
-        if not isinstance(q, int) or q < 2:
+        if not _int(q) or q < 2:
             raise InvalidBase(f"constant base needs integer q >= 2, got {q!r}")
         return {"kind": "constant", "q": q}
     if kind == "periodic":
@@ -165,7 +170,7 @@ def _validate_rule(rule: dict) -> dict:
         return {"kind": "periodic", "pattern": list(pattern)}
     if kind == "affine":
         c, d = rule.get("c"), rule.get("d")
-        if not isinstance(c, int) or not isinstance(d, int) or c < 0 or d < 2:
+        if not (_int(c) and _int(d)) or c < 0 or d < 2:
             raise InvalidBase(f"affine base needs integers c >= 0, d >= 2, got c={c!r} d={d!r}")
         return {"kind": "affine", "c": c, "d": d}
     # table: finite prefix plus mandatory non-table continuation
@@ -199,7 +204,7 @@ def expand(base: CantorBase, n: int) -> Expansion:
     with the greedy top-down algorithm because the weights are the mixed-
     radix products.  expand(base, 0) is the empty expansion of length 0.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _int(n):
         raise TypeError(f"expand wants a Python int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"expand wants n >= 0, got {n}")
@@ -227,7 +232,7 @@ def compress(base: CantorBase, digits) -> int:
     digits = tuple(digits)
     sizes = base._size_table(len(digits))
     for j, d in enumerate(digits):
-        if not isinstance(d, int) or isinstance(d, bool):
+        if not _int(d):
             raise DigitOutOfRange(f"digit at level {j} must be an int, got {d!r}")
         if d < 0 or d >= sizes[j]:
             raise DigitOutOfRange(f"digit {d} at level {j} outside [0, {sizes[j] - 1}]")

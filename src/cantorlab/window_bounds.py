@@ -29,7 +29,7 @@ import numpy as np
 
 from .empirical import concentration_hi
 from .errors import MissingDensityBound, NoTailMeta, RegimeUnavailable
-from .mixed_radix import CantorBase, length
+from .mixed_radix import CantorBase, build_base, length
 from .qadditive import DigitMap, _inv, digit_stats, tail_sums
 
 T_GRID = tuple(2.0 ** k for k in range(40, -41, -1))     # descending, 2^40 .. 2^-40
@@ -228,11 +228,7 @@ def predicted_rate(family: str, N: int, alpha: Optional[float] = None,
     if N < q * q:
         raise ValueError(f"need N >= q^2 = {q * q}, got {N}")
     if family == "example-I":
-        L = int(math.log(N) / math.log(q))
-        while q ** (L + 1) <= N:     # guard float log against boundary N = q^L
-            L += 1
-        while q ** L > N:
-            L -= 1
+        L = length(build_base({"kind": "constant", "q": q}), N)
         return L ** (-alpha / 2.0) * math.log(L) ** 0.25
     gamma = math.log(1.0 / beta) / (math.log(1.0 / beta) + 2.0 * math.log(q))
     return float(N) ** -gamma

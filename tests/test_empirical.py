@@ -409,12 +409,12 @@ def _same_bits(a: float, b: float) -> bool:
 @example(x0=0.1, w=1e-3, sizes=(1, 1), seed=1, monotone=True)
 @example(x0=-1.6, w=1.0 / 3000.0, sizes=(9601, 64), seed=2, monotone=True)
 @example(x0=7.3, w=0.7, sizes=(3, 5000), seed=3, monotone=False)
-# either side of the N >= 4K switch to the knot searches, with values on
-# the first and last knots and on both virtual knots
-@example(x0=-2.3, w=0.37, sizes=(50, 199), seed=25, monotone=True)
-@example(x0=-2.3, w=0.37, sizes=(50, 200), seed=25, monotone=True)
-@example(x0=-2.3, w=0.37, sizes=(50, 201), seed=25, monotone=True)
-# and of W1's N >= 8K switch to the knot counts, with runs of repeats on a knot
+# either side of the N >= 8K switch to the knot counts, with values on the
+# first and last knots and on both virtual knots, then with runs of repeats
+# on a knot
+@example(x0=-2.3, w=0.37, sizes=(50, 399), seed=25, monotone=True)
+@example(x0=-2.3, w=0.37, sizes=(50, 400), seed=25, monotone=True)
+@example(x0=-2.3, w=0.37, sizes=(50, 401), seed=25, monotone=True)
 @example(x0=-2.3, w=0.37, sizes=(50, 399), seed=207, monotone=True)
 @example(x0=-2.3, w=0.37, sizes=(50, 400), seed=207, monotone=True)
 @example(x0=-2.3, w=0.37, sizes=(50, 401), seed=207, monotone=True)
@@ -513,7 +513,7 @@ def test_w1_step_path_matches_its_union_scatter_on_preset_laws(dmap, base, x0, x
        sizes=st.one_of(st.tuples(st.integers(1, 400), st.integers(1, 4000)),
                        st.tuples(st.integers(200, 3000), st.integers(1, 100))),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(x0=-2.3, w=0.37, sizes=(50, 300), seed=25)       # 4K <= N < 8K: d_K off the step table
+@example(x0=-2.3, w=0.37, sizes=(50, 399), seed=25)       # N < 8K: both off the step table
 @example(x0=-2.3, w=0.37, sizes=(50, 400), seed=207)      # N = 8K: both off the knot counts
 def test_distances_equal_separate_calls_bitwise(x0, w, sizes, seed):
     # the row's shared table gives d_K and W1 the floats of kolmogorov and

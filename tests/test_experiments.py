@@ -214,8 +214,8 @@ def test_vdc_q2_rows_reproduce_known_discrepancy():
 
 
 def test_rows_read_distances_off_one_table_bit_for_bit():
-    # a grid of 129 knots against N = 64 .. 4096 crosses d_K's knot path at
-    # N = 4K and W1's at 8K; each row's d_K and W1 are the floats of
+    # a grid of 129 knots against N = 64 .. 4096 crosses to the knot counts
+    # at N = 8K; each row's d_K and W1 are the floats of
     # kolmogorov and wasserstein1 called alone, and against U[0, 1] its D*
     # is that of star_discrepancy
     from cantorlab import (DigitMap, build_base, empirical_cdf, kolmogorov,

@@ -29,8 +29,8 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
-from cantorlab.limitlaw import (CARRY_BITS, FOLD_CHUNK, TINY_ANGLE, WINDOW_CHUNK, _cf_bound,
-                               _cf_depth, _conv_depth, _conv_envelope, _fold, _tails)
+from cantorlab.limitlaw import (CARRY_BITS, CHUNK, TINY_ANGLE, _cf_bound, _cf_depth,
+                               _conv_depth, _conv_envelope, _fold, _tails)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -78,7 +78,7 @@ def _knot_index_whole(g, x):
     return k - (m >= x), m == x
 
 
-@pytest.mark.parametrize("n", [1, WINDOW_CHUNK - 1, WINDOW_CHUNK, 2 * WINDOW_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 2 * CHUNK + 1])
 def test_knot_index_chunks_match_whole_array(n):
     # a non-dyadic pitch, x on the knots, between them, on their float
     # neighbours and past both ends of the grid, across the chunk seams
@@ -98,15 +98,14 @@ def test_knot_index_chunks_match_whole_array(n):
     assert np.array_equal(k2.reshape(-1), k[:k2.size]) and np.array_equal(on2.reshape(-1), on[:k2.size])
 
 
-@pytest.mark.parametrize("k", [1, 2, WINDOW_CHUNK, WINDOW_CHUNK + 1, WINDOW_CHUNK + 2,
-                               2 * WINDOW_CHUNK + 3])
+@pytest.mark.parametrize("k", [1, 2, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 3])
 def test_even_steps_matches_whole_difference(k):
     # dyadic grids have every float step w, non-dyadic ones seldom; the last
-    # has steps w up to knot WINDOW_CHUNK + 5, where the knots cross 2^13
+    # has steps w up to knot CHUNK + 5, where the knots cross 2^13
     # and lose their last bit, so only its second chunk can find a step off w
     w13 = 2.0 ** -26 + 2.0 ** -40
     for x0, w in ((-1.5, 2.0 ** -6), (0.0, 2.0 ** -20), (0.1, 0.3), (-0.3, 1.0 / 3000.0),
-                  (2.0 ** 13 - (WINDOW_CHUNK + 5) * w13, w13)):
+                  (2.0 ** 13 - (CHUNK + 5) * w13, w13)):
         g = GridCDF(x0, w, np.linspace(0.0, 1.0, k), 0.0, 0.0)
         assert g.even_steps == bool(np.all(np.diff(g.knots) == w)), (x0, w)
 
@@ -187,17 +186,17 @@ def test_window_sup_matches_concatenation_and_caches_by_knot_count(k, w, seed, m
 
 
 def test_window_sup_peak_within_byte_charge(charges, peak_of):
-    # a cache miss scans its k - m - 1 window starts WINDOW_CHUNK at a time,
-    # in one buffer, so a grid of 2^20 knots charges and takes one chunk (9
-    # bytes a start, numpy's overhead included), not 8 bytes a knot; the max
-    # over the chunks is the float of one scan
+    # a cache miss scans its k - m - 1 window starts CHUNK at a time, in one
+    # buffer, so a grid of 2^20 knots charges and takes one chunk (9 bytes a
+    # start, numpy's overhead included), not 8 bytes a knot; the max over the
+    # chunks is the float of one scan
     k = 1 << 20
     cum = np.cumsum(np.random.default_rng(3).random(k))
     cum /= cum[-1]
-    for m in (k // 64, k // 4, k - 2 - WINDOW_CHUNK // 2):
+    for m in (k // 64, k // 4, k - 2 - CHUNK // 2):
         g = GridCDF(0.0, 1.0, cum, 0.0, 0.0)
         peak, got = peak_of(g.window_sup, m + 0.5)
-        assert charges[-1] == 9 * min(WINDOW_CHUNK, k - m - 1)
+        assert charges[-1] == 9 * min(CHUNK, k - m - 1)
         assert peak <= charges[-1] <= 1.5 * peak, m
         want = max(float(cum[m]), float(np.max(cum[m + 1:] - cum[:k - m - 1])))
         assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), m
@@ -456,7 +455,7 @@ def _fold_oracle(levels, size, origin):
     return src
 
 
-_FOLD_SIZES = [FOLD_CHUNK - 1, FOLD_CHUNK, FOLD_CHUNK + 1, 2 * FOLD_CHUNK + 1]
+_FOLD_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
 
 
 @st.composite
@@ -474,8 +473,8 @@ def _fold_input(draw):
         while f * (3 ** (i + 1) - 1) < size:
             levels.append([0, f * 3 ** i, 2 * f * 3 ** i])
             i += 1
-    far = sorted({v for v in (FOLD_CHUNK - 1, FOLD_CHUNK, FOLD_CHUNK + 1, size // 2, size - 1,
-                               size) if 0 < v <= size} | {1})
+    far = sorted({v for v in (CHUNK - 1, CHUNK, CHUNK + 1, size // 2, size - 1, size)
+                  if 0 < v <= size} | {1})
     shift = st.one_of(st.integers(-4, 4).map(lambda s: max(-size, min(size, s * f))),
                       st.sampled_from(far), st.sampled_from(far).map(lambda s: -s))
     level = st.lists(shift, min_size=1, max_size=8).filter(any)
@@ -486,25 +485,25 @@ def _fold_input(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=_fold_input())
 # regimeA-skewed's shape [0, 0, 1, 1] over two chunk seams
-@example(case=([[0, 1, 3]] * 8 + [[0, 0, 1, 1]] * 3, 2 * FOLD_CHUNK + 1, FOLD_CHUNK - 2))
+@example(case=([[0, 1, 3]] * 8 + [[0, 0, 1, 1]] * 3, 2 * CHUNK + 1, CHUNK - 2))
 # the pair's ranges apart, with a gap of one knot, past one seam
-@example(case=([[0, 3, 6]] * 9 + [[-2, FOLD_CHUNK, 1]], FOLD_CHUNK + 1, 7))
+@example(case=([[0, 3, 6]] * 9 + [[-2, CHUNK, 1]], CHUNK + 1, 7))
 # g = 2 on a level one knot wider than a chunk, then one shift alone
-@example(case=([[0, 2, 4]] * 9 + [[FOLD_CHUNK, -2, 2]], 2 * FOLD_CHUNK + 1, 0))
-@example(case=([[0, 1]] * 16 + [[5]], FOLD_CHUNK + 1, 3))
+@example(case=([[0, 2, 4]] * 9 + [[CHUNK, -2, 2]], 2 * CHUNK + 1, 0))
+@example(case=([[0, 1]] * 16 + [[5]], CHUNK + 1, 3))
 # shifts that straddle a seam, the second pair shift the lower
-@example(case=([[0, 1, 2]] * 10 + [[FOLD_CHUNK - 1, -1, 3, -1]], 2 * FOLD_CHUNK + 1, 40000))
+@example(case=([[0, 1, 2]] * 10 + [[CHUNK - 1, -1, 3, -1]], 2 * CHUNK + 1, 40000))
 # levels of 2, 4, 6 and 8 digits, each a power of two times 1 or 3, and single shifts
 @example(case=([[0, 1], [3], [0, 1, 2, 3], [0, 0, 1, 2, 2, 5], [-1], [0, 1, 2, 3, 4, 5, 6, 7]] * 3,
                200, 60))
-@example(case=([[0, 1, 2, 3, 4, 5, 6, 7]] * 5 + [[0, 2, 2, 4, 6, 8]] * 4, FOLD_CHUNK + 1, 9))
+@example(case=([[0, 1, 2, 3, 4, 5, 6, 7]] * 5 + [[0, 2, 2, 4, 6, 8]] * 4, CHUNK + 1, 9))
 # past the carry limit (prod a >= 2^1021): 600 four-digit levels, 400 six-digit
 # ones, 10 two-digit ones carried while 660 three-digit ones take the masses
 # below 2^-1022, and 515 four-digit levels of the wide path
 @example(case=([[0, 0, 1, 1]] * 600, 601, 0))
 @example(case=([[0, 1, 2, 3, 4, 5]] * 400, 2001, 0))
 @example(case=([[0, 1]] * 10 + [[0, 1, 2]] * 660, 1400, 0))
-@example(case=([[0, 0, 1, 1]] * 515 + [[0, 3, FOLD_CHUNK, 1]], FOLD_CHUNK + 600, 0))
+@example(case=([[0, 0, 1, 1]] * 515 + [[0, 3, CHUNK, 1]], CHUNK + 600, 0))
 def test_fold_matches_whole_level_oracle_bitwise(case):
     # the fold carries 1/a's powers of two as one exponent e
     levels, size, origin = case
@@ -739,8 +738,8 @@ def _cf_case(draw):
          t=[-0.0, 0.0, 3.0, -1000.5], depth=None)
 @example(case=(DigitMap.radical_inverse(), build_base({"kind": "constant", "q": 7})),
          t=[-0.0, 2048.0, -1e-300], depth=None)
-# mirrored rows, more |v| held at once than HELD_PAIRS, and |v| max|t| on both sides of
-# TINY_ANGLE: 2^-30 * 4 is at it, 2^-30 * 3.999 below
+# mirrored rows, whose |v| repeat apart, next to each other and across a zero, and
+# |v| max|t| on both sides of TINY_ANGLE: 2^-30 * 4 is at it, 2^-30 * 3.999 below
 @example(case=(DigitMap.custom_table([(-1.0, -0.5, -0.25, -0.125, -2.0, 0.0, 2.0, 0.125, 0.25,
                                        0.5, 1.0), (0.5, -0.5, 0.5, 0.0, -0.5, 0.5, 0.25, -0.25,
                                                    -0.25, 0.25, 0.0)]),
@@ -764,6 +763,20 @@ def test_cf_truncated_matches_factor_product_bitwise(case, t, depth):
         assert np.array_equal(cf_factor(dmap, base, j, t).view(np.int64), fac.view(np.int64))
         want *= fac
     assert np.array_equal(phi.view(np.int64), want.view(np.int64))
+
+
+def test_cf_level_takes_one_pair_per_run_of_equal_abs_values(monkeypatch):
+    # the held pair outlives zero values, so each built-in map takes no more
+    # pairs than distinct nonzero |v|: symmetric ternary (-c, 0, c) one cos
+    # per level, skewed-polyweight (0, c, 2c, 2c) two
+    calls = []
+    cos = np.cos
+    monkeypatch.setattr(np, "cos", lambda *a, **k: calls.append(1) or cos(*a, **k))
+    for dmap, q, per_level in ((DigitMap.symmetric_ternary(), 3, 1),
+                               (DigitMap.skewed_polyweight(), 4, 2)):
+        calls.clear()
+        cf_truncated(dmap, build_base({"kind": "constant", "q": q}), [1.0, -3.0, 1000.5], depth=3)
+        assert len(calls) == 3 * per_level, dmap.family
 
 
 def _pins_cos_even_sin_odd(x):

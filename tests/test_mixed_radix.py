@@ -15,6 +15,7 @@ from cantorlab import (
     expand,
     length,
 )
+from cantorlab.cli import main
 
 
 def _all_bases():
@@ -145,6 +146,21 @@ def test_invalid_bases():
                              "then": {"kind": "constant", "q": 2}}})
     with pytest.raises(InvalidBase):
         build_base({"kind": "nope"})
+
+
+def test_bool_is_refused_in_every_integer_field():
+    # JSON true and false once passed as an affine c (True == 1, False == 0), so
+    # c = true built a base equal to c = 1 under another hash
+    for desc in ({"kind": "affine", "c": True, "d": 2},
+                 {"kind": "affine", "c": False, "d": 2},
+                 {"kind": "table", "table": [3], "then": {"kind": "affine", "c": True, "d": 2}},
+                 {"kind": "affine", "c": 1, "d": True},
+                 {"kind": "constant", "q": True},
+                 {"kind": "periodic", "pattern": [2, True]},
+                 {"kind": "table", "table": [True], "then": {"kind": "constant", "q": 2}}):
+        with pytest.raises(InvalidBase):
+            build_base(desc)
+    assert main(["expand", "100", "--base", '{"kind": "affine", "c": true, "d": 2}']) == 2
 
 
 def test_base_equality_and_hash():

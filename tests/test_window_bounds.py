@@ -433,6 +433,32 @@ def test_predicted_rate_closed_forms():
         == pytest.approx(1.0 / 16.0, rel=1e-12)
 
 
+def _floor_log_loop(q, n):
+    """floor(log_q n) as predicted_rate once found it: a float log, then two
+    integer guard loops."""
+    L = int(math.log(n) / math.log(q))
+    while q ** (L + 1) <= n:
+        L += 1
+    while q ** L > n:
+        L -= 1
+    return L
+
+
+@pytest.mark.parametrize("q", [2, 3, 10])
+def test_predicted_rate_length_at_every_power(q):
+    # example-I's L is mixed_radix.length of a constant base, which agrees
+    # with the loop at q^L - 1, q^L and q^L + 1 up to 2^62, where a float log
+    # can round across the integer
+    L = 2
+    while q ** L <= 2 ** 62:
+        for n, want in ((q ** L - 1, L - 1), (q ** L, L), (q ** L + 1, L)):
+            if n >= q * q:
+                assert _floor_log_loop(q, n) == want
+                assert predicted_rate("example-I", n, alpha=1.5, q=q) \
+                    == want ** -0.75 * math.log(want) ** 0.25
+        L += 1
+
+
 def test_predicted_rate_validation():
     with pytest.raises(ValueError):
         predicted_rate("example-I", 2, alpha=1.5)             # N < q^2
