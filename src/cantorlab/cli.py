@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .empirical import (distances, empirical_cdf, smoothing_check, star_discrepancy,
-                        value_vector)
+from .empirical import (distances, empirical_cdf, row_star_discrepancy, smoothing_report,
+                        star_discrepancy)
 from .errors import CantorLabError, ConfigError, ResourceLimit, check_bytes
 from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
@@ -144,11 +144,11 @@ def _cmd_empirical(args) -> int:
     print(f"d_K in [{dk.lo!r}, {dk.hi!r}]")
     print(f"W1 = {w1!r}")
     if args.smoothing_rho is not None:
-        rep = smoothing_check(ecdf, ref, args.smoothing_rho)
+        rep = smoothing_report(dk.hi, w1, args.smoothing_rho)
         print(f"smoothing: d_K={rep.dk!r} <= 2 sqrt(rho W1) = {rep.optimized_bound!r}"
               f" -> {'ok' if rep.optimized_ok else 'VIOLATED'}")
     if dmap.family == "radical-inverse":
-        print(f"D*_n = {star_discrepancy(ecdf)!r}")
+        print(f"D*_n = {row_star_discrepancy(ecdf, ref, dk)!r}")
     return 0
 
 
@@ -174,8 +174,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_discrepancy(args) -> int:
     dmap, base = _build_pair(args)
     for n in args.n:
-        pts = value_vector(dmap, base, n)
-        print(f"N={n}  D*_N = {star_discrepancy(pts)!r}")
+        print(f"N={n}  D*_N = {star_discrepancy(empirical_cdf(dmap, base, n))!r}")
     return 0
 
 

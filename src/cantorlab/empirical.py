@@ -9,6 +9,7 @@ concentration are Intervals for every reference, with lo == hi where exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,8 @@ from .errors import PointOutOfRange, check_bytes
 from .limitlaw import GridCDF
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, level_values
+
+BLOCK = 1 << 13             # values per block of W1's summands (measured, see the README)
 
 
 class Interval(NamedTuple):
@@ -52,7 +55,18 @@ class EmpiricalCDF:
     """
 
     def __init__(self, samples):
-        s = np.sort(np.asarray(samples, dtype=float))
+        self._hold(np.sort(np.asarray(samples, dtype=float)))
+
+    @classmethod
+    def _in_place(cls, values: np.ndarray) -> EmpiricalCDF:
+        """The empirical CDF of a fresh float array that no caller holds,
+        sorted in place rather than copied."""
+        values.sort()
+        ecdf = cls.__new__(cls)
+        ecdf._hold(values)
+        return ecdf
+
+    def _hold(self, s: np.ndarray) -> None:
         if s.size == 0:
             raise ValueError("empirical CDF needs at least one sample")
         if not (math.isfinite(s[0]) and math.isfinite(s[-1])):     # NaN sorts last
@@ -77,12 +91,12 @@ def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
     d q_j + r is f(r) + t_j[d].  Each entry is summed as 0.0 + t_0[d_0] +
     t_1[d_1] + ... in level order, so it is bit-identical to indexing every
     level's table with (i // q_j) % a_j.  The cost is about 2n float adds.
-    Each value is charged 80 bytes, the peak of the ladder row it feeds
+    Each value is charged 48 bytes, the peak of the ladder row it feeds
     (enumeration, sort, d_K, W1, D*), a grid reference's knots not counted.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    check_bytes(80 * n, f"enumeration of {n} values")
+    check_bytes(48 * n, f"enumeration of {n} values")
     out = np.empty(n, dtype=float)
     out[0] = 0.0
     q = 1
@@ -101,8 +115,9 @@ def value_vector(dmap: DigitMap, base: CantorBase, n: int) -> np.ndarray:
 
 
 def empirical_cdf(dmap: DigitMap, base: CantorBase, n: int) -> EmpiricalCDF:
-    """Empirical CDF of {f(0), ..., f(n-1)}, charged as value_vector."""
-    return EmpiricalCDF(value_vector(dmap, base, n))
+    """Empirical CDF of {f(0), ..., f(n-1)}, charged as value_vector; the
+    values are sorted in place, so no second N-float array is made."""
+    return EmpiricalCDF._in_place(value_vector(dmap, base, n))
 
 
 def _foreign(ref) -> TypeError:
@@ -241,9 +256,7 @@ def kolmogorov(ecdf: EmpiricalCDF, ref) -> Interval:
     if isinstance(ref, EmpiricalCDF):
         d = _sup_diff_step(ecdf, ref)
     elif isinstance(ref, UniformCDF):          # ref.cdf in place, then i/n - F and F - (i-1)/n
-        f = np.subtract(ecdf.samples, ref.lo)
-        f /= ref.hi - ref.lo
-        np.clip(f, 0.0, 1.0, out=f)
+        f = _unit_cdf(ref, ecdf.samples, np.empty(ecdf.n))
         i_n = np.arange(ecdf.n + 1, dtype=float)
         i_n /= ecdf.n
         above = np.max(i_n[1:] - f)
@@ -334,94 +347,114 @@ def _w1_steps(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[float, np.ndarray]:
 def _w1_knots(ecdf: EmpiricalCDF, ref: GridCDF) -> tuple[float, np.ndarray]:
     """d_K's float and W1's summands against a grid from the knot counts, N >= 8K.
 
-    The distinct values off the knots are the run ends less the run on each
-    knot (its last index is le - 1).  A value between knots j and j + 1 has
-    F_n = (run end + 1) / n and F = cum[j] (0 below knot 0), one np.repeat
-    over the values per slot; knot j has F_n = le_j / n and F = cum[j].  Each
-    width runs to the next point of the union, and np.insert puts the knots'
-    summands among the values'.  With the counts this peaks near 40 bytes
-    per knot and 24 per value; 40 and 26 are charged.
+    The run that ends at index i lies in slot t, above the t knots with
+    lt <= i: F_n = (i + 1) / n, F = cum[t - 1] (0 below knot 0), and its
+    width runs to the next sample or, if sooner, knot t.  Knot j has
+    F_n = le_j / n, F = cum[j] and a width to knot j + 1 or, if sooner,
+    the next sample s[le_j].  A run on a knot is the knot's step: counting
+    only the p_t knots below slot t that no run sits on, the r-th run goes
+    to r + p_t in the union, and a run on knot j to knot j's own place,
+    where the knot's summand, written last, replaces it.  The runs are
+    worked BLOCK samples at a time, gathered only where some run is longer
+    than one; each run's F, knot t and place come from np.repeat over the
+    block's runs in each slot.  No array but the summands and the run-end
+    mask is N long: the peak is near 58 bytes per knot, 9 per value and
+    56 per value of one block (81 with the gather); 64, 9 and 88 are
+    charged.
     """
     s, n, cum, knots = ecdf.samples, ecdf.n, ref.cum, ref.knots
-    check_bytes(40 * cum.size + 26 * n, f"W1 over {cum.size} knots and {n} values")
+    k_all = cum.size
+    check_bytes(64 * k_all + 9 * n + 88 * min(BLOCK, n), f"W1 over {k_all} knots and {n} values")
     lt, le = _knot_counts(ecdf, ref)
     d0 = _sup_diff_knots(ecdf, ref, lt, le)
-    last = _run_ends(s)
-    last[le[le > lt] - 1] = False           # a run on a knot is the knot's step
-    ends = np.flatnonzero(last)
-    del last
-    below = np.searchsorted(ends, lt)       # values below knot j
-    per_slot = np.diff(below, prepend=0, append=ends.size)
-    v = s[ends]
-    gap = np.add(ends, 1.0)
-    del ends
-    gap /= n
-    width = np.repeat(np.concatenate(([0.0], cum)), per_slot)
-    gap -= width
-    np.abs(gap, out=gap)
-    np.subtract(v[1:], v[:-1], out=width[:-1])
-    width[-1:] = 0.0                        # the last value's is no summand
-    j = np.flatnonzero(per_slot[:-1])       # knots just after a value
-    width[below[j] - 1] = knots[j] - v[below[j] - 1]
-    gap *= width
-    del width
     nxt = np.append(knots[1:], knots[-1])   # the last knot's only if a value follows
-    j = np.flatnonzero(per_slot[1:])        # knots just before a value
-    nxt[j] = v[below[j]]
-    del v
+    j = np.flatnonzero(le < np.append(lt[1:], n))
+    nxt[j] = s[le[j]]
+    del j
     nxt -= knots
     at = le / n
     at -= cum
     np.abs(at, out=at)
     at *= nxt
-    return d0, np.insert(gap, below, at)[:-1]   # the last point has no width
+    del nxt
+    ends = _run_ends(s)
+    runs = int(np.count_nonzero(ends))
+    single = runs == n                      # no gather: run r ends at index r
+    p = np.concatenate(([0], np.cumsum(le == lt)))           # the p_t
+    out = np.empty(runs + int(p[-1]))       # the summands, in union order
+    below = lt if single else np.full(k_all, runs)           # runs below each knot
+    cum0 = np.concatenate(([0.0], cum))     # F on each slot
+    top = np.append(knots, np.inf)          # the knot that ends each slot
+    edge = np.concatenate(([0], lt, [n]))   # each slot's first index, and n
+    ramp = np.arange(min(BLOCK, n))
+    framp, fn = np.arange(float(ramp.size)), np.empty(ramp.size)
+    r0 = ja = 0
+    for a in range(0, n, BLOCK):
+        b = min(a + BLOCK, n)
+        jb = int(np.searchsorted(lt, b))    # slots ja .. jb meet the block
+        v, nxt = s[a:b], s[a + 1:b + 1]
+        if single:
+            c = b - a
+            lens = edge[ja:jb + 2].copy()
+            lens[0], lens[-1] = a, b
+            lens = lens[1:] - lens[:-1]     # the block's runs in each slot
+            f = np.add(framp[:c], a + 1.0, out=fn[:c])
+        else:
+            i = np.flatnonzero(ends[a:b])
+            c = i.size
+            cut = np.searchsorted(i, lt[ja:jb] - a)
+            below[ja:jb] = r0 + cut
+            lens = np.diff(cut, prepend=0, append=c)
+            v, nxt = v[i], nxt[i[:np.searchsorted(i, nxt.size)]]
+            f = np.add(i, a + 1.0, out=fn[:c])
+        f /= n                              # F_n
+        gap = np.repeat(cum0[ja:jb + 1], lens)
+        width = np.repeat(top[ja:jb + 1], lens)
+        pos = np.repeat(p[ja:jb + 1] + r0, lens)
+        np.subtract(f, gap, out=gap)
+        np.abs(gap, out=gap)
+        np.minimum(width[:nxt.size], nxt, out=width[:nxt.size])
+        if nxt.size < c and jb == k_all:
+            width[-1] = v[-1]               # the last point has no width
+        width -= v
+        gap *= width
+        pos += ramp[:c]
+        out[pos] = gap
+        r0 += c
+        ja = jb
+    below += p[:-1]
+    out[below] = at
+    return d0, out[:-1]                     # the last point has no width
 
 
-def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
-    """Segments between the distinct sample values and the uniform's own
-    endpoints; |c - F| with linear F integrates in closed form on each.
+def _unit_cdf(ref: UniformCDF, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ref.cdf(x) into out, bit for bit."""
+    np.subtract(x, ref.lo, out=out)
+    out /= ref.hi - ref.lo
+    return np.clip(out, 0.0, 1.0, out=out)
 
-    The distinct values and #samples <= each come from the run ends of the
-    sorted sample, lo and hi go in by one search, and F is evaluated
-    once over all of them, so nothing is sorted or searched per sample.
-    Off the few segments where F crosses the level c (F_n - F changes sign
-    there), F >= c or F <= c on the whole segment, so the area is
-    |(F(a) + F(b)) / 2 - c| (b - a): the signed form of that side, bit for
-    bit, as the difference is >= 0 there.
+
+def _uniform_areas(a, c, fa, fb, lev, out) -> None:
+    """integral of |F_n - F| over each segment (a, c), F linear from fa to fb
+    and F_n = lev, into out; a, c, fa and fb are only read.
+
+    Off the segments where F crosses the level (F_n - F changes sign there),
+    F >= lev or F <= lev on the whole segment, so the area is
+    |(F(a) + F(c)) / 2 - lev| (c - a): the signed form of that side, bit for
+    bit, as the difference is >= 0 there.  F meets lev inside a crossing
+    segment at xs = a + (lev - F(a)) / slope, which splits it into two
+    triangles.
     """
-    s, n = ecdf.samples, ecdf.n
-    ends = np.flatnonzero(_run_ends(s))
-    b = s[ends]
-    lev = np.add(ends, 1.0)                 # #samples <= b, then F_n(b)
-    del ends
-    lev /= n
-    pos = np.searchsorted(b, (ref.lo, ref.hi)).tolist()
-    new = [(i, x) for i, x in zip(pos, (ref.lo, ref.hi)) if i == b.size or b[i] != x]
-    if new:                                 # F_n(x) is F_n of the value below x
-        at, xs = zip(*new)
-        b = np.insert(b, at, xs)
-        lev = np.insert(lev, at, [lev[i - 1] if i else 0.0 for i in at])
-    f = ref.cdf(b)
-    fa, fb, lev = f[:-1], f[1:], lev[:-1]
-    area = fa + fb
-    area *= 0.5
-    area -= lev
-    np.abs(area, out=area)
-    width = np.diff(b)
-    area *= width
-    del width
-    mid = ~((fa >= lev) | (fb <= lev))      # F crosses c inside the segment
+    np.add(fa, fb, out=out)
+    out *= 0.5
+    out -= lev
+    np.abs(out, out=out)
+    out *= c - a
+    mid = (fa < lev) & (fb > lev)
     if np.any(mid):
-        # F meets c at xs = a + (c - F(a)) / slope, which splits the segment
-        # into two triangles.  Gathered one source at a time (b, F and F_n
-        # are freed on the way) and worked in place, so a sample whose every
-        # segment crosses stays within value_vector's charge.
-        a, c = b[:-1][mid], b[1:][mid]
-        del b
-        fa, fb, lev = fa[mid], fb[mid], lev[mid]
-        del f
+        a, c, fa, fb, lev = a[mid], c[mid], fa[mid], fb[mid], lev[mid]
         slope = fb - fa
-        slope /= c - a                      # b strictly increases: c - a > 0
+        slope /= c - a                      # the points strictly increase
         slope[slope == 0] = 1.0             # an underflowed slope
         fb -= lev                           # F(c) - level
         lev -= fa                           # level - F(a)
@@ -434,8 +467,68 @@ def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
         fb *= 0.5
         fb *= c
         lev += fb
-        area[mid] = lev
-    return float(np.sum(area))
+        out[mid] = lev
+
+
+def _w1_uniform(ecdf: EmpiricalCDF, ref: UniformCDF) -> float:
+    """Segments between the distinct sample values and the uniform's own
+    endpoints; |c - F| with linear F integrates in closed form on each.
+
+    The run that ends at index i has F_n = (i + 1) / n, and the next
+    distinct value is s[i + 1], so the segments between values are worked
+    BLOCK samples at a time from the sample itself, gathered only where
+    some run is longer than one.  lo and hi, where no sample lies, split
+    the segment they fall in (or add segments beyond the sample) and are
+    worked on their own.  Each area goes to its place in the union, so
+    np.sum reads them in its order; no array but the areas and the run-end
+    mask is N long.
+    """
+    s, n = ecdf.samples, ecdf.n
+    ends = _run_ends(s)
+    runs = int(np.count_nonzero(ends))
+    single = runs == n                      # no gather: run r ends at index r
+    new = []                                # (#samples below x, x) for lo, hi off the sample
+    for x in (ref.lo, ref.hi):
+        i = int(np.searchsorted(s, x))
+        if i == n or s[i] != x:
+            new.append((i, x))
+    ranks = [i if single else int(np.count_nonzero(ends[:i])) for i, _ in new]
+    out = np.empty(runs + len(new) - 1)     # the union's areas, in its order
+    f0, f1 = np.empty((2, min(BLOCK, n) + 1))
+    r0 = 0
+    for a in range(0, n - 1, BLOCK):
+        b = min(a + BLOCK, n - 1)
+        if single:
+            v, nxt = s[a:b], s[a + 1:b + 1]
+            f = _unit_cdf(ref, s[a:b + 1], f0[:b - a + 1])
+            fa, fb = f[:-1], f[1:]
+            lev = np.arange(a + 1.0, b + 1.0)
+        else:
+            i = np.flatnonzero(ends[a:b])
+            i += a
+            v, nxt = s[i], s.take(i + 1)
+            fa, fb = _unit_cdf(ref, v, f0[:i.size]), _unit_cdf(ref, nxt, f1[:i.size])
+            lev = np.add(i, 1.0)
+        lev /= n
+        c = v.size
+        # the r-th segment goes after the points of lo and hi below value r
+        cut = [r0, *(min(max(r, r0), r0 + c) for r in ranks), r0 + c]
+        for k, (r1, r2) in enumerate(zip(cut[:-1], cut[1:])):
+            if r1 < r2:
+                part = slice(r1 - r0, r2 - r0)
+                _uniform_areas(v[part], nxt[part], fa[part], fb[part], lev[part],
+                               out[r1 + k:r2 + k])
+        r0 += c
+    done = 0                                # points of lo and hi placed
+    for i, group in itertools.groupby(new, key=lambda p: p[0]):
+        xs = [x for _, x in group]
+        pts = np.array(s[i - 1:i].tolist() + xs + s[i:i + 1].tolist())
+        fp = ref.cdf(pts)
+        at = ranks[done] - (i > 0) + done   # the union index of pts[0]
+        _uniform_areas(pts[:-1], pts[1:], fp[:-1], fp[1:], np.full(pts.size - 1, i / n),
+                       out[at:at + pts.size - 1])
+        done += len(xs)
+    return float(np.sum(out))
 
 
 def wasserstein1(ecdf: EmpiricalCDF, ref) -> float:
@@ -511,6 +604,15 @@ def _unit_check(ecdf: EmpiricalCDF) -> None:
         raise PointOutOfRange("star discrepancy inputs must lie in [0, 1]")
 
 
+def row_star_discrepancy(ecdf: EmpiricalCDF, ref, dk: Interval) -> float:
+    """star_discrepancy(ecdf) for a row that holds dk = kolmogorov(ecdf, ref):
+    against U[0, 1] D* is d_K itself, once the sample passes the [0, 1] check."""
+    _unit_check(ecdf)
+    if isinstance(ref, UniformCDF) and (ref.lo, ref.hi) == (0.0, 1.0):
+        return dk.hi
+    return star_discrepancy(ecdf)
+
+
 # -- smoothing inequality check -------------------------------------------------
 
 
@@ -539,10 +641,15 @@ def smoothing_check(ecdf: EmpiricalCDF, ref, rho_inf: float) -> SmoothingReport:
     d_K is taken at its upper end, which only makes the claimed inequality
     harder to satisfy.
     """
+    dk, w1 = distances(ecdf, ref)
+    return smoothing_report(dk.hi, w1, rho_inf)
+
+
+def smoothing_report(dk: float, w1: float, rho_inf: float) -> SmoothingReport:
+    """smoothing_check's table from d_K's upper end and W1, for a caller
+    that already holds both."""
     if not 0.0 < rho_inf < math.inf:
         raise ValueError(f"rho_inf must be a positive finite number, got {rho_inf!r}")
-    dk, w1 = distances(ecdf, ref)
-    dk = dk.hi
     center = max(np.sqrt(w1 / rho_inf), 1e-300)
     rows = []
     for s in (center * 2.0 ** k for k in range(-3, 4)):

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .empirical import (EmpiricalCDF, UniformCDF, _unit_check, distances, empirical_cdf,
-                        star_discrepancy)
+from .empirical import (EmpiricalCDF, UniformCDF, distances, empirical_cdf,
+                        row_star_discrepancy)
 from .errors import ConfigError, UnknownPreset
 from .limitlaw import cf_truncated, limit_cdf_conv
 from .mixed_radix import CantorBase, build_base, length
@@ -331,11 +331,7 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
                                              rho_inf=rho_inf, ref=ref)
     ecdf = empirical_cdf(dmap, base, n)
     dk, w1 = distances(ecdf, ref)
-    dstar = None
-    if dmap.family == "radical-inverse":         # D* is d_K to U[0, 1]
-        _unit_check(ecdf)
-        unit = isinstance(ref, UniformCDF) and (ref.lo, ref.hi) == (0.0, 1.0)
-        dstar = dk.hi if unit else star_discrepancy(ecdf)
+    dstar = row_star_discrepancy(ecdf, ref, dk) if dmap.family == "radical-inverse" else None
     pred = None if rate is None else predicted_rate(N=n, **rate)
     return {"N": n, "L": report.L, "h_star": h_star, "T_star": t_star,
             "regime": report.regime, "bridge": report.bridge,

@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def test_value_vector_guards(base2, vdc2):
     with pytest.raises(ValueError):
         value_vector(vdc2, base2, 0)
     with pytest.raises(ResourceLimit):
-        empirical_cdf(vdc2, base2, 16777217)    # 2^24 + 1 values, 1.34e9 bytes charged
+        empirical_cdf(vdc2, base2, 33554433)    # 2^25 + 1 values, 1.61e9 bytes charged
 
 
 def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
@@ -88,7 +89,8 @@ def test_enumeration_row_peak_within_byte_charge(base2, vdc2, geo_half, charges,
     # own per-knot arrays are W1's charge (tested below): the row of one
     # value against the same reference measures them, and is taken off.
     # Against the uniform shifted by half a cell F crosses F_n inside every
-    # segment, W1's costliest case
+    # segment; the grid of K = n knots, whose step table W1 builds, peaks
+    # highest
     n = 1 << 16
     refs = [(DigitMap.geometric(0.5, (0.0, 0.0)), EmpiricalCDF([0.0])),
             (vdc2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16)),          # K = n
@@ -117,11 +119,12 @@ def test_w1_grid_peak_within_byte_charge(base2, base3, vdc2, geo_half, tern, cha
     # larger of its build, 43 bytes per value, and its knots' widths, 9 per
     # knot (17 if the knot steps are not all w) and 40 per value, then, if m
     # distinct values lie off the knots, their union, 17 per knot and 26 per
-    # such value; the knot counts' path (N >= 8K) 40 per knot and 26 per
-    # value: one value against K knots, example-II's K = 4N (every value on
-    # a knot), regimeC's K = 3.25N (every value off the knots), K = N, N = 8K,
-    # K << N, and a grid of pitch 0.3 (not all steps w) with values on and
-    # off its knots
+    # such value; the knot counts' path (N >= 8K) 64 per knot, 9 per value
+    # and 88 per value of one block: one value against K knots, example-II's
+    # K = 4N (every value on a knot), regimeC's K = 3.25N (every value off
+    # the knots), K = N, N = 8K with runs of one value (some on a knot) and
+    # of two (gathered), K << N, and a grid of pitch 0.3 (not all steps w)
+    # with values on and off its knots
     fine = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -17)             # K = 2^18 + 1
     coarse = limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -12)           # K = 2^13 + 1
     odd = GridCDF(0.1, 0.3, np.linspace(0.0, 1.0, 1 << 18), 0.0, 0.0)
@@ -131,6 +134,7 @@ def test_w1_grid_peak_within_byte_charge(base2, base3, vdc2, geo_half, tern, cha
              (tern, base3, limit_cdf_conv(tern, base3, -1.625, 1.625, 2.0 ** -16), 1 << 16),
              (vdc2, base2, limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -16), 1 << 16),
              (geo_half, base2, coarse, 8 * coarse.cum.size),
+             (None, None, coarse, np.repeat(value_vector(geo_half, base2, 4 * coarse.cum.size), 2)),
              (geo_half, base2, limit_cdf_conv(geo_half, base2, 0.0, 2.0, 2.0 ** -11), 1 << 16),
              (None, None, odd, np.array([0.1 + 0.3 * 7])),
              (None, None, odd, odd.knots[rng.integers(0, odd.cum.size, 1 << 12)]),
@@ -142,7 +146,7 @@ def test_w1_grid_peak_within_byte_charge(base2, base3, vdc2, geo_half, tern, cha
         first = len(charges)
         peak, _ = peak_of(wasserstein1, ecdf, g)
         if n >= 8 * k:
-            want = [40 * k + 26 * n]
+            want = [64 * k + 9 * n + 88 * min(empirical.BLOCK, n)]
         else:
             m = int(np.count_nonzero(empirical._grid_steps(ecdf, g)[0]))
             want = [max((9 if g.even_steps else 17) * k + 40 * n, 43 * n)]
@@ -253,6 +257,18 @@ def test_empirical_cdf_semantics():
     for bad in ([0.1, math.nan, 0.5], [math.nan], [0.2, math.inf], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             EmpiricalCDF(bad)
+
+
+def test_empirical_cdf_sorts_only_its_own_values(base3, tern):
+    # EmpiricalCDF copies the caller's array; empirical_cdf sorts the values
+    # it makes in place, to the same sample
+    values = value_vector(tern, base3, 500)
+    kept = values.copy()
+    e = EmpiricalCDF(values)
+    assert np.array_equal(values.view(np.int64), kept.view(np.int64))
+    assert not np.shares_memory(e.samples, values)
+    assert np.array_equal(empirical_cdf(tern, base3, 500).samples.view(np.int64),
+                          e.samples.view(np.int64))
 
 
 def test_uniform_and_point_refs():
@@ -629,6 +645,114 @@ def test_w1_uniform_matches_union_oracle_bitwise(case):
     samples, lo, hi = case
     e, u = EmpiricalCDF(samples), UniformCDF(lo, hi)
     assert _same_bits(wasserstein1(e, u), _w1_uniform_oracle(e, u))
+
+
+def _w1_knots_insert_oracle(ecdf, ref):
+    """W1's summands against a grid from the knot counts in N-long arrays:
+    the run ends less the runs on knots, their slot levels by np.repeat,
+    and the knots' summands put in by np.insert."""
+    s, n, cum, knots = ecdf.samples, ecdf.n, ref.cum, ref.knots
+    lt, le = np.searchsorted(s, knots, side="left"), np.searchsorted(s, knots, side="right")
+    last = np.append(s[1:] != s[:-1], True)
+    last[le[le > lt] - 1] = False
+    ends = np.flatnonzero(last)
+    below = np.searchsorted(ends, lt)
+    per_slot = np.diff(below, prepend=0, append=ends.size)
+    v = s[ends]
+    gap = np.abs((ends + 1.0) / n - np.repeat(np.concatenate(([0.0], cum)), per_slot))
+    width = np.empty(v.size)
+    width[:-1] = v[1:] - v[:-1]
+    width[-1:] = 0.0
+    j = np.flatnonzero(per_slot[:-1])
+    width[below[j] - 1] = knots[j] - v[below[j] - 1]
+    gap *= width
+    nxt = np.append(knots[1:], knots[-1])
+    j = np.flatnonzero(per_slot[1:])
+    nxt[j] = v[below[j]]
+    at = np.abs(le / n - cum) * (nxt - knots)
+    return np.insert(gap, below, at)[:-1]
+
+
+def _w1_uniform_insert_oracle(ecdf, ref):
+    """W1 against a uniform in N-long arrays: the run ends' values and
+    levels, lo and hi put in by np.insert, F over all points and the
+    crossing segments redone as two triangles."""
+    s, n = ecdf.samples, ecdf.n
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    b, lev = s[ends], (ends + 1.0) / n
+    pos = np.searchsorted(b, (ref.lo, ref.hi)).tolist()
+    new = [(i, x) for i, x in zip(pos, (ref.lo, ref.hi)) if i == b.size or b[i] != x]
+    if new:
+        at, xs = zip(*new)
+        b = np.insert(b, at, xs)
+        lev = np.insert(lev, at, [lev[i - 1] if i else 0.0 for i in at])
+    f = ref.cdf(b)
+    fa, fb, lev = f[:-1], f[1:], lev[:-1]
+    area = np.abs((fa + fb) * 0.5 - lev) * np.diff(b)
+    mid = ~((fa >= lev) | (fb <= lev))
+    if np.any(mid):
+        a, c = b[:-1][mid], b[1:][mid]
+        fa, fb, lev = fa[mid], fb[mid], lev[mid]
+        slope = (fb - fa) / (c - a)
+        slope[slope == 0] = 1.0
+        xs = (lev - fa) / slope + a
+        area[mid] = (lev - fa) * 0.5 * (xs - a) + (fb - lev) * 0.5 * (c - xs)
+    return float(np.sum(area))
+
+
+@st.composite
+def _block_edge_case(draw):
+    """(block, sorted sample, grid, lo, hi): a sample of n = q * block - 1, q *
+    block or q * block + 1 values, drawn from a few knots of the grid, points
+    between them and points below and above it, in runs of one value or of
+    up to seven, and a uniform's ends on, between or outside the sample."""
+    block = draw(st.sampled_from([8, 64, empirical.BLOCK]))
+    n = max(1, block * draw(st.integers(1, 3)) + draw(st.sampled_from([-1, 0, 1])))
+    k = draw(st.integers(1, 12))
+    x0, w = draw(st.sampled_from([(0.0, 1.0), (0.1, 0.3), (-2.3, 0.37)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = GridCDF(x0, w, np.sort(rng.random(k)), 0.0, 0.0)
+    pool = {"on": g.knots,
+            "off": x0 + w * (np.arange(-2, k + 2) + 0.5),
+            "both": np.concatenate((g.knots, x0 + w * (np.arange(-2, k + 2) + 0.5)))}[
+        draw(st.sampled_from(["on", "off", "both"]))]
+    if draw(st.booleans()):                 # every run of one value: no gather
+        pool = np.unique(np.concatenate((pool, rng.uniform(x0 - 3 * w, x0 + (k + 3) * w, n))))
+        s = np.sort(rng.choice(pool, min(n, pool.size), replace=False))
+    else:
+        runs = rng.integers(1, 8, n)
+        s = np.sort(np.repeat(rng.choice(pool, n), runs))[:n]
+    ends = [s[0], s[-1], s[s.size // 2], s[0] - 1.0, s[-1] + 1.0, 0.5 * (s[0] + s[-1])]
+    lo = draw(st.sampled_from(ends))
+    hi = max(lo + draw(st.sampled_from([1e-3, 0.3, 5.0])), draw(st.sampled_from(ends)))
+    return block, s, g, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_edge_case())
+# a run on knot 1 that ends at the first block edge (index 7)
+@example((8, np.array([0.5] * 3 + [1.0] * 5 + [1.5] * 4 + [2.0] * 2 + [3.0] * 2),
+          GridCDF(0.0, 1.0, np.array([0.2, 0.5, 0.9]), 0.0, 0.0), 1.0, 1.5))
+# every value on a knot, in runs across the block edges
+@example((8, np.repeat([0.0, 1.0, 2.0], [5, 6, 6]),
+          GridCDF(0.0, 1.0, np.array([0.2, 0.5, 0.9]), 0.0, 0.0), -1.0, 0.5))
+# one run over two block edges, and values below and above the grid
+@example((8, np.array([-4.0, -4.0] + [0.5] * 20 + [9.0, 9.0, 9.0]),
+          GridCDF(0.0, 1.0, np.array([0.2, 0.5, 0.9]), 0.0, 0.0), 0.5, 9.0))
+def test_blocked_w1_matches_whole_array_oracles_bitwise(case):
+    # the blocked W1 paths against the whole-array forms they replaced, at
+    # the block size drawn: the knot counts' summands bit for bit (and so
+    # their np.sum), the uniform's W1 float
+    block, s, g, lo, hi = case
+    e, u = EmpiricalCDF(s), UniformCDF(lo, hi)
+    with mock.patch.object(empirical, "BLOCK", block):
+        got = empirical._w1_knots(e, g)
+        w1 = empirical._w1_uniform(e, u)
+    want = _w1_knots_insert_oracle(e, g)
+    assert got[1].shape == want.shape
+    assert np.array_equal(got[1].view(np.int64), want.view(np.int64))
+    assert _same_bits(got[0], kolmogorov(e, g).lo)
+    assert _same_bits(w1, _w1_uniform_insert_oracle(e, u))
 
 
 @settings(max_examples=300, deadline=None)

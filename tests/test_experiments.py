@@ -301,6 +301,30 @@ def test_cli_empirical_star_discrepancy(capsys):
     assert "ok" in out
 
 
+def test_cli_empirical_reads_one_distances_call(monkeypatch, capsys):
+    # the smoothing line and D* against the default U[0, 1] reuse the
+    # printed d_K and W1: one distances call, and d_K computed once
+    from cantorlab import cli, empirical
+
+    calls = []
+
+    def counting(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for mod in (cli, empirical):
+        monkeypatch.setattr(mod, "distances", counting("distances", empirical.distances))
+    monkeypatch.setattr(empirical, "kolmogorov", counting("kolmogorov", empirical.kolmogorov))
+    assert main(["empirical", "--n", "1024", "--smoothing-rho", "1.0"]) == 0
+    assert calls == ["distances", "kolmogorov"]
+    assert capsys.readouterr().out == (
+        "d_K in [0.0009765625, 0.0009765625]\nW1 = 0.00048828125\n"
+        "smoothing: d_K=0.0009765625 <= 2 sqrt(rho W1) = 0.04419417382415922 -> ok\n"
+        "D*_n = 0.0009765625\n")
+
+
 def test_cli_bound_and_optimize_json(capsys):
     assert main(["bound", "--n", "4096", "--window", "4", "--regime", "B",
                  "--rho-inf", "1.0"]) == 0
