@@ -255,12 +255,16 @@ def kolmogorov(ecdf: EmpiricalCDF, ref) -> Interval:
         return _grid_interval(ref, _sup_diff_steps(ref, _grid_steps(ecdf, ref)))
     if isinstance(ref, EmpiricalCDF):
         d = _sup_diff_step(ecdf, ref)
-    elif isinstance(ref, UniformCDF):          # ref.cdf in place, then i/n - F and F - (i-1)/n
-        f = _unit_cdf(ref, ecdf.samples, np.empty(ecdf.n))
-        i_n = np.arange(ecdf.n + 1, dtype=float)
-        i_n /= ecdf.n
-        above = np.max(i_n[1:] - f)
-        d = float(max(above, np.max(np.subtract(f, i_n[:-1], out=f)), 0.0))
+    elif isinstance(ref, UniformCDF):          # i/n - F and F - (i-1)/n, BLOCK values at a time
+        n, d = ecdf.n, 0.0
+        buf = np.empty(min(BLOCK, n))
+        for lo in range(0, n, BLOCK):
+            x = ecdf.samples[lo:lo + BLOCK]
+            f = _unit_cdf(ref, x, buf[:x.size])
+            i_n = np.arange(lo, lo + x.size + 1, dtype=float)
+            i_n /= n
+            d = max(d, np.max(i_n[1:] - f), np.max(np.subtract(f, i_n[:-1], out=f)))
+        d = float(d)
     else:
         raise _foreign(ref)
     return Interval(d, d)

@@ -25,14 +25,14 @@ import numpy as np
 
 from .errors import RangeTooSmall, check_bytes
 from .mixed_radix import CantorBase
-from .qadditive import (DigitMap, digit_stats, level_values, table_rows, table_tails,
-                        tail_sums)
+from .qadditive import DigitMap, level_values, table_rows, table_tails, tail_sums
 
 DEPTH_CAP = 4096
 CF_TOL = 1e-12              # truncation bound at which cf_truncated stops deepening
 CHUNK = 1 << 16             # floats per pass of a knot, window or fold scan (512 KB)
 CARRY_BITS = 1021           # the fold carries 1/a's powers of two while prod a < 2^1021
 TINY_ANGLE = 2.0 ** -28     # below it cos is 1.0 and sin the angle itself (tested)
+GROUP = 16                  # most digit tuples in one CF table product (measured, see README)
 
 
 class GridCDF:
@@ -499,6 +499,88 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
 # -- route 2: characteristic-function inversion ----------------------------------
 
 
+def _level_groups(dmap: DigitMap, base: CantorBase, depth: int):
+    """(first level, [digit values of each level]) for runs of consecutive
+    levels 0..depth-1 whose digit counts multiply to at most GROUP; a level
+    of more digits is a run of its own."""
+    group, size, first = [], 1, 0
+    for j in range(depth):
+        vals = level_values(dmap, base, j)
+        if group and size * len(vals) > GROUP:
+            yield first, group
+            group, size, first = [], 1, j
+        group.append(vals)
+        size *= len(vals)
+    yield first, group
+
+
+def _group_bytes(group: list[list[float]], lines: int) -> int:
+    """Peak bytes of _group_factor at rows + cols = lines: 16 per entry of
+    the exponential tables, a row and a column per digit value, then 8 per
+    entry of one table's angles, or for more than one level 16 per entry of
+    the Khatri-Rao products beside the pair they are built from."""
+    s, p = sum(map(len, group)), math.prod(map(len, group))
+    if len(group) == 1:
+        return 24 * lines * s
+    return 16 * lines * (s + p + p // len(group[-1]))
+
+
+def _exp_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """e^{i x y} over the outer product of x and y, as a cos/sin pair."""
+    ang = np.multiply.outer(x, y)
+    out = np.empty(ang.shape, dtype=complex)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+    return out
+
+
+def _group_factor(out: np.ndarray, t_hi: np.ndarray, t_lo: np.ndarray,
+                  group: list[list[float]]) -> np.ndarray:
+    """out = the product over the group's levels of their CF factors at the
+    nodes t_hi + t_lo, as one (rows x p) @ (p x cols) matrix product.
+
+    Level j's factor is A_j @ B_j, with A_j = e^{i t_hi v} / a_j and B_j =
+    e^{i v t_lo} over its a_j digit values v, zero ones included.  The
+    Hadamard product of the factors is (A_1 * A_2 * ...) @ (B_1 * B_2 * ...)
+    with * the row-wise Khatri-Rao product (column-wise on the B side), of
+    rank p = a_1 a_2 ..., the number of digit tuples.  Each entry is a
+    product of the per-level exponentials of the per-level angles t v, so
+    the factor agrees with the level-by-level product to rounding.
+    """
+    vals = np.array([v for level in group for v in level])
+    hi, lo = _exp_table(t_hi, vals), _exp_table(vals, t_lo)
+    k = len(group[0])
+    a, b = hi[:, :k], lo[:k]
+    a /= math.prod(map(len, group))
+    for level in group[1:]:
+        cut = slice(k, k + len(level))
+        a = np.einsum("rk,rp->rkp", hi[:, cut], a).reshape(t_hi.size, -1)
+        b = np.einsum("kc,pc->kpc", lo[cut], b).reshape(-1, t_lo.size)
+        k += len(level)
+    return np.matmul(a, b, out=out)
+
+
+def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray,
+              t_lo: np.ndarray, need: int) -> tuple[np.ndarray, float]:
+    """(the CF product of levels 0..depth-1 at the nodes t_hi + t_lo, the
+    sum of the levels' means), one group of levels at a time; need is the
+    byte charge of the rest of the call, to which each group's tables are
+    added.  Each mean is digit_stats' m, bit for bit."""
+    phi = np.empty((t_hi.size, t_lo.size), dtype=complex)
+    f = None                                       # the later groups' factor
+    means = []
+    for j, group in _level_groups(dmap, base, depth):
+        check_bytes(need + _group_bytes(group, t_hi.size + t_lo.size),
+                    f"CF product from level {j}")
+        means += [math.fsum(vals) / len(vals) for vals in group]
+        if j == 0:
+            _group_factor(phi, t_hi, t_lo, group)
+        else:
+            f = np.empty_like(phi) if f is None else f
+            phi *= _group_factor(f, t_hi, t_lo, group)
+    return phi, math.fsum(means)
+
+
 @dataclass(frozen=True)
 class InvertedCDF:
     """CDF values from smoothed inversion, with an explicit error budget."""
@@ -525,8 +607,9 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
 
     The nodes t_k = k h, k = 0..n_t, sit in a rows x cols table, k = cols a
     + b, so e^{ict_k} = e^{ict_{cols a}} e^{ict_b} takes rows + cols cos/sin
-    pairs per value c: per digit value in the CF product, where a level is
-    one matrix product over its digits, and per x in the kernel, whose sum
+    pairs per value c: per digit value in the CF product, where a group of
+    consecutive levels whose digit counts multiply to at most GROUP is one
+    matrix product over its digit tuples, and per x in the kernel, whose sum
     over k is one matrix product.  More than BYTE_CAP bytes of these tables
     raises ResourceLimit before they exist.
     """
@@ -549,29 +632,17 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     cols = 1 << (int(n_t).bit_length() // 2)
     rows = n_t // cols + 1
     chunk = max(1, (1 << 20) // (rows + cols))     # 16 MB of x-dependent tables
-    # the nodes, three rows x cols complex tables (the CF product and two
-    # levels' factors), five complex rows x chunk tables at once in the
-    # kernel and eight float arrays per point
-    need = 8 * (n_t + 1) + 48 * rows * cols + 80 * rows * min(chunk, xs.size) + 64 * xs.size
+    # the nodes, two rows x cols complex tables (the CF product and a
+    # group's factor, then the kernel's weights), five complex rows x chunk
+    # tables at once in the kernel and eight float arrays per point
+    need = 8 * (n_t + 1) + 32 * rows * cols + 80 * rows * min(chunk, xs.size) + 64 * xs.size
     check_bytes(need, f"inversion on {n_t} cells at {xs.size} points")
 
     ts = np.linspace(0.0, t_max, n_t + 1)
     tails = _tails(dmap, base)
     depth_used = _cf_depth(dmap, tails, t_max, depth)
-    mu = math.fsum(digit_stats(dmap, base, j).m for j in range(depth_used))
-
     t_hi, t_lo = ts[::cols], ts[:cols]
-    phi = np.ones((rows, cols), dtype=complex)
-    for j in range(depth_used):
-        digits = np.array(level_values(dmap, base, j))
-        # the level's two exponential tables, each with its outer product
-        check_bytes(need + 32 * (rows + cols) * digits.size, f"level {j} of the CF product")
-        # the digit mean of e^{itv} as one (rows x a) @ (a x cols) product,
-        # zero digit values included
-        f = (np.exp(1j * np.multiply.outer(t_hi, digits)) / digits.size
-             @ np.exp(1j * np.multiply.outer(digits, t_lo)))
-        phi *= f
-    del f
+    phi, mu = _cf_table(dmap, base, depth_used, t_hi, t_lo, need)
 
     # trapezoid weights times phi(t)/t: 0 at node 0 (its integrand, the
     # t -> 0 limit mu - x, is added apart), 1/2 at node n_t, 0 past it

@@ -755,20 +755,50 @@ def test_blocked_w1_matches_whole_array_oracles_bitwise(case):
     assert _same_bits(w1, _w1_uniform_insert_oracle(e, u))
 
 
+def _kolmogorov_uniform_oracle(e: EmpiricalCDF, u: UniformCDF) -> float:
+    # ref.cdf, i/n and both differences each as their own N-float array, as
+    # d_K against a uniform was computed before F was made in place
+    f = u.cdf(e.samples)
+    i_n = np.arange(e.n + 1) / e.n
+    return float(max(np.max(i_n[1:] - f), np.max(f - i_n[:-1]), 0.0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_uniform_case())
 @example(([(i + 0.5) / 16.0 for i in range(16)], 0.0, 1.0))
 @example(([-0.0, 0.0, 1.0, 1.0], 0.0, 1.0))
 def test_kolmogorov_uniform_matches_separate_arrays_oracle_bitwise(case):
-    # ref.cdf, i/n and both differences each as their own array, as d_K
-    # against a uniform was computed before F was made in place
     samples, lo, hi = case
     e, u = EmpiricalCDF(samples), UniformCDF(lo, hi)
-    f = u.cdf(e.samples)
-    i_n = np.arange(e.n + 1) / e.n
-    want = float(max(np.max(i_n[1:] - f), np.max(f - i_n[:-1]), 0.0))
+    want = _kolmogorov_uniform_oracle(e, u)
     got = kolmogorov(e, u)
     assert _same_bits(got.lo, want) and _same_bits(got.hi, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_uniform_case(), st.sampled_from([1, 3, 8, 64]))
+@example(([-0.0, 0.0, 1.0, 1.0, 1.0], 0.0, 1.0), 2)          # -0.0 alone in a block
+@example(([0.1] * 8 + [0.9] * 9, 0.0, 1.0), 8)               # one value past a block edge
+def test_kolmogorov_uniform_blocks_match_oracle_bitwise(case, block):
+    # d_K against a uniform, BLOCK values at a time, at blocks smaller than
+    # the sample: the whole-array value bit for bit, as a max is order-free
+    samples, lo, hi = case
+    e, u = EmpiricalCDF(samples), UniformCDF(lo, hi)
+    with mock.patch.object(empirical, "BLOCK", block):
+        got = kolmogorov(e, u)
+    want = _kolmogorov_uniform_oracle(e, u)
+    assert _same_bits(got.lo, want) and _same_bits(got.hi, want)
+
+
+def test_kolmogorov_uniform_peak_is_a_few_blocks(peak_of):
+    # at N = 8 and 32 blocks the scan holds a few block-sized float arrays,
+    # where the whole-array form held 24 bytes a value (1.5 MB at N = 2^16)
+    rng = np.random.default_rng(11)
+    for n in (8 * empirical.BLOCK, 32 * empirical.BLOCK):
+        e = EmpiricalCDF(rng.random(n))
+        peak, d = peak_of(kolmogorov, e, UniformCDF())
+        assert peak <= 5 * 8 * empirical.BLOCK
+        assert _same_bits(d.hi, _kolmogorov_uniform_oracle(e, UniformCDF()))
 
 
 class _SquareLaw:

@@ -29,8 +29,9 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
-from cantorlab.limitlaw import (CARRY_BITS, CHUNK, TINY_ANGLE, _cf_bound, _cf_depth,
-                               _conv_depth, _conv_envelope, _fold, _tails)
+from cantorlab import limitlaw
+from cantorlab.limitlaw import (CARRY_BITS, CHUNK, GROUP, TINY_ANGLE, _cf_bound, _cf_depth,
+                               _cf_table, _conv_depth, _conv_envelope, _fold, _tails)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -601,16 +602,18 @@ def test_conv_peak_memory_within_byte_charge(base2, vdc2, geo_half, charges, pea
             assert peak < 3 * 8 * size
 
 
-@pytest.mark.parametrize("q, n_t, n_x", [(2, 1 << 18, 1), (2, 1 << 12, 4096),
-                                         (1 << 10, 1 << 12, 1)],
-                         ids=["cf-tables", "kernel-tables", "level-tables"])
-def test_invert_peak_memory_within_byte_charge(charges, peak_of, vdc2, q, n_t, n_x):
+@pytest.mark.parametrize("q, n_t, n_x, depth", [(2, 1 << 18, 1, 2), (2, 1 << 12, 4096, 2),
+                                                (1 << 10, 1 << 12, 1, 2),
+                                                (2, 1 << 9, 1, GROUP.bit_length() - 1)],
+                         ids=["cf-tables", "kernel-tables", "level-tables", "group-tables"])
+def test_invert_peak_memory_within_byte_charge(charges, peak_of, vdc2, q, n_t, n_x, depth):
     # each case is dominated by one term of the charge: the rows x cols CF
-    # tables, the kernel's rows x chunk tables, or one level's exponential
-    # tables (1023 nonzero digit values)
+    # tables, the kernel's rows x chunk tables, one level's exponential
+    # tables (1023 nonzero digit values), or the Khatri-Rao products of one
+    # group of rank GROUP (binary levels on a 17 x 32 node table)
     base = build_base({"kind": "constant", "q": q})
     xs = np.linspace(0.0, 1.0, n_x)
-    peak, _ = peak_of(limit_cdf_invert, vdc2, base, xs, n_t=n_t, depth=2)
+    peak, _ = peak_of(limit_cdf_invert, vdc2, base, xs, n_t=n_t, depth=depth)
     assert peak <= max(charges) <= 1.5 * peak
 
 
@@ -1033,6 +1036,106 @@ def test_invert_tables_match_dense_oracle(case, n_t, t_max):
     again = limit_cdf_invert(dmap, base, xs, t_max=t_max, n_t=n_t, q_hint=0.01)
     assert np.array_equal(again.values.view(np.int64), inv.values.view(np.int64))
     assert again.envelope == inv.envelope
+
+
+def _per_level_cf_table(dmap, base, depth, t_hi, t_lo):
+    """The CF table level by level: each level's factor as one (rows x a)
+    @ (a x cols) product of its exponential tables, zero digit values
+    included, multiplied into the running product.  The oracle of the
+    grouped product, which sums the same terms in another order."""
+    phi = np.ones((t_hi.size, t_lo.size), dtype=complex)
+    for j in range(depth):
+        digits = np.array(level_values(dmap, base, j))
+        phi *= (np.exp(1j * np.multiply.outer(t_hi, digits)) / digits.size
+                @ np.exp(1j * np.multiply.outer(digits, t_lo)))
+    return phi
+
+
+def _node_table(n_t, t_max=2048.0):
+    cols = 1 << (n_t.bit_length() // 2)
+    ts = np.linspace(0.0, t_max, n_t + 1)
+    return ts[::cols], ts[:cols]
+
+
+def _table_case(rows):
+    """A custom table on a table base whose digit counts follow its rows."""
+    return DigitMap.custom_table(rows), {"kind": "table", "table": [len(r) for r in rows],
+                                         "then": {"kind": "constant", "q": 2}}
+
+
+_WIDE = [0.1 * i - 1.7 for i in range(GROUP + 5)]     # a level of more than GROUP digits
+_CF_TABLE_CASES = {
+    "radical-inverse-q2": (DigitMap.radical_inverse(), {"kind": "constant", "q": 2}),
+    "radical-inverse-q3": (DigitMap.radical_inverse(), {"kind": "constant", "q": 3}),
+    "radical-inverse-q10": (DigitMap.radical_inverse(), {"kind": "constant", "q": 10}),
+    "symmetric-ternary": (DigitMap.symmetric_ternary(), {"kind": "constant", "q": 3}),
+    "geometric": (DigitMap.geometric(0.5, (0.0, 1.0)), {"kind": "constant", "q": 2}),
+    "periodic-2-3": (DigitMap.radical_inverse(), {"kind": "periodic", "pattern": [2, 3]}),
+    # zero values, an all-zero row, and digit counts 2, 3, 4, 2 and 5
+    "table-zeros": _table_case([(0.0, 0.5), (0.25, 0.0, -0.75), (0.0, 0.0, 0.3, -0.1),
+                                (0.0, 0.0), (0.0, 0.125, 0.0, -0.5, 0.0)]),
+    # two levels either side of one of GROUP + 5 digits
+    "table-wide-level": _table_case([(0.0, 0.5), (0.3, -0.2, 0.0), _WIDE, (0.0, 0.25),
+                                     (-0.1, 0.0, 0.7)]),
+}
+
+
+@pytest.mark.parametrize("n_t", [8, 1 << 11, 1 << 16])
+@pytest.mark.parametrize("case", list(_CF_TABLE_CASES))
+def test_invert_cf_table_matches_per_level_oracle(case, n_t):
+    dmap, rule = _CF_TABLE_CASES[case]
+    base = build_base(rule)
+    depth = _cf_depth(dmap, _tails(dmap, base), 2048.0, None)
+    t_hi, t_lo = _node_table(n_t)
+    want = _per_level_cf_table(dmap, base, depth, t_hi, t_lo)
+    got, mu = _cf_table(dmap, base, depth, t_hi, t_lo, 0)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert mu == math.fsum(digit_stats(dmap, base, j).m for j in range(depth))
+
+
+class _Counted(np.ndarray):
+    """An array whose ufunc calls, matmul included, run on plain arrays and
+    return _Counted views; the 2-d shapes that matmul returns are kept."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _Counted) else x
+
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        res = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if ufunc is np.matmul and np.ndim(res) == 2:
+            _Counted.products.append(res.shape)
+        return res.view(_Counted) if isinstance(res, np.ndarray) else res
+
+
+class _CountingNumpy:
+    """numpy for limitlaw, with the arrays that the CF table starts from
+    (the nodes, the running product and its factor buffers) _Counted, so
+    that a product by np.matmul or by @ is seen."""
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name in ("linspace", "empty", "empty_like", "ones"):
+            return lambda *a, **k: fn(*a, **k).view(_Counted)
+        return fn
+
+
+def test_invert_cf_product_takes_one_matrix_product_per_group(monkeypatch, base2, vdc2):
+    # radical-inverse q = 2 at t_max = 2048 runs 50 binary levels: groups of
+    # log2(GROUP) levels, at most ceil(50 / 4) full-table products, where
+    # one product a level made 50
+    monkeypatch.setattr(limitlaw, "np", _CountingNumpy())
+    monkeypatch.setattr(_Counted, "products", [])
+    n_t = 1 << 16
+    t_hi, t_lo = _node_table(n_t)
+    inv = limit_cdf_invert(vdc2, base2, [0.25, 0.5], t_max=2048.0, n_t=n_t, q_hint=0.01)
+    assert _cf_depth(vdc2, _tails(vdc2, base2), 2048.0, None) == 50
+    tables = [s for s in _Counted.products if s == (t_hi.size, t_lo.size)]
+    assert 1 <= len(tables) <= math.ceil(50 / 4)
+    assert np.max(np.abs(inv.values - [0.25, 0.5])) <= inv.envelope
 
 
 def test_invert_chunks_match_one_point_calls(base2, vdc2):
