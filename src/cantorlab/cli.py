@@ -128,9 +128,11 @@ def _cmd_limit(args) -> int:
         xs = np.linspace(args.x0, args.x1, args.n_x)
         inv = limit_cdf_invert(dmap, base, xs, t_max=args.t_max, n_t=args.n_t,
                                depth=args.depth, q_hint=args.q_hint)
-        log.info("inversion envelope %.3g (pieces %s)%s", inv.envelope,
-                 {k: round(v, 6) for k, v in inv.pieces.items()},
-                 " [conditional: no window hint]" if inv.conditional else "")
+        log.info("inversion envelope %.3g (pieces %s)%s; depth %d%s, %d level groups, %d real",
+                 inv.envelope, {k: round(v, 6) for k, v in inv.pieces.items()},
+                 " [conditional: no window hint]" if inv.conditional else "", inv.depth,
+                 " (DEPTH_CAP, truncation bound still above CF_TOL)" if inv.capped else "",
+                 inv.groups, inv.real_groups)
         vals = inv.values
     _emit(csv_text(("x", "F"), zip(xs, vals)), args.out)
     return 0

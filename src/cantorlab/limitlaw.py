@@ -17,6 +17,7 @@ within the sum of their envelopes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -514,15 +515,38 @@ def _level_groups(dmap: DigitMap, base: CantorBase, depth: int):
     yield first, group
 
 
-def _group_bytes(group: list[list[float]], lines: int) -> int:
-    """Peak bytes of _group_factor at rows + cols = lines: 16 per entry of
-    the exponential tables, a row and a column per digit value, then 8 per
-    entry of one table's angles, or for more than one level 16 per entry of
-    the Khatri-Rao products beside the pair they are built from."""
-    s, p = sum(map(len, group)), math.prod(map(len, group))
-    if len(group) == 1:
-        return 24 * lines * s
-    return 16 * lines * (s + p + p // len(group[-1]))
+def _centred(vals: list[float], m: float) -> Optional[Counter]:
+    """{|c|: how many of the level's values are m + c or m - c} when each
+    value v = m + c is centred exactly, (v - m) + m == v, and the c's are a
+    multiset equal to its negation; None for any other level.  Such a
+    level's factor is e^{itm} (1/a) sum_c n_c cos(c t)."""
+    cs = [v - m for v in vals]
+    if any(c + m != v for c, v in zip(cs, vals)) or sorted(cs) != sorted(-c for c in cs):
+        return None
+    return Counter(map(abs, cs))
+
+
+def _ranks(group: list[list[float]], counts: Optional[list[Counter]]) -> list[int]:
+    """Each level's rank in _group_factor: its digit count, or for a real
+    group one for a zero c and two per nonzero |c|."""
+    if counts is None:
+        return [len(vals) for vals in group]
+    return [2 * len(n) - (0.0 in n) for n in counts]
+
+
+def _group_bytes(group: list[list[float]], counts: Optional[list[Counter]], lines: int) -> int:
+    """Peak bytes of _group_factor at rows + cols = lines: 8 bytes per
+    entry of a real group's tables, 16 of a complex one's, a row and a
+    column per rank, then for a single complex level 8 per entry of one
+    table's angles (a real level's share its sines' place), or for more
+    than one level as many per entry of the Khatri-Rao products beside the
+    pair they are built from."""
+    ranks = _ranks(group, counts)
+    width = 16 if counts is None else 8
+    if len(ranks) == 1:
+        return lines * ranks[0] * (24 if counts is None else 8)
+    p = math.prod(ranks)
+    return width * lines * (sum(ranks) + p + p // ranks[-1])
 
 
 def _exp_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -534,51 +558,148 @@ def _exp_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp_rows(vals: list[float], t: np.ndarray) -> np.ndarray:
+    """e^{i v t} over the values v (rows) and the nodes t, with cos/sin of
+    the nonzero values only: a zero value's row is exactly 1 + 0i."""
+    nz = [v for v in vals if v]
+    out = np.empty((len(nz) + 1, t.size), dtype=complex)
+    ang = np.multiply.outer(nz, t)
+    np.cos(ang, out=out.real[:-1])
+    np.sin(ang, out=out.imag[:-1])
+    out[-1] = 1.0
+    k = iter(range(len(nz)))
+    return out.take([next(k) if v else len(nz) for v in vals], axis=0)
+
+
+def _real_tables(t_hi: np.ndarray, t_lo: np.ndarray, group: list[list[float]],
+                 counts: list[Counter]) -> tuple[np.ndarray, np.ndarray]:
+    """A real group's tables, level by level: level j's columns of the
+    first hold n_0 / a_j for a zero c, then (n_c / a_j) cos(c t_hi) and
+    -(n_c / a_j) sin(c t_hi) per nonzero |c|; its rows of the second hold
+    1, cos(c t_lo) and sin(c t_lo).  Both are built as rows, the first
+    transposed at the end, and the cos and sin of every |c| are taken for
+    the group at once, in blocks that a take puts in level order."""
+    cs = [c for n in counts for c in n if c]
+    w = [n[c] / len(vals) for vals, n in zip(group, counts) for c in n if c]
+    zw = [n[0.0] / len(vals) for vals, n in zip(group, counts) if 0.0 in n]
+    z, s = len(zw), len(cs)
+    hi, lo = np.ones((z + 2 * s, t_hi.size)), np.ones((z + 2 * s, t_lo.size))
+    for rows, t in ((hi, t_hi), (lo, t_lo)):
+        # the angles go where the sines go, so no table of them is made
+        np.cos(np.multiply.outer(cs, t, out=rows[z + s:]), out=rows[z:z + s])
+        np.sin(rows[z + s:], out=rows[z + s:])
+    hi *= np.array(zw + w + [-x for x in w])[:, None]
+    if len(group) > 1:
+        order, k, i = [], z, 0
+        for n in counts:
+            c = [k + x for x in range(len(n) - (0.0 in n))]
+            order += [i] * (0.0 in n) + c + [x + s for x in c]
+            k, i = k + len(c), i + (0.0 in n)
+        hi, lo = hi.take(order, axis=0), lo.take(order, axis=0)
+    return hi.T, lo
+
+
 def _group_factor(out: np.ndarray, t_hi: np.ndarray, t_lo: np.ndarray,
-                  group: list[list[float]]) -> np.ndarray:
+                  group: list[list[float]], counts: Optional[list[Counter]] = None) -> np.ndarray:
     """out = the product over the group's levels of their CF factors at the
     nodes t_hi + t_lo, as one (rows x p) @ (p x cols) matrix product.
 
-    Level j's factor is A_j @ B_j, with A_j = e^{i t_hi v} / a_j and B_j =
-    e^{i v t_lo} over its a_j digit values v, zero ones included.  The
-    Hadamard product of the factors is (A_1 * A_2 * ...) @ (B_1 * B_2 * ...)
-    with * the row-wise Khatri-Rao product (column-wise on the B side), of
-    rank p = a_1 a_2 ..., the number of digit tuples.  Each entry is a
-    product of the per-level exponentials of the per-level angles t v, so
-    the factor agrees with the level-by-level product to rounding.
+    Level j's factor is A_j @ B_j.  For a complex group A_j = e^{i t_hi v}
+    / a_j and B_j = e^{i v t_lo} over its a_j digit values v, zero ones
+    included (from _exp_rows for several levels; a single level, whose
+    tables may be large, takes _exp_table's whole ones, beside which no
+    compacted copy stands).  With counts (each level's _centred counts)
+    the group is real: its factors lack their phases e^{itm}, and as
+    cos(c (t_hi + t_lo)) = cos(c t_hi) cos(c t_lo) - sin(c t_hi) sin(c t_lo),
+    A_j and B_j are _real_tables' blocks.  The Hadamard product of the
+    factors is (A_1 * A_2 * ...) @ (B_1 * B_2 * ...) with * the row-wise
+    Khatri-Rao product (column-wise on the B side), of rank p, the product
+    of the levels' ranks.  Each entry is a product of per-level cos/sin of
+    per-level angles, so the factor agrees with the level-by-level product
+    to rounding.
     """
-    vals = np.array([v for level in group for v in level])
-    hi, lo = _exp_table(t_hi, vals), _exp_table(vals, t_lo)
-    k = len(group[0])
+    ranks = _ranks(group, counts)
+    if counts is None:
+        vals = [v for level in group for v in level]
+        if len(group) == 1:
+            hi, lo = _exp_table(t_hi, vals), _exp_table(vals, t_lo)
+        else:
+            hi, lo = _exp_rows(vals, t_hi).T, _exp_rows(vals, t_lo)
+        hi[:, :ranks[0]] /= math.prod(ranks)
+    else:
+        hi, lo = _real_tables(t_hi, t_lo, group, counts)
+    k = ranks[0]
     a, b = hi[:, :k], lo[:k]
-    a /= math.prod(map(len, group))
-    for level in group[1:]:
-        cut = slice(k, k + len(level))
-        a = np.einsum("rk,rp->rkp", hi[:, cut], a).reshape(t_hi.size, -1)
-        b = np.einsum("kc,pc->kpc", lo[cut], b).reshape(-1, t_lo.size)
-        k += len(level)
+    for r in ranks[1:]:
+        a = np.einsum("rk,rp->rkp", hi[:, k:k + r], a).reshape(t_hi.size, -1)
+        b = np.einsum("kc,pc->kpc", lo[k:k + r], b).reshape(-1, t_lo.size)
+        k += r
     return np.matmul(a, b, out=out)
 
 
-def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray,
-              t_lo: np.ndarray, need: int) -> tuple[np.ndarray, float]:
+def _product(prod: Optional[np.ndarray], groups, t_hi: np.ndarray,
+             t_lo: np.ndarray) -> Optional[np.ndarray]:
+    """prod times the factor of each (group, counts) in turn; when prod is
+    None the first factor is written straight into a new one.  The later
+    factors share one buffer."""
+    buf = None
+    for group, counts in groups:
+        if prod is None:
+            dtype = complex if counts is None else float
+            prod = _group_factor(np.empty((t_hi.size, t_lo.size), dtype), t_hi, t_lo,
+                                 group, counts)
+        else:
+            buf = np.empty_like(prod) if buf is None else buf
+            prod *= _group_factor(buf, t_hi, t_lo, group, counts)
+    return prod
+
+
+def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray, t_lo: np.ndarray,
+              need: int, kinds: Optional[list] = None) -> tuple[np.ndarray, float]:
     """(the CF product of levels 0..depth-1 at the nodes t_hi + t_lo, the
     sum of the levels' means), one group of levels at a time; need is the
     byte charge of the rest of the call, to which each group's tables are
-    added.  Each mean is digit_stats' m, bit for bit."""
-    phi = np.empty((t_hi.size, t_lo.size), dtype=complex)
-    f = None                                       # the later groups' factor
-    means = []
-    for j, group in _level_groups(dmap, base, depth):
-        check_bytes(need + _group_bytes(group, t_hi.size + t_lo.size),
-                    f"CF product from level {j}")
-        means += [math.fsum(vals) / len(vals) for vals in group]
-        if j == 0:
-            _group_factor(phi, t_hi, t_lo, group)
-        else:
-            f = np.empty_like(phi) if f is None else f
-            phi *= _group_factor(f, t_hi, t_lo, group)
-    return phi, math.fsum(means)
+    added.  Each mean is digit_stats' m, bit for bit.
+
+    A group whose levels all have _centred counts runs first, into a real
+    product; their summed mean M is then applied once, as e^{i t_hi M}
+    times e^{i M t_lo}, when that product becomes the complex one that
+    the other groups run into.  kinds, when given, gets one entry a group:
+    True for a real one.  The table never holds more than 32 bytes a cell:
+    the real product and a real factor, then the complex product and that
+    real product, then the complex product and a complex factor.
+    """
+    means, shift, rest = [], [], []
+    kinds = [] if kinds is None else kinds
+
+    def charged(groups):
+        for j, group, counts in groups:
+            check_bytes(need + _group_bytes(group, counts, t_hi.size + t_lo.size),
+                        f"CF product from level {j}")
+            kinds.append(counts is not None)
+            yield group, counts
+
+    def real_groups():
+        for j, group in _level_groups(dmap, base, depth):
+            m = [math.fsum(vals) / len(vals) for vals in group]
+            means.extend(m)
+            counts = [_centred(vals, mj) for vals, mj in zip(group, m)]
+            if any(n is None for n in counts) or math.prod(_ranks(group, counts)) > GROUP:
+                rest.append((j, group, None))
+            else:
+                shift.extend(m)
+                yield j, group, counts
+
+    phi, re = None, _product(None, charged(real_groups()), t_hi, t_lo)
+    if re is not None:
+        M = math.fsum(shift)
+        phi, ph = np.empty(re.shape, dtype=complex), _exp_table(t_hi, [M])
+        np.multiply(re, ph.real, out=phi.real)
+        np.multiply(re, ph.imag, out=phi.imag)
+        del re
+        if M:
+            phi *= _exp_table([M], t_lo)
+    return _product(phi, charged(rest), t_hi, t_lo), math.fsum(means)
 
 
 @dataclass(frozen=True)
@@ -590,6 +711,10 @@ class InvertedCDF:
     envelope: float                    # certified-modulo-quadrature total
     pieces: dict = field(repr=False)   # individual envelope contributions
     conditional: bool = False          # True when no window hint was supplied
+    depth: int = 0                     # levels in the CF product
+    groups: int = 0                    # level groups, one matrix product each
+    real_groups: int = 0               # of them, those run in real arithmetic
+    capped: bool = False               # depth DEPTH_CAP, truncation bound above CF_TOL
 
 
 def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
@@ -609,9 +734,11 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     + b, so e^{ict_k} = e^{ict_{cols a}} e^{ict_b} takes rows + cols cos/sin
     pairs per value c: per digit value in the CF product, where a group of
     consecutive levels whose digit counts multiply to at most GROUP is one
-    matrix product over its digit tuples, and per x in the kernel, whose sum
-    over k is one matrix product.  More than BYTE_CAP bytes of these tables
-    raises ResourceLimit before they exist.
+    matrix product over its digit tuples (real, and over cos/sin pairs of
+    the centred values, when every level is symmetric about its mean), and
+    per x in the kernel, whose sum over k is one matrix product.  More
+    than BYTE_CAP bytes of these tables raises ResourceLimit before they
+    exist.
     """
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -632,9 +759,10 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     cols = 1 << (int(n_t).bit_length() // 2)
     rows = n_t // cols + 1
     chunk = max(1, (1 << 20) // (rows + cols))     # 16 MB of x-dependent tables
-    # the nodes, two rows x cols complex tables (the CF product and a
-    # group's factor, then the kernel's weights), five complex rows x chunk
-    # tables at once in the kernel and eight float arrays per point
+    # the nodes, 32 bytes a cell of the rows x cols table (the CF product
+    # and a group's factor, see _cf_table, then the kernel's complex weights
+    # and their even/odd copy), five complex rows x chunk tables at once in
+    # the kernel and eight float arrays per point
     need = 8 * (n_t + 1) + 32 * rows * cols + 80 * rows * min(chunk, xs.size) + 64 * xs.size
     check_bytes(need, f"inversion on {n_t} cells at {xs.size} points")
 
@@ -642,7 +770,8 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     tails = _tails(dmap, base)
     depth_used = _cf_depth(dmap, tails, t_max, depth)
     t_hi, t_lo = ts[::cols], ts[:cols]
-    phi, mu = _cf_table(dmap, base, depth_used, t_hi, t_lo, need)
+    kinds = []
+    phi, mu = _cf_table(dmap, base, depth_used, t_hi, t_lo, need, kinds)
 
     # trapezoid weights times phi(t)/t: 0 at node 0 (its integrand, the
     # t -> 0 limit mu - x, is added apart), 1/2 at node n_t, 0 past it
@@ -686,5 +815,7 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     mono = np.maximum.accumulate(clipped)
     adjust = float(np.max(np.abs(mono - vals)))
     pieces["monotonize"] = adjust
+    capped = depth_used == DEPTH_CAP and _cf_bound(tails(depth_used - 1), t_max) > CF_TOL
     return InvertedCDF(xs=xs, values=mono, envelope=env + adjust, pieces=pieces,
-                       conditional=q_hint is None)
+                       conditional=q_hint is None, depth=depth_used, groups=len(kinds),
+                       real_groups=sum(kinds), capped=capped)

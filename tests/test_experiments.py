@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -462,6 +463,21 @@ def test_cli_rows_peak_memory_within_byte_charge(tmp_path, charges, peak_of):
         peak, code = peak_of(main, ["limit", "--x0", "0", "--x1", "1", *route, "--out", out])
         assert code == 0 and rows in charges
         assert peak <= max(charges)
+
+
+def test_cli_limit_invert_logs_depth_and_groups(caplog, tmp_path):
+    # the inversion's log line names the depth, the level groups and how
+    # many ran in real arithmetic, and says when DEPTH_CAP stopped the depth
+    out = str(tmp_path / "inv.csv")
+    args = ["limit", "--route", "invert", "--x0", "0", "--x1", "1", "--n-x", "3", "--n-t", "64",
+            "--out", out]
+    with caplog.at_level(logging.INFO, logger="cantorlab"):
+        assert main(args) == 0
+        assert main(args + ["--map", '{"family": "skewed-polyweight"}',
+                            "--base", '{"kind": "constant", "q": 4}']) == 0
+    assert "; depth 50, 13 level groups, 13 real" in caplog.text
+    assert ("; depth 4096 (DEPTH_CAP, truncation bound still above CF_TOL), 2048 level groups, "
+            "0 real") in caplog.text
 
 
 def test_cli_conv_window_beyond_lattice_hull_exits_2():

@@ -30,8 +30,9 @@ from cantorlab import (
 )
 from cantorlab import qadditive
 from cantorlab import limitlaw
-from cantorlab.limitlaw import (CARRY_BITS, CHUNK, GROUP, TINY_ANGLE, _cf_bound, _cf_depth,
-                               _cf_table, _conv_depth, _conv_envelope, _fold, _tails)
+from cantorlab.limitlaw import (CARRY_BITS, CHUNK, DEPTH_CAP, GROUP, TINY_ANGLE, _centred,
+                               _cf_bound, _cf_depth, _cf_table, _conv_depth, _conv_envelope, _fold,
+                               _group_bytes, _group_factor, _tails)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -617,6 +618,29 @@ def test_invert_peak_memory_within_byte_charge(charges, peak_of, vdc2, q, n_t, n
     assert peak <= max(charges) <= 1.5 * peak
 
 
+@pytest.mark.parametrize("name, rule, levels, real", [
+    ("radical-inverse", {"kind": "constant", "q": 2}, 4, True),
+    ("symmetric-ternary", {"kind": "constant", "q": 3}, 2, True),
+    ("skewed-polyweight", {"kind": "constant", "q": 4}, 2, False),
+    ("radical-inverse", {"kind": "constant", "q": 1024}, 1, False),
+], ids=["real-binary-group", "real-ternary-group", "complex-group", "wide-level"])
+def test_invert_group_factor_peak_within_byte_charge(peak_of, name, rule, levels, real):
+    # one group's tables measured alone, at n_t = 2^16, where they are tens
+    # of kilobytes or more: a real group of four binary levels (rank 16) and
+    # of two ternary ones (rank 9), a complex group of two skewed levels
+    # (rank 16) and one level of 1024 digits.  Each Khatri-Rao step holds
+    # its product beside the pair it is built from, so a charge without
+    # that pair falls below the peak
+    dmap, base = DigitMap({"family": name}), build_base(rule)
+    group = [level_values(dmap, base, j) for j in range(levels)]
+    counts = [_centred(vals, math.fsum(vals) / len(vals)) for vals in group] if real else None
+    t_hi, t_lo = _node_table(1 << 16)
+    out = np.empty((t_hi.size, t_lo.size), dtype=float if real else complex)
+    peak, _ = peak_of(_group_factor, out, t_hi, t_lo, group, counts)
+    charge = _group_bytes(group, counts, t_hi.size + t_lo.size)
+    assert peak <= charge <= 1.5 * peak
+
+
 def test_conv_monotone_in_range(base2, geo_half):
     g = limit_cdf_conv(geo_half, base2, -0.25, 2.25, 2.0 ** -12)
     assert np.all(np.diff(g.cum) >= 0.0)
@@ -1077,6 +1101,19 @@ _CF_TABLE_CASES = {
     # two levels either side of one of GROUP + 5 digits
     "table-wide-level": _table_case([(0.0, 0.5), (0.3, -0.2, 0.0), _WIDE, (0.0, 0.25),
                                      (-0.1, 0.0, 0.7)]),
+    # levels of five digits, some symmetric about their means and some not
+    "radical-inverse-q5": (DigitMap.radical_inverse(), {"kind": "constant", "q": 5}),
+    # a level symmetric about 0.375 in a group with one that is not, then a
+    # real group of one level
+    "table-symmetric-beside-asymmetric": _table_case([(0.125, 0.625), (0.25, 0.0, -0.75),
+                                                      (0.0, 0.5), (-0.25, 0.25)]),
+    # 2^-55 - 0.5 rounds to -0.5, so the centred values are symmetric, but
+    # 2^-55 is not recovered from them: the group must stay complex
+    "table-rounded-centring": _table_case([(2.0 ** -55, 1.0), (-0.25, 0.25)]),
+    # an all-zero level: rank 1, its one column the constant 1
+    "table-all-zero-level": _table_case([(0.0, 0.0, 0.0), (0.0, 0.5), (0.0, 0.0)]),
+    # |c| = 0.25 four times over and c = 0 twice: rank 3
+    "table-repeated-abs": _table_case([(0.5, 0.0, 0.25, 0.5, 0.0, 0.25), (-0.125, 0.125)]),
 }
 
 
@@ -1098,6 +1135,7 @@ class _Counted(np.ndarray):
     return _Counted views; the 2-d shapes that matmul returns are kept."""
 
     products = []
+    dtypes = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         def plain(x):
@@ -1108,6 +1146,7 @@ class _Counted(np.ndarray):
         res = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
         if ufunc is np.matmul and np.ndim(res) == 2:
             _Counted.products.append(res.shape)
+            _Counted.dtypes.append(res.dtype)
         return res.view(_Counted) if isinstance(res, np.ndarray) else res
 
 
@@ -1136,6 +1175,65 @@ def test_invert_cf_product_takes_one_matrix_product_per_group(monkeypatch, base2
     tables = [s for s in _Counted.products if s == (t_hi.size, t_lo.size)]
     assert 1 <= len(tables) <= math.ceil(50 / 4)
     assert np.max(np.abs(inv.values - [0.25, 0.5])) <= inv.envelope
+
+
+@pytest.mark.parametrize("case, groups, real", [
+    ("radical-inverse-q2", 13, 13), ("symmetric-ternary", 10, 10),
+    ("table-symmetric-beside-asymmetric", 2, 1), ("table-rounded-centring", 1, 0),
+])
+def test_invert_cf_groups_of_symmetric_levels_take_float_products(monkeypatch, case, groups,
+                                                                   real):
+    # a group whose levels are all symmetric about their means is one
+    # float64 matrix product; any other group stays complex
+    dmap, rule = _CF_TABLE_CASES[case]
+    base = build_base(rule)
+    monkeypatch.setattr(limitlaw, "np", _CountingNumpy())
+    monkeypatch.setattr(_Counted, "products", [])
+    monkeypatch.setattr(_Counted, "dtypes", [])
+    n_t = 1 << 16
+    t_hi, t_lo = _node_table(n_t)
+    inv = limit_cdf_invert(dmap, base, [0.0, 0.5], t_max=2048.0, n_t=n_t, q_hint=0.01)
+    kinds = [d for s, d in zip(_Counted.products, _Counted.dtypes) if s == (t_hi.size, t_lo.size)]
+    assert (inv.groups, inv.real_groups) == (groups, real)
+    assert kinds.count(np.dtype(float)) == real
+    assert kinds.count(np.dtype(complex)) == groups - real
+
+
+def test_invert_zero_values_take_no_trigonometry_bit_for_bit(monkeypatch, skew):
+    # skewed-polyweight's levels (0, c, 2c, 2c) at q = 4 pair up into complex
+    # groups; their zero values' rows and columns are exactly 1 + 0i, so the
+    # factor is bit for bit the one whose tables take cos/sin of every value
+    base = build_base({"kind": "constant", "q": 4})
+    group = [level_values(skew, base, j) for j in (3, 4)]
+    t_hi, t_lo = _node_table(1 << 16)
+    angles = []
+
+    class _CountingCos:
+        def __getattr__(self, name):
+            if name == "cos":
+                return lambda x, **k: angles.append(np.size(x)) or np.cos(x, **k)
+            return getattr(np, name)
+
+    monkeypatch.setattr(limitlaw, "np", _CountingCos())
+    got = _group_factor(np.empty((t_hi.size, t_lo.size), dtype=complex), t_hi, t_lo, group)
+    assert angles == [6 * t_hi.size, 6 * t_lo.size]
+    angles.clear()
+    monkeypatch.setattr(limitlaw, "_exp_rows", lambda vals, t: limitlaw._exp_table(vals, t))
+    whole = _group_factor(np.empty_like(got), t_hi, t_lo, group)
+    assert angles == [8 * t_hi.size, 8 * t_lo.size]
+    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
+
+
+def test_invert_reports_depth_groups_and_cap(base2, vdc2, skew):
+    # the depth and groups the CF product used; skewed-polyweight runs to
+    # DEPTH_CAP with its truncation bound above CF_TOL at t_max = 2048
+    inv = limit_cdf_invert(vdc2, base2, [0.5], t_max=2048.0, n_t=64)
+    assert (inv.depth, inv.groups, inv.real_groups, inv.capped) == (50, 13, 13, False)
+    base4 = build_base({"kind": "constant", "q": 4})
+    inv = limit_cdf_invert(skew, base4, [0.5], t_max=2048.0, n_t=64)
+    assert (inv.depth, inv.groups, inv.real_groups, inv.capped) == (DEPTH_CAP, 2048, 0, True)
+    inv = limit_cdf_invert(skew, base4, [0.5], t_max=2048.0, n_t=64, depth=8)
+    assert (inv.depth, inv.groups, inv.capped) == (8, 4, False)
 
 
 def test_invert_chunks_match_one_point_calls(base2, vdc2):
