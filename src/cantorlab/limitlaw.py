@@ -17,6 +17,8 @@ within the sum of their envelopes.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,6 +36,7 @@ CHUNK = 1 << 16             # floats per pass of a knot, window or fold scan (51
 CARRY_BITS = 1021           # the fold carries 1/a's powers of two while prod a < 2^1021
 TINY_ANGLE = 2.0 ** -28     # below it cos is 1.0 and sin the angle itself (tested)
 GROUP = 16                  # most digit tuples in one CF table product (measured, see README)
+SPLIT_MIN = 1 << 14         # fewest values of t a thread of cf_truncated takes (measured, see README)
 
 
 class GridCDF:
@@ -445,9 +448,11 @@ def cf_factor(dmap: DigitMap, base: CantorBase, j: int, t) -> np.ndarray:
     """phi_j(t) = mean over digits d of exp(i t f(d q_j)).
 
     Summed as cos/sin pairs in real arithmetic; a zero digit value adds
-    exactly 1 to the real part and needs no trigonometry.
+    exactly 1 to the real part and needs no trigonometry.  Its arrays, 48
+    bytes a t, are charged to BYTE_CAP before any of them exists.
     """
     tt = np.asarray(t, dtype=float)
+    check_bytes(48 * tt.size, f"CF factor at {tt.size} points")
     t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
     return _level_factor(np.empty(tt.shape, dtype=complex), level_values(dmap, base, j), tt,
                          t_abs, [np.empty(tt.shape) for _ in range(4)])
@@ -473,6 +478,48 @@ def _cf_depth(dmap: DigitMap, tails: Tails, t_abs: float, depth: Optional[int]) 
     return depth
 
 
+def _cpus() -> int:
+    """CPUs in the process's affinity mask, or os.cpu_count where the
+    platform has no such mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def thread_parts(n: int) -> list[tuple[int, int]]:
+    """Contiguous runs (lo, hi) that cut range(n): one per CPU the process
+    may run on, as many of them as leave none shorter than SPLIT_MIN, and
+    at least one."""
+    k = max(1, min(_cpus(), n // SPLIT_MIN))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def run_parts(jobs: list[Callable[[], None]]) -> None:
+    """Run jobs[0] on the calling thread and each other job on a thread of
+    its own; join every thread, then re-raise the first exception in job
+    order.  No thread outlives the call."""
+    errors: list[Optional[BaseException]] = [None] * len(jobs)
+
+    def run(i):
+        try:
+            jobs[i]()
+        except BaseException as exc:    # handed to the caller below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(jobs)):
+            started.append(threading.Thread(target=run, args=(i,)))
+            started[-1].start()
+        run(0)
+    finally:
+        for th in started:
+            th.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def cf_truncated(dmap: DigitMap, base: CantorBase, t,
                  depth: Optional[int] = None) -> tuple[np.ndarray, float, int]:
     """(phi values on t, certified truncation bound, depth used).
@@ -481,20 +528,38 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     the supplied t-range drops below CF_TOL (or a hard cap is hit).  Each
     factor takes cos/sin of every t, so any finite t works; non-finite t
     are refused.
+
+    The t are cut into thread_parts' contiguous runs, one per CPU of the
+    process's affinity mask and none shorter than SPLIT_MIN; each run takes
+    every level on a thread of its own (run_parts), with its own factor and
+    four float buffers, allocated here beside the output, 64 bytes a t in
+    all, charged to BYTE_CAP before any array exists; the levels' digit
+    values are listed once for all runs.  Each value takes the same
+    operations in the same order, with the t_abs of the whole array, so
+    phi is the same bit for bit for any number of runs.
     """
     tt = np.asarray(t, dtype=float)
+    check_bytes(64 * tt.size, f"CF at {tt.size} points")
     if not np.all(np.isfinite(tt)):
         raise ValueError("CF arguments t must be finite")
     t_abs = float(np.max(np.abs(tt))) if tt.size else 0.0
     tails = _tails(dmap, base)
     depth = _cf_depth(dmap, tails, t_abs, depth)
-    # one factor and its float buffers serve every level
-    fac = np.empty(tt.shape, dtype=complex)
-    bufs = [np.empty(tt.shape) for _ in range(4)]
-    out = np.ones(tt.shape, dtype=complex)
-    for j in range(depth):
-        out *= _level_factor(fac, level_values(dmap, base, j), tt, t_abs, bufs)
-    return out, _cf_bound(tails(depth - 1), t_abs), depth
+    levels = [level_values(dmap, base, j) for j in range(depth)]
+    flat = tt.reshape(-1)
+    out = np.ones(flat.size, dtype=complex)
+
+    def job(lo: int, hi: int) -> Callable[[], None]:
+        tp, op = flat[lo:hi], out[lo:hi]
+        fac, bufs = np.empty(hi - lo, dtype=complex), [np.empty(hi - lo) for _ in range(4)]
+
+        def run():
+            for vals in levels:
+                np.multiply(op, _level_factor(fac, vals, tp, t_abs, bufs), out=op)
+        return run
+
+    run_parts([job(lo, hi) for lo, hi in thread_parts(flat.size)])
+    return out.reshape(tt.shape), _cf_bound(tails(depth - 1), t_abs), depth
 
 
 # -- route 2: characteristic-function inversion ----------------------------------
@@ -655,7 +720,8 @@ def _product(prod: Optional[np.ndarray], groups, t_hi: np.ndarray,
 
 
 def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray, t_lo: np.ndarray,
-              need: int, kinds: Optional[list] = None) -> tuple[np.ndarray, float]:
+              need: int, kinds: Optional[list] = None,
+              weigh: Optional[Callable[[np.ndarray], None]] = None) -> tuple[np.ndarray, float]:
     """(the CF product of levels 0..depth-1 at the nodes t_hi + t_lo, the
     sum of the levels' means), one group of levels at a time; need is the
     byte charge of the rest of the call, to which each group's tables are
@@ -665,9 +731,12 @@ def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray, t_
     product; their summed mean M is then applied once, as e^{i t_hi M}
     times e^{i M t_lo}, when that product becomes the complex one that
     the other groups run into.  kinds, when given, gets one entry a group:
-    True for a real one.  The table never holds more than 32 bytes a cell:
-    the real product and a real factor, then the complex product and that
-    real product, then the complex product and a complex factor.
+    True for a real one.  weigh, when given, scales the table in place
+    once: the real product, before it becomes complex, when there is one
+    (a real division costs a fifth of a complex one), else the complex
+    product.  The table never holds more than 32 bytes a cell: the real
+    product and a real factor, then the complex product and that real
+    product, then the complex product and a complex factor.
     """
     means, shift, rest = [], [], []
     kinds = [] if kinds is None else kinds
@@ -692,6 +761,9 @@ def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray, t_
 
     phi, re = None, _product(None, charged(real_groups()), t_hi, t_lo)
     if re is not None:
+        if weigh is not None:
+            weigh(re)
+            weigh = None
         M = math.fsum(shift)
         phi, ph = np.empty(re.shape, dtype=complex), _exp_table(t_hi, [M])
         np.multiply(re, ph.real, out=phi.real)
@@ -699,7 +771,10 @@ def _cf_table(dmap: DigitMap, base: CantorBase, depth: int, t_hi: np.ndarray, t_
         del re
         if M:
             phi *= _exp_table([M], t_lo)
-    return _product(phi, charged(rest), t_hi, t_lo), math.fsum(means)
+    phi = _product(phi, charged(rest), t_hi, t_lo)
+    if weigh is not None:
+        weigh(phi)
+    return phi, math.fsum(means)
 
 
 @dataclass(frozen=True)
@@ -770,20 +845,22 @@ def limit_cdf_invert(dmap: DigitMap, base: CantorBase, xs,
     tails = _tails(dmap, base)
     depth_used = _cf_depth(dmap, tails, t_max, depth)
     t_hi, t_lo = ts[::cols], ts[:cols]
-    kinds = []
-    phi, mu = _cf_table(dmap, base, depth_used, t_hi, t_lo, need, kinds)
 
-    # trapezoid weights times phi(t)/t: 0 at node 0 (its integrand, the
-    # t -> 0 limit mu - x, is added apart), 1/2 at node n_t, 0 past it
-    wp = phi.reshape(-1)
-    wp[0] = 0.0
-    wp[1:n_t + 1] /= ts[1:]
-    wp[n_t] *= 0.5
-    wp[n_t + 1:] = 0.0
+    def weigh(table):
+        # trapezoid weights times phi(t)/t: 0 at node 0 (its integrand, the
+        # t -> 0 limit mu - x, is added apart), 1/2 at node n_t, 0 past it
+        wp = table.reshape(-1)
+        wp[0] = 0.0
+        wp[1:n_t + 1] /= ts[1:]
+        wp[n_t] *= 0.5
+        wp[n_t + 1:] = 0.0
+
+    kinds = []
+    phi, mu = _cf_table(dmap, base, depth_used, t_hi, t_lo, need, kinds, weigh)
     # cols is even, so node k is even iff b is: split b by parity, the
     # every-other-node rule keeping the even half
     half = cols // 2
-    w2 = np.ascontiguousarray(wp.reshape(rows, half, 2).transpose(2, 0, 1))
+    w2 = np.ascontiguousarray(phi.reshape(rows, half, 2).transpose(2, 0, 1))
     t_pair = t_lo.reshape(half, 2).T
     h = t_max / n_t
     vals = np.empty(xs.size)

@@ -28,6 +28,7 @@ from cantorlab import (
 from cantorlab import experiments
 from cantorlab.cli import ROW_BYTES, main
 from cantorlab.experiments import _cf_trace_csv, csv_text
+from cantorlab.limitlaw import SPLIT_MIN, thread_parts
 
 
 def _minimal_config(**over) -> dict:
@@ -448,12 +449,13 @@ def test_cli_inversion_over_cap_exits_3(argv):
 
 
 def test_cli_rows_peak_memory_within_byte_charge(tmp_path, charges, peak_of):
-    # cf is charged ROW_BYTES per point and nothing else, the largest row
-    # peak; limit's stages (its route, then the rows beside the grid's
-    # knots) do not overlap, so each call stays within its largest charge
+    # cf is charged ROW_BYTES per point, the largest row peak, and beside
+    # it only cf_truncated's own 64 bytes a point; limit's stages (its
+    # route, then the rows beside the grid's knots) do not overlap, so each
+    # call stays within its largest charge
     out = str(tmp_path / "out.csv")
     peak, code = peak_of(main, ["cf", "--n", "20000", "--out", out])
-    assert code == 0 and charges == [ROW_BYTES * 20000]
+    assert code == 0 and charges == [ROW_BYTES * 20000, 64 * 20000]
     assert peak <= charges[0] <= 1.5 * peak
     for route, rows in ((["--route", "conv", "--w", "1.52587890625e-05", "--max-rows", "100000"],
                          (8 + ROW_BYTES) * 65537),
@@ -478,6 +480,18 @@ def test_cli_limit_invert_logs_depth_and_groups(caplog, tmp_path):
     assert "; depth 50, 13 level groups, 13 real" in caplog.text
     assert ("; depth 4096 (DEPTH_CAP, truncation bound still above CF_TOL), 2048 level groups, "
             "0 real") in caplog.text
+
+
+def test_cli_cf_logs_depth_bound_and_parts(caplog, tmp_path):
+    # the cf log line names the depth, the bound and how many runs of t
+    # cf_truncated split across threads, as thread_parts counts them
+    out = str(tmp_path / "cf.csv")
+    with caplog.at_level(logging.INFO, logger="cantorlab"):
+        for n in (201, 4 * SPLIT_MIN):
+            assert main(["cf", "--n", str(n), "--depth", "3", "--out", out]) == 0
+            assert (f"depth 3, truncation bound 0.885 over |t| <= 10, parts of t: "
+                    f"{len(thread_parts(n))}") in caplog.text
+    assert "parts of t: 1" in caplog.text
 
 
 def test_cli_conv_window_beyond_lattice_hull_exits_2():

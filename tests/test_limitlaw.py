@@ -2,6 +2,9 @@
 against closed forms, inversion against the convolution route."""
 
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +32,7 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
+from cantorlab.errors import BYTE_CAP
 from cantorlab import limitlaw
 from cantorlab.limitlaw import (CARRY_BITS, CHUNK, DEPTH_CAP, GROUP, TINY_ANGLE, _centred,
                                _cf_bound, _cf_depth, _cf_table, _conv_depth, _conv_envelope, _fold,
@@ -871,6 +875,113 @@ def test_cf_truncated_refuses_non_finite_t(base2, geo_half, bad):
     for depth in (None, 3):
         with pytest.raises(ValueError, match="finite"):
             cf_truncated(geo_half, base2, [0.5, bad], depth=depth)
+
+
+def _split_cf(mp, dmap, base, t, depth, parts):
+    """cf_truncated with t cut into the given number of runs, one a CPU."""
+    mp.setattr(limitlaw, "_cpus", lambda: parts)
+    mp.setattr(limitlaw, "SPLIT_MIN", len(t) // parts)
+    assert len(limitlaw.thread_parts(len(t))) == parts
+    return cf_truncated(dmap, base, t, depth=depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cf_case(), t=st.lists(st.floats(-3000.0, 3000.0), min_size=8, max_size=500),
+       depth=st.integers(1, 6), parts=st.integers(2, 5))
+def test_cf_truncated_split_matches_one_part_bitwise(case, t, depth, parts):
+    # each run of t takes every level on its own thread with the whole
+    # array's t_abs, so the bits do not depend on how t is cut.  Up to five
+    # threads, switching every microsecond, write disjoint runs.  The runs
+    # hold two values or more, as SPLIT_MIN's do: numpy multiplies a
+    # one-value array into itself by another loop than longer ones, which
+    # rounds differently, so a run of one value would not match the whole
+    dmap, base = case
+    parts = min(parts, len(t) // 2)
+    if dmap.depth is not None:
+        depth = min(depth, dmap.depth)
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        one, bound1, _ = _split_cf(mp, dmap, base, t, depth, 1)
+        sys.setswitchinterval(1e-6)
+        try:
+            phi, bound, used = _split_cf(mp, dmap, base, t, depth, parts)
+        finally:
+            sys.setswitchinterval(interval)
+    assert used == depth and bound == bound1
+    assert np.array_equal(phi.view(np.int64), one.view(np.int64))
+    want = np.ones(len(t), dtype=complex)
+    for j in range(depth):
+        want *= _cf_factor_sums(dmap, base, j, t)
+    assert np.array_equal(phi.view(np.int64), want.view(np.int64))
+
+
+class _PartFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [[0], [2], [1, 3]])
+def test_cf_truncated_split_reraises_first_failure_and_joins(monkeypatch, base2, vdc2, failing):
+    # a run that raises hands its exception to the caller, the first in run
+    # order when several do, and only after every thread has been joined
+    t = np.arange(1.0, 41.0)
+    level = limitlaw._level_factor
+
+    def flaky(fac, vals, tt, t_abs, bufs):
+        part = int(tt[0]) // 10
+        if part in failing:
+            raise _PartFailed(part)
+        return level(fac, vals, tt, t_abs, bufs)
+
+    monkeypatch.setattr(limitlaw, "_level_factor", flaky)
+    before = threading.active_count()
+    with pytest.raises(_PartFailed) as err:
+        _split_cf(monkeypatch, vdc2, base2, t, 3, 4)
+    assert err.value.args == (failing[0],)
+    assert threading.active_count() == before
+
+
+def test_cf_truncated_threads_follow_affinity_mask(monkeypatch, base2, vdc2):
+    # one run per CPU of the process's mask, none under SPLIT_MIN values;
+    # run once more under `taskset -c 0` (CI does), no thread starts
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(1)
+            super().start()
+
+    monkeypatch.setattr(limitlaw.threading, "Thread", Counted)
+    n = 4 * limitlaw.SPLIT_MIN
+    runs = len(limitlaw.thread_parts(n))
+    if hasattr(os, "sched_getaffinity"):
+        assert runs == min(len(os.sched_getaffinity(0)), 4)
+    cf_truncated(vdc2, base2, np.linspace(0.0, 2048.0, n), depth=2)
+    assert len(starts) == runs - 1
+    starts.clear()
+    cf_truncated(vdc2, base2, np.linspace(0.0, 2048.0, limitlaw.SPLIT_MIN * 2 - 1), depth=2)
+    assert not starts
+
+
+def test_cf_truncated_and_cf_factor_refuse_oversized_t(base2, vdc2):
+    # 64 bytes a t for cf_truncated and 48 for cf_factor, charged before the
+    # finite check and before any array exists: a zero-stride t of one value
+    # past the budget raises ResourceLimit, not MemoryError
+    with pytest.raises(ResourceLimit, match="CF at"):
+        cf_truncated(vdc2, base2, np.broadcast_to(0.0, ((BYTE_CAP >> 6) + 1,)))
+    with pytest.raises(ResourceLimit, match="CF factor at"):
+        cf_factor(vdc2, base2, 0, np.broadcast_to(0.0, (BYTE_CAP // 48 + 1,)))
+
+
+def test_cf_truncated_peak_within_byte_charge(monkeypatch, peak_of, base2, vdc2):
+    # the output, each run's factor and four float buffers: 64 bytes a t,
+    # beside 3-8 KB that do not grow with t (about 4.6 KB more a run, for
+    # its thread)
+    for cpus in (1, 2):
+        monkeypatch.setattr(limitlaw, "_cpus", lambda: cpus)
+        for n in (1 << 15, 1 << 17):
+            t = np.linspace(0.0, 2048.0, n)
+            peak, _ = peak_of(cf_truncated, vdc2, base2, t, 4)
+            assert 64 * n <= peak <= 64 * n + (16 << 10), (cpus, n)
 
 
 # -- inversion route -------------------------------------------------------------------
