@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RangeTooSmall, check_bytes
+from .errors import RangeTooSmall, ResourceLimit, check_bytes
 from .mixed_radix import CantorBase
 from .qadditive import DigitMap, level_values, table_rows, table_tails, tail_sums
 
@@ -200,6 +200,18 @@ def _depth_limit(dmap: DigitMap) -> int:
     return DEPTH_CAP if dmap.depth is None else min(dmap.depth, DEPTH_CAP)
 
 
+def _given_depth(depth) -> int:
+    """An explicit depth, from 1 to DEPTH_CAP.  cf_truncated and
+    limit_cdf_conv list every level's values before they start, lists that
+    no byte charge covers, so a deeper one raises ResourceLimit."""
+    depth = int(depth)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth > DEPTH_CAP:
+        raise ResourceLimit(f"depth {depth} is above DEPTH_CAP = {DEPTH_CAP}")
+    return depth
+
+
 def _conv_envelope(tails: Tails, w: float, depth: int) -> tuple[float, float]:
     """(eps_x, tail part of eps_p) of a convolution truncated at depth: the
     lattice rounding (depth + 1) w / 2, the tail mean and a Chebyshev split."""
@@ -281,17 +293,57 @@ def _fold_wide(a: np.ndarray, b: np.ndarray, o: list[int], p: float) -> None:
                 b[x:y] += a[x - s:y - s]
 
 
+def _fold_spread(a: np.ndarray, b: np.ndarray, o: list[int], p: float, r: int, d: int) -> None:
+    """One level that lowers the gcd from g to g' = g / r, from a, the law
+    on the knots of stride g, into b, on those of stride g': a's knot k is
+    b's knot d + k r.  A shift s (in units of g') moves a into b's residue
+    class (d + s) mod r, shifted by (d + s) // r there; each class that
+    holds shifts takes them in digit order, the first copies, the rest add.
+    The source is scaled by p first unless p is 1, and b is zeroed once
+    when some class holds no shift.  The classes advance together, CHUNK
+    knots of b at a time, so that their strided writes meet in cache."""
+    if p != 1.0:
+        a *= p
+    classes: dict[int, list[int]] = {}
+    for s in o:
+        classes.setdefault((d + s) % r, []).append((d + s) // r)
+    filled = len(classes) < r
+    if filled:
+        b.fill(0.0)
+    n, m = a.size, max(1, CHUNK // r)
+    views = [(b[rho::r], us) for rho, us in classes.items()]
+    for j0 in range(0, -(-b.size // r), m):
+        for c, us in views:
+            j1 = min(j0 + m, c.size)
+            for i, u in enumerate(us):
+                lo = max(u, j0)
+                hi = max(lo, min(j1, n + u))
+                if i:
+                    c[lo:hi] += a[lo - u:hi - u]
+                    continue
+                c[lo:hi] = a[lo - u:hi - u]
+                if not filled:
+                    c[j0:min(lo, j1)] = 0.0
+                    c[hi:j1] = 0.0
+
+
 def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, int]:
     """(law, e): 2^e times the lattice law after the levels' shifts, index
     origin holding 0.  Every prefix sum of shifts is a multiple of g, the
-    gcd of the shifts so far: the law lives on origin + gZ, and off it both
-    buffers stay 0.
+    gcd of the shifts so far: the law lives on origin + gZ, and the fold
+    keeps it compact, as the n = size / g knots of that sublattice in a
+    contiguous array, expanded into the whole lattice once at the end.
+    Two buffers of the last level's n are allocated once; each level reads
+    a prefix of one and writes a prefix of the other.
 
-    Shifting by s moves mass from index m to m + s / g of the view, inside
-    it by the prefix-hull sizing, and index m of the destination sums, in
-    digit order, the source at m - s over the shifts s that reach it.  A
-    level of more than CHUNK knots works in chunks that stay in cache;
-    a narrower one, already in cache, copies and adds whole (README).
+    A level that keeps g shifts by s / g: index m of the destination sums,
+    in digit order, the source at m - s / g over the shifts that reach it,
+    inside the array by the prefix-hull sizing.  A level of more than CHUNK
+    knots works in chunks that stay in cache; a narrower one, already in
+    cache, copies and adds whole (README).  A level that lowers g writes
+    the new array by residue class (_fold_spread): the strided fold on the
+    whole lattice differs from it only by the exact + 0.0 of the knots off
+    the sublattice, so every mass is the same bit for bit.
 
     A level of a = 2^k m digits, m odd, scales by fl(1/m), skipped at m = 1,
     and adds k to e: fl(1/a) is 2^-k fl(1/m), and scaling by a power of two
@@ -300,13 +352,19 @@ def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, 
     each nonzero mass is then at least (1 - 2^-53)^(2 log2 P) / P > 2^-1022.
     Past it the fold scales back once and goes on with fl(1/a), e = 0.
     """
-    src, dst = np.zeros(size), np.zeros(size)
-    src[origin] = 1.0                   # the all-zero expansion sits at value 0
-    g = e = 0
+    def knots(g):
+        return len(range(origin % g, size, g))
+
+    g_end = math.gcd(0, *(s for o in levels for s in o)) or size
+    src, dst = np.empty(knots(g_end)), np.empty(knots(g_end))
+    g = math.gcd(*levels[0]) if levels else size
+    n = knots(g)
+    src[:n] = 0.0
+    src[origin // g] = 1.0              # the all-zero expansion sits at value 0
+    e = 0
     prod = 1                            # P while the carry runs, then 0
     for o in levels:
-        g = math.gcd(g, *o)
-        a, b = src[origin % g::g], dst[origin % g::g]
+        a = src[:n]
         p = 1.0 / len(o)
         if prod and len(o) > 1:
             prod *= len(o)
@@ -316,10 +374,20 @@ def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, 
             else:
                 a *= 2.0 ** -e          # the masses of the fold by fl(1/a)
                 prod = e = 0
-        o = [s // g for s in o]
-        (_fold_wide if len(o) > 1 and a.size > CHUNK else _fold_narrow)(a, b, o, p)
+        g1 = math.gcd(g, *o)
+        o = [s // g1 for s in o]
+        if g1 < g:
+            n = knots(g1)
+            _fold_spread(a, dst[:n], o, p, g // g1, (origin % g - origin % g1) // g1)
+            g = g1
+        else:
+            (_fold_wide if len(o) > 1 and n > CHUNK else _fold_narrow)(a, dst[:n], o, p)
         src, dst = dst, src
-    return src, e
+    if g == 1:
+        return src, e
+    law = np.zeros(size)
+    law[origin % g::g] = src[:n]
+    return law, e
 
 
 def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
@@ -343,9 +411,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     check_bytes(9.0 * span, f"window [{x0}, {x1}] at pitch {w}")
     k_req = int(math.floor(span)) + 1
     tails = _tails(dmap, base)
-    depth_j = _conv_depth(dmap, tails, w) if depth is None else int(depth)
-    if depth_j < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    depth_j = _conv_depth(dmap, tails, w) if depth is None else _given_depth(depth)
 
     # each level's lattice shifts, one for a translation and none at shift 0;
     # the hull of every prefix sum spans the array, so no fold leaves it
@@ -464,17 +530,15 @@ def _cf_bound(tail: tuple[float, float], t_abs: float) -> float:
 
 
 def _cf_depth(dmap: DigitMap, tails: Tails, t_abs: float, depth: Optional[int]) -> int:
-    """The depth given, else the shallowest whose certified truncation bound
-    over |t| <= t_abs is at most CF_TOL (the table depth or DEPTH_CAP if none)."""
-    if depth is None:
-        depth = _depth_limit(dmap)
-        for j in range(1, depth + 1):
-            if _cf_bound(tails(j - 1), t_abs) <= CF_TOL:
-                depth = j
-                break
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    """The depth given (_given_depth), else the shallowest whose certified
+    truncation bound over |t| <= t_abs is at most CF_TOL (the table depth or
+    DEPTH_CAP if none)."""
+    if depth is not None:
+        return _given_depth(depth)
+    depth = _depth_limit(dmap)
+    for j in range(1, depth + 1):
+        if _cf_bound(tails(j - 1), t_abs) <= CF_TOL:
+            return j
     return depth
 
 
@@ -536,7 +600,11 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     all, charged to BYTE_CAP before any array exists; the levels' digit
     values are listed once for all runs.  Each value takes the same
     operations in the same order, with the t_abs of the whole array, so
-    phi is the same bit for bit for any number of runs.
+    phi is the same bit for bit for any number of runs and any length of
+    t.  A lone t runs as an array of two copies of itself: numpy multiplies
+    a one-value complex array into itself by another loop, which rounds
+    differently, and a second product buffer to multiply into instead
+    makes every longer t pay for a third array stream.
     """
     tt = np.asarray(t, dtype=float)
     check_bytes(64 * tt.size, f"CF at {tt.size} points")
@@ -547,6 +615,8 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
     depth = _cf_depth(dmap, tails, t_abs, depth)
     levels = [level_values(dmap, base, j) for j in range(depth)]
     flat = tt.reshape(-1)
+    if flat.size == 1:
+        flat = np.repeat(flat, 2)       # a lone t runs as two (docstring)
     out = np.ones(flat.size, dtype=complex)
 
     def job(lo: int, hi: int) -> Callable[[], None]:
@@ -559,7 +629,7 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
         return run
 
     run_parts([job(lo, hi) for lo, hi in thread_parts(flat.size)])
-    return out.reshape(tt.shape), _cf_bound(tails(depth - 1), t_abs), depth
+    return out[:tt.size].reshape(tt.shape), _cf_bound(tails(depth - 1), t_abs), depth
 
 
 # -- route 2: characteristic-function inversion ----------------------------------

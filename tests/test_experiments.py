@@ -440,11 +440,14 @@ def test_cli_conv_window_over_cap_exits_3(spec):
     ["markov", "--p", "[[0.9, 0.1], [0.1, 0.9]]", "--samples", "1099511627776",
      "--mode", "window"],
     ["empirical", "--n", "1099511627776"],
+    ["cf", "--depth", "10000000"],
+    ["limit", "--x0", "0", "--x1", "1", "--depth", "10000000"],
 ], ids=["invert-n-t-2^40", "invert-n-x-2^40", "cf-n-2^40", "limit-conv-rows-2^22",
-        "markov-decay-samples-2^40", "markov-window-samples-2^40", "empirical-n-2^40"])
+        "markov-decay-samples-2^40", "markov-window-samples-2^40", "empirical-n-2^40",
+        "cf-depth-10^7", "limit-conv-depth-10^7"])
 def test_cli_inversion_over_cap_exits_3(argv):
-    # refused by the byte budget before the nodes, points, rows, digits or
-    # values are allocated
+    # refused by the byte budget, or above DEPTH_CAP, before the nodes,
+    # points, rows, digits, values or listed levels are allocated
     _assert_cli_error(argv, 3)
 
 
