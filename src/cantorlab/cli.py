@@ -22,7 +22,7 @@ from .empirical import (distances, empirical_cdf, row_star_discrepancy, smoothin
 from .errors import CantorLabError, ConfigError, ResourceLimit, check_bytes
 from .experiments import (ExperimentConfig, PRESET_NAMES, csv_text, preset,
                           reference_from_spec, rows_to_csv, run_experiment)
-from .limitlaw import cf_truncated, limit_cdf_conv, limit_cdf_invert, thread_parts
+from .limitlaw import SPLIT_MIN, cf_truncated, limit_cdf_conv, limit_cdf_invert, thread_parts
 from .markov_digits import build_chain, covariance_decay, window_variance
 from .mixed_radix import build_base, compress, expand
 from .qadditive import DigitMap, digit_stats, evaluate, ew_diagnose
@@ -102,8 +102,8 @@ def _cmd_cf(args) -> int:
     check_bytes(ROW_BYTES * args.n, f"cf at {args.n} points")
     ts = np.linspace(args.t_min, args.t_max, args.n)
     phi, err, depth = cf_truncated(dmap, base, ts, depth=args.depth)
-    log.info("depth %d, truncation bound %.3g over |t| <= %.3g, parts of t: %d",
-             depth, err, max(abs(args.t_min), abs(args.t_max)), len(thread_parts(ts.size)))
+    log.info("depth %d, truncation bound %.3g over |t| <= %.3g, parts of t: %d", depth, err,
+             max(abs(args.t_min), abs(args.t_max)), len(thread_parts(ts.size, SPLIT_MIN)))
     _emit(csv_text(("t", "re_phi", "im_phi", "abs_phi"),
                    ((t, p.real, p.imag, abs(p)) for t, p in zip(ts, phi))), args.out)
     return 0
@@ -119,8 +119,9 @@ def _cmd_limit(args) -> int:
         stride = max(1, grid.cum.size // args.max_rows)
         check_bytes(8 * grid.cum.size + ROW_BYTES * -(-grid.cum.size // stride),
                     f"CSV rows of {grid.cum.size} knots at stride {stride}")
-        log.info("grid: %d knots, eps_x=%.3g, eps_p=%.3g",
-                 grid.cum.size, grid.eps_x, grid.eps_p)
+        log.info("grid: %d knots, eps_x=%.3g, eps_p=%.3g; depth %d, %d lattice knots, "
+                 "fold runs: %d", grid.cum.size, grid.eps_x, grid.eps_p, grid.depth,
+                 grid.lattice, grid.fold_runs)
         xs = grid.x0 + grid.w * np.arange(0, grid.cum.size, stride)
         vals = grid.cum[::stride]
     else:

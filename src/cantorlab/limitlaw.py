@@ -16,6 +16,7 @@ within the sum of their envelopes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -51,10 +52,13 @@ class GridCDF:
     -0.018, 0.015] at q = 6, x0 = -0.0825, w = 0.01 has eps_x = 0.01 and
     cdf(0.025) = 2/3, yet F_true(0.015) = 5/6.  The pitch must be at least
     2^-40 of the knots' magnitude, so that each knot is a distinct float and
-    knot_index finds it exactly.
+    knot_index finds it exactly.  limit_cdf_conv's grids also tell how they
+    were made: the depth of the convolution, the knots of its lattice and
+    the runs its fold was cut into (1 when unsplit); other grids hold 0.
     """
 
-    def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float):
+    def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float,
+                 depth: int = 0, lattice: int = 0, fold_runs: int = 0):
         if w <= 0:
             raise ValueError(f"grid pitch must be > 0, got {w}")
         self.x0 = float(x0)
@@ -75,6 +79,7 @@ class GridCDF:
                              f"knots of magnitude {reach:.3g}")
         self.eps_x = float(eps_x)
         self.eps_p = float(eps_p)
+        self.depth, self.lattice, self.fold_runs = depth, lattice, fold_runs
         self._slack: Optional[float] = None
         self._win_cache: dict[int, float] = {}
 
@@ -327,7 +332,64 @@ def _fold_spread(a: np.ndarray, b: np.ndarray, o: list[int], p: float, r: int, d
                     c[hi:j1] = 0.0
 
 
-def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, int]:
+def _scales(levels: list[list[int]]):
+    """(p, pre, e) for each level in turn: the scale p of its source, the
+    factor pre (None, or 2^-e) that takes the masses back to the fold by
+    fl(1/a) before it, and the exponent e after it (see _fold)."""
+    e, prod = 0, 1                      # prod is P while the carry runs, then 0
+    for o in levels:
+        p, pre = 1.0 / len(o), None
+        if prod and len(o) > 1:
+            prod *= len(o)
+            if prod.bit_length() <= CARRY_BITS:
+                k = (len(o) & -len(o)).bit_length() - 1
+                p, e = 1.0 / (len(o) >> k), e + k
+            else:
+                pre, prod, e = 2.0 ** -e, 0, 0
+        yield p, pre, e
+
+
+def _fold_split(levels: list[list[int]], size: int, origin: int):
+    """(n, i, runs, hl, hr): the n knots of the last sublattice, of stride
+    g (the gcd of every shift), and the level i from which _fold goes on in
+    windows, one for each of thread_parts' runs of knots (one per CPU of
+    the affinity mask, none shorter than CHUNK), reaching hl knots below
+    its run and hr above it.  i is the first level from which g holds and
+    the remaining levels' shifts sum to a halo hl + hr of at most 1/16 of a
+    run: hl over their positive parts max(0, max o), hr over max(0, -min
+    o), in units of g.  With one run, or no such level, i is len(levels),
+    the one run (0, n) and hl = hr = 0."""
+    g = math.gcd(0, *(s for o in levels for s in o)) or size
+    n = len(range(origin % g, size, g))
+    runs = thread_parts(n, CHUNK)
+    if len(runs) > 1:
+        hl = sum(max(0, *o) for o in levels) // g
+        hr = sum(max(0, -min(o)) for o in levels) // g
+        h = math.gcd(*levels[0])        # the stride g of the fold at level i
+        for i, o in enumerate(levels):
+            if h == g and 16 * (hl + hr) <= n // len(runs):
+                return n, i, runs, hl, hr
+            h = math.gcd(h, *o)
+            hl -= max(0, *o) // g
+            hr -= max(0, -min(o)) // g
+    return n, len(levels), [(0, n)], 0, 0
+
+
+def _fold_run(a: np.ndarray, b: np.ndarray, rest: list) -> Callable[[], None]:
+    """A job that folds the (shifts, p, pre) levels of rest on the window a,
+    ping-ponging with b."""
+    def run():
+        x, y = a, b
+        for o, p, pre in rest:
+            if pre is not None:
+                x *= pre
+            (_fold_wide if len(o) > 1 and x.size > CHUNK else _fold_narrow)(x, y, o, p)
+            x, y = y, x
+    return run
+
+
+def _fold(levels: list[list[int]], size: int, origin: int,
+          split: Optional[tuple] = None) -> tuple[np.ndarray, int]:
     """(law, e): 2^e times the lattice law after the levels' shifts, index
     origin holding 0.  Every prefix sum of shifts is a multiple of g, the
     gcd of the shifts so far: the law lives on origin + gZ, and the fold
@@ -345,35 +407,43 @@ def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, 
     whole lattice differs from it only by the exact + 0.0 of the knots off
     the sublattice, so every mass is the same bit for bit.
 
+    From _fold_split's level i on (split, when given, is its answer), the n
+    knots are cut into runs, each copied with its halo, [c0 - hl, c1 + hr)
+    within [0, n), into its own slice of the idle buffer; each window takes
+    every remaining level on a thread of its own (run_parts), ping-ponging
+    with the same slice of the other buffer, and the runs' own knots are
+    gathered back into one array after the join.  A level reads its
+    destination m from sources m - max o .. m - min o, so a window edge's
+    wrong values (the sources past it missing) move in by at most the
+    positive parts of the level's shifts: over the remaining levels they
+    stay within the halo, and each run's knots take the same sources in
+    the same digit order as in one array, bit for bit.  Both buffers grow
+    by (runs - 1)(hl + hr) knots.
+
     A level of a = 2^k m digits, m odd, scales by fl(1/m), skipped at m = 1,
     and adds k to e: fl(1/a) is 2^-k fl(1/m), and scaling by a power of two
     commutes with every product and sum while the masses are normal.  That
     holds while the product P of the digit counts stays below 2^CARRY_BITS:
     each nonzero mass is then at least (1 - 2^-53)^(2 log2 P) / P > 2^-1022.
-    Past it the fold scales back once and goes on with fl(1/a), e = 0.
+    Past it the fold scales back once and goes on with fl(1/a), e = 0
+    (_scales, which plans the windows' levels before they start).
     """
     def knots(g):
         return len(range(origin % g, size, g))
 
-    g_end = math.gcd(0, *(s for o in levels for s in o)) or size
-    src, dst = np.empty(knots(g_end)), np.empty(knots(g_end))
+    n_end, cut, runs, hl, hr = split or _fold_split(levels, size, origin)
+    extra = (len(runs) - 1) * (hl + hr)
+    src, dst = np.empty(n_end + extra), np.empty(n_end + extra)
     g = math.gcd(*levels[0]) if levels else size
     n = knots(g)
     src[:n] = 0.0
     src[origin // g] = 1.0              # the all-zero expansion sits at value 0
     e = 0
-    prod = 1                            # P while the carry runs, then 0
-    for o in levels:
+    steps = zip(levels, _scales(levels))
+    for o, (p, pre, e) in itertools.islice(steps, cut):
         a = src[:n]
-        p = 1.0 / len(o)
-        if prod and len(o) > 1:
-            prod *= len(o)
-            if prod.bit_length() <= CARRY_BITS:
-                k = (len(o) & -len(o)).bit_length() - 1
-                p, e = 1.0 / (len(o) >> k), e + k
-            else:
-                a *= 2.0 ** -e          # the masses of the fold by fl(1/a)
-                prod = e = 0
+        if pre is not None:
+            a *= pre                    # the masses of the fold by fl(1/a)
         g1 = math.gcd(g, *o)
         o = [s // g1 for s in o]
         if g1 < g:
@@ -383,8 +453,23 @@ def _fold(levels: list[list[int]], size: int, origin: int) -> tuple[np.ndarray, 
         else:
             (_fold_wide if len(o) > 1 and n > CHUNK else _fold_narrow)(a, dst[:n], o, p)
         src, dst = dst, src
+    if cut < len(levels):
+        rest = []
+        for o, (p, pre, e) in steps:
+            rest.append(([s // g for s in o], p, pre))
+        jobs, spans, at = [], [], 0
+        for c0, c1 in runs:
+            lo, hi = max(c0 - hl, 0), min(c1 + hr, n)
+            dst[at:at + hi - lo] = src[lo:hi]
+            jobs.append(_fold_run(dst[at:at + hi - lo], src[at:at + hi - lo], rest))
+            spans.append((c0, c1, at + c0 - lo))
+            at += hi - lo
+        run_parts(jobs)
+        done, src = (dst, src) if len(rest) % 2 == 0 else (src, dst)
+        for c0, c1, k in spans:
+            src[c0:c1] = done[k:k + c1 - c0]
     if g == 1:
-        return src, e
+        return src[:n], e
     law = np.zeros(size)
     law[origin % g::g] = src[:n]
     return law, e
@@ -398,10 +483,16 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     of horizontal envelope per level; the discarded tail beyond the depth
     contributes its certified mean shift plus a Chebyshev horizontal/
     vertical split.  Mass above the requested window is charged to eps_p;
-    more than a quarter of the mass outside raises RangeTooSmall.  The
-    fold holds two 8-byte arrays per lattice knot, then the window one per
-    requested knot and GridCDF's check masks a byte; more than BYTE_CAP
-    bytes of them raises ResourceLimit before anything is allocated.
+    more than a quarter of the mass outside raises RangeTooSmall.  On a
+    process that may run on several CPUs, a lattice of at least two CHUNK
+    runs goes on from _fold_split's level in windows, one run of knots a
+    thread, each with a halo that covers the remaining levels' reach, so
+    the law, eps_x and eps_p are the same bit for bit for any count of runs
+    (_fold).  The fold holds two 8-byte arrays per lattice knot, each grown
+    by (runs - 1)(hl + hr) halo knots, then the window one per requested
+    knot and GridCDF's check masks a byte; more than BYTE_CAP bytes of them
+    raises ResourceLimit before anything is allocated.  The grid records
+    the depth, the lattice knots and the fold's runs.
     """
     if not x1 > x0:
         raise ValueError(f"window needs x1 > x0, got [{x0}, {x1}]")
@@ -431,8 +522,10 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         elif o[0]:
             levels.append(o[:1])
     size = grid_hi - grid_lo + 1
-    check_bytes(16 * size + 9 * k_req,
-                f"convolution of {size} lattice knots and {k_req} window knots")
+    split = _fold_split(levels, size, -grid_lo)
+    *_, runs, hl, hr = split
+    check_bytes(16 * (size + (len(runs) - 1) * (hl + hr)) + 9 * k_req,
+                f"convolution of {size} lattice knots in {len(runs)} runs and {k_req} window knots")
     # requested knot k reads atoms up to floor(x0 / w) + k; a window whose
     # atoms all lie beyond the lattice hull holds none or all of the mass.
     # Tested in float before the fold; past it, floor(x0 / w) fits int64
@@ -441,7 +534,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
         raise RangeTooSmall(f"window [{x0}, {x1}] misses the lattice hull "
                             f"[{grid_lo * w}, {grid_hi * w}] that holds all of the mass")
 
-    cum_all, e = _fold(levels, size, -grid_lo)
+    cum_all, e = _fold(levels, size, -grid_lo, split)
     np.cumsum(cum_all, out=cum_all)     # sums of normal masses: exact to scale
     unit = 2.0 ** -e
     total = float(cum_all[-1]) * unit
@@ -467,7 +560,8 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
             f"window [{x0}, {x1}] misses {mass_below + mass_above:.3g} of the mass")
     eps_p += mass_above
 
-    return GridCDF(x0=x0, w=w, cum=cum, eps_x=eps_x, eps_p=eps_p)
+    return GridCDF(x0=x0, w=w, cum=cum, eps_x=eps_x, eps_p=eps_p, depth=depth_j, lattice=size,
+                   fold_runs=len(runs))
 
 
 # -- characteristic function ----------------------------------------------------
@@ -550,11 +644,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def thread_parts(n: int) -> list[tuple[int, int]]:
+def thread_parts(n: int, shortest: int) -> list[tuple[int, int]]:
     """Contiguous runs (lo, hi) that cut range(n): one per CPU the process
-    may run on, as many of them as leave none shorter than SPLIT_MIN, and
+    may run on, as many of them as leave none shorter than shortest, and
     at least one."""
-    k = max(1, min(_cpus(), n // SPLIT_MIN))
+    k = max(1, min(_cpus(), n // shortest))
     return [(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
@@ -628,7 +722,7 @@ def cf_truncated(dmap: DigitMap, base: CantorBase, t,
                 np.multiply(op, _level_factor(fac, vals, tp, t_abs, bufs), out=op)
         return run
 
-    run_parts([job(lo, hi) for lo, hi in thread_parts(flat.size)])
+    run_parts([job(lo, hi) for lo, hi in thread_parts(flat.size, SPLIT_MIN)])
     return out[:tt.size].reshape(tt.shape), _cf_bound(tails(depth - 1), t_abs), depth
 
 

@@ -25,7 +25,7 @@ from cantorlab import (
     rows_to_csv,
     run_experiment,
 )
-from cantorlab import experiments
+from cantorlab import experiments, limitlaw
 from cantorlab.cli import ROW_BYTES, main
 from cantorlab.experiments import _cf_trace_csv, csv_text
 from cantorlab.limitlaw import SPLIT_MIN, thread_parts
@@ -485,6 +485,22 @@ def test_cli_limit_invert_logs_depth_and_groups(caplog, tmp_path):
             "0 real") in caplog.text
 
 
+def test_cli_limit_conv_logs_depth_lattice_and_fold_runs(caplog, monkeypatch, tmp_path):
+    # the convolution's grid line names the depth, the lattice knots and
+    # the runs its fold was cut into: one for a lattice below two CHUNK
+    # runs, two for skewed-q4 at pitch 2^-15 with the mask read as two CPUs
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 2)
+    out = str(tmp_path / "conv.csv")
+    with caplog.at_level(logging.INFO, logger="cantorlab"):
+        assert main(["limit", "--route", "conv", "--x0", "0", "--x1", "1", "--w", str(2.0 ** -10),
+                     "--out", out]) == 0
+        assert main(["limit", "--route", "conv", "--map", '{"family": "skewed-polyweight"}',
+                     "--base", '{"kind": "constant", "q": 4}', "--x0", "0", "--x1", "5.5",
+                     "--w", str(2.0 ** -15), "--out", out]) == 0
+    assert "; depth 14, 1024 lattice knots, fold runs: 1" in caplog.text
+    assert "; depth 365, 173184 lattice knots, fold runs: 2" in caplog.text
+
+
 def test_cli_cf_logs_depth_bound_and_parts(caplog, tmp_path):
     # the cf log line names the depth, the bound and how many runs of t
     # cf_truncated split across threads, as thread_parts counts them
@@ -493,7 +509,7 @@ def test_cli_cf_logs_depth_bound_and_parts(caplog, tmp_path):
         for n in (201, 4 * SPLIT_MIN):
             assert main(["cf", "--n", str(n), "--depth", "3", "--out", out]) == 0
             assert (f"depth 3, truncation bound 0.885 over |t| <= 10, parts of t: "
-                    f"{len(thread_parts(n))}") in caplog.text
+                    f"{len(thread_parts(n, SPLIT_MIN))}") in caplog.text
     assert "parts of t: 1" in caplog.text
 
 

@@ -33,6 +33,7 @@ from cantorlab import (
 )
 from cantorlab import qadditive
 from cantorlab.errors import BYTE_CAP
+from cantorlab.experiments import PRESET_NAMES, preset
 from cantorlab import limitlaw
 from cantorlab.limitlaw import (CARRY_BITS, CHUNK, DEPTH_CAP, GROUP, TINY_ANGLE, _centred,
                                _cf_bound, _cf_depth, _cf_table, _conv_depth, _conv_envelope, _fold,
@@ -465,14 +466,14 @@ _FOLD_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
 
 
 @st.composite
-def _fold_input(draw):
+def _fold_input(draw, sizes=st.one_of(st.integers(1, 400), st.sampled_from(_FOLD_SIZES))):
     """(levels, size, origin): 1 to 8 shifts of either sign and 0, repeated,
     at a stride k that divides f, so that the gcd falls by 2, 3, 4, 6 or 12
     from one level to the next or stays above 1 to the end; at stride 1 also
     shifts as long as the lattice.  Before them, optionally, levels {0, f
     3^i, 2 f 3^i} spread the mass over most of the lattice, so that every
-    chunk seam sees it."""
-    size = draw(st.one_of(st.integers(1, 400), st.sampled_from(_FOLD_SIZES)))
+    chunk seam sees it.  The size is drawn from sizes."""
+    size = draw(sizes)
     origin = draw(st.integers(0, size - 1))
     f = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
     levels = []
@@ -558,6 +559,173 @@ def test_fold_carries_powers_of_two_below_the_limit():
         assert np.array_equal((got * 2.0 ** -e).view(np.int64), want.view(np.int64))
 
 
+def _fold_on(cpus, levels, size, origin):
+    """_fold with the process's affinity mask read as cpus CPUs, the GIL
+    handed between threads every microsecond."""
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limitlaw, "_cpus", lambda: cpus)
+        sys.setswitchinterval(1e-6)
+        try:
+            return _fold(levels, size, origin)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# skewed-q4's shape: levels [0, s, 2s, 2s] whose s narrows to 1, then [0, 0, 1, 1]
+_SKEWED = [[0, s, 2 * s, 2 * s] for s in (1 << 14, 1 << 12, 1 << 10, 256, 64, 16, 4, 1)]
+_SKEWED += [[0, 0, 1, 1]] * 4
+# symmetric ternary: shifts of both signs, g = 1 from the first level
+_TERNARY = [[-1, 0, 1]] + [[-(3 ** k), 0, 3 ** k] for k in range(8, -1, -1)] + [[-1, 0, 1]] * 2
+# the halo 10002 > 2^16 / 16 until the last level, which alone runs in windows
+_LAST = [[0, 1, 5000], [0, 1, 5000], [0, 2]]
+# windows clipped at both lattice ends: the mass reaches knots 0 and 2^17
+_ENDS = [[-(1 << 15), 0, 1 << 15]] * 2 + [[-1, 0, 1]] * 3
+
+
+@st.composite
+def _split_input(draw):
+    """_fold_input at sizes of two to four CHUNK runs, led half the time by a
+    level [0, 1] that takes g to 1 at once, so that more levels can run in
+    windows."""
+    levels, size, origin = draw(_fold_input(st.integers(2 * CHUNK + 1, 4 * CHUNK + 3)))
+    return [[0, 1]] * draw(st.integers(0, 1)) + levels, size, origin
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_split_input())
+@example(case=(_SKEWED, 2 * CHUNK + 1, 40000))
+@example(case=(_SKEWED, 4 * CHUNK + 3, 3 * CHUNK - 100))
+@example(case=(_TERNARY, 2 * CHUNK + 1, CHUNK))
+@example(case=(_TERNARY, 4 * CHUNK + 3, 2 * CHUNK + 1))
+# a level whose shifts are all negative: its reach goes to the right-hand halo only
+@example(case=([[0, 1, 2]] * 9 + [[-7, -3]] + [[0, 1]] * 2, 2 * CHUNK + 1, CHUNK - 9000))
+# the carry limit crossed after the split (4^511 >= 2^1021), mass across the seam
+@example(case=([[0, 0, 1, 1]] * 515, 2 * CHUNK + 1, CHUNK - 300))
+@example(case=(_LAST, 2 * CHUNK + 1, CHUNK - 9000))
+@example(case=(_ENDS, 2 * CHUNK + 1, CHUNK))
+def test_fold_split_matches_oracle_and_one_run_bitwise(case):
+    # each run's knots take the same sources in the same digit order as in
+    # one array, for any count of runs (the lattices give at most 2, 3 or 4)
+    levels, size, origin = case
+    one, e_one = _fold_on(1, levels, size, origin)
+    want = _fold_oracle(levels, size, origin)
+    assert np.array_equal((one * 2.0 ** -e_one).view(np.int64), want.view(np.int64))
+    for cpus in (2, 3, 4):
+        got, e = _fold_on(cpus, levels, size, origin)
+        assert e == e_one
+        assert np.array_equal(got.view(np.int64), one.view(np.int64)), cpus
+
+
+def test_fold_split_rule():
+    # the first level from which g holds and the remaining shifts' positive
+    # parts, in units of g, sum to at most 1/16 of a run
+    with pytest.MonkeyPatch.context() as mp:
+        for cpus, levels, size, want in (
+                (2, _SKEWED, 2 * CHUNK + 1, (8, 2, 4, 0)),
+                (2, _TERNARY, 2 * CHUNK + 1, (3, 2, 1095, 1095)),
+                (4, _TERNARY, 4 * CHUNK + 3, (3, 4, 1095, 1095)),
+                (2, [[0, 1, 2]] * 9 + [[-7, -3]] + [[0, 1]], 2 * CHUNK + 1, (0, 2, 19, 7)),
+                (2, _LAST, 2 * CHUNK + 1, (2, 2, 2, 0)),
+                (4, _LAST, 4 * CHUNK + 3, (2, 4, 2, 0)),
+                (4, _ENDS, 2 * CHUNK + 1, (3, 2, 2, 2)),
+                # g = 2 to the end: the stride and halo are in units of it
+                (2, [[0, 6, 2]] * 3, 4 * CHUNK + 6, (0, 2, 9, 0)),
+                # g falls at the last level, so no level runs in windows
+                (4, [[0, 1 << (19 - j)] for j in range(20)], 1 << 20, (20, 1, 0, 0)),
+                # a lattice of fewer than two CHUNK runs, or one CPU
+                (4, _SKEWED, 2 * CHUNK - 1, (12, 1, 0, 0)),
+                (1, _SKEWED, 4 * CHUNK + 3, (12, 1, 0, 0))):
+            mp.setattr(limitlaw, "_cpus", lambda: cpus)
+            n, i, runs, hl, hr = limitlaw._fold_split(levels, size, 0)
+            assert (i, len(runs), hl, hr) == want, (cpus, levels[:2], size)
+
+
+class _RunFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [[0], [2], [1, 3]])
+def test_fold_split_reraises_first_failure_and_joins(monkeypatch, failing):
+    # a run whose window raises hands its exception to the caller, the first
+    # in run order when several do, and only after every thread has joined
+    fold_run, made = limitlaw._fold_run, []
+
+    def flaky(a, b, rest):
+        run, i = fold_run(a, b, rest), len(made)
+        made.append(i)
+
+        def job():
+            run()
+            if i in failing:
+                raise _RunFailed(i)
+        return job
+
+    monkeypatch.setattr(limitlaw, "_fold_run", flaky)
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 4)
+    before = threading.active_count()
+    with pytest.raises(_RunFailed) as err:
+        _fold(_SKEWED, 4 * CHUNK + 3, 5)
+    assert made == [0, 1, 2, 3]
+    assert err.value.args == (failing[0],)
+    assert threading.active_count() == before
+
+
+def _counted_threads(monkeypatch):
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(1)
+            super().start()
+
+    monkeypatch.setattr(limitlaw.threading, "Thread", Counted)
+    return starts
+
+
+def test_fold_threads_follow_affinity_mask(monkeypatch, skew):
+    # a splitting lattice starts min(CPUs, n // CHUNK) - 1 threads, on the
+    # process's own mask; run once more under `taskset -c 0` (CI does), and
+    # with the mask read as one CPU, none starts
+    starts = _counted_threads(monkeypatch)
+    cpus = limitlaw._cpus()
+    got, _ = _fold(_SKEWED, 4 * CHUNK + 3, 5)
+    assert len(starts) == min(cpus, 4) - 1
+    # skewed-q4 at limit-routes' pitch 2^-15: 173,184 lattice knots
+    starts.clear()
+    base4 = build_base({"kind": "constant", "q": 4})
+    g = limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15)
+    assert g.lattice == 173184 and g.depth == _conv_depth(skew, _tails(skew, base4), 2.0 ** -15)
+    assert g.fold_runs == min(cpus, g.lattice // CHUNK) == len(starts) + 1
+    starts.clear()
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 1)
+    again, _ = _fold(_SKEWED, 4 * CHUNK + 3, 5)
+    assert not starts and np.array_equal(again.view(np.int64), got.view(np.int64))
+    assert limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15).fold_runs == 1
+    assert not starts
+
+
+@pytest.mark.parametrize("name, w", [("example-II", 2.0 ** -15), ("regimeC-ternary", 2.0 ** -14),
+                                     ("geometric", 2.0 ** -10), ("symmetric-ternary", 2.0 ** -10)])
+def test_fold_small_lattices_start_no_thread(monkeypatch, base2, base3, geo_half, tern, name, w):
+    # perfbench's grid-ladder lattices (the two presets' grids 64x coarser,
+    # 64K and 53K knots) and lab-small's (pitch 2^-10) are below two CHUNK
+    # runs, so even a mask of 16 CPUs keeps them on the calling thread
+    starts = _counted_threads(monkeypatch)
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 16)
+    if name in PRESET_NAMES:
+        cfg = preset(name)
+        dmap, base = DigitMap(cfg.map), build_base(cfg.base)
+        x0, x1 = cfg.grid["x0"], cfg.grid["x1"]
+    elif name == "geometric":
+        dmap, base, x0, x1 = geo_half, base2, 0.0, 2.0
+    else:
+        dmap, base, x0, x1 = tern, base3, -1.625, 1.625
+    g = limit_cdf_conv(dmap, base, x0, x1, w)
+    assert g.lattice < 2 * CHUNK and g.fold_runs == 1
+    assert not starts
+
+
 def test_conv_envelope_covers_deep_truth(base3, tern):
     # proxy for the true law: full enumeration 12 levels deep, far beyond
     # the depth the pitch justifies; disagreement must fit in the slack
@@ -610,20 +778,28 @@ def test_conv_window_guards(base2, vdc2):
         limit_cdf_conv(vdc2, base2, 0.0, 1.0, 0.25, depth=0)
 
 
-def test_conv_peak_memory_within_byte_charge(base2, vdc2, geo_half, charges, peak_of):
+def test_conv_peak_memory_within_byte_charge(monkeypatch, base2, vdc2, geo_half, skew, charges,
+                                             peak_of):
     # the fold reuses two lattice buffers and the cumsum overwrites one of
     # them; then the window array and one of GridCDF's check masks exist beside
     # it.  The charge sums both stages, 16 bytes per lattice knot and 9 per
     # window knot, so it is within 1.5x the traced peak both for a window as
-    # wide as the lattice and for one 64 lattices wide
-    for dmap, x1, w in ((geo_half, 2.0, 2.0 ** -16), (vdc2, 64.0, 2.0 ** -12)):
-        depth = _conv_depth(dmap, _tails(dmap, base2), w)
-        size = 1 + sum(max(round(v / w) for v in level_values(dmap, base2, j))
-                       for j in range(depth))
+    # wide as the lattice and for one 64 lattices wide.  A fold cut into
+    # runs (skewed-q4 at pitch 2^-15, read as two CPUs) grows both buffers
+    # by (runs - 1)(hl + hr) knots, which the charge adds
+    base4 = build_base({"kind": "constant", "q": 4})
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 2)
+    for dmap, base, x1, w in ((geo_half, base2, 2.0, 2.0 ** -16), (vdc2, base2, 64.0, 2.0 ** -12),
+                              (skew, base4, 5.5, 2.0 ** -15)):
+        depth = _conv_depth(dmap, _tails(dmap, base), w)
+        levels = [[round(v / w) for v in level_values(dmap, base, j)] for j in range(depth)]
+        size = 1 + sum(max(o) for o in levels)
+        *_, runs, hl, hr = limitlaw._fold_split([o for o in levels if max(o)], size, 0)
         k_req = int(x1 / w) + 1
-        peak, g = peak_of(limit_cdf_conv, dmap, base2, 0.0, x1, w)
-        assert g.cum.size == k_req
-        assert charges[-1] == 16 * size + 9 * k_req
+        peak, g = peak_of(limit_cdf_conv, dmap, base, 0.0, x1, w)
+        assert g.cum.size == k_req and (g.lattice, g.fold_runs) == (size, len(runs))
+        assert len(runs) == (2 if dmap is skew else 1) and (hl + hr > 0) == (dmap is skew)
+        assert charges[-1] == 16 * (size + (len(runs) - 1) * (hl + hr)) + 9 * k_req
         assert peak <= charges[-1] <= 1.5 * peak
         if dmap is geo_half:
             # window as wide as the lattice: a fold that allocated per level
@@ -905,7 +1081,7 @@ def _split_cf(mp, dmap, base, t, depth, parts):
     """cf_truncated with t cut into the given number of runs, one a CPU."""
     mp.setattr(limitlaw, "_cpus", lambda: parts)
     mp.setattr(limitlaw, "SPLIT_MIN", len(t) // parts)
-    assert len(limitlaw.thread_parts(len(t))) == parts
+    assert len(limitlaw.thread_parts(len(t), limitlaw.SPLIT_MIN)) == parts
     return cf_truncated(dmap, base, t, depth=depth)
 
 
@@ -1019,7 +1195,7 @@ def test_cf_truncated_threads_follow_affinity_mask(monkeypatch, base2, vdc2):
 
     monkeypatch.setattr(limitlaw.threading, "Thread", Counted)
     n = 4 * limitlaw.SPLIT_MIN
-    runs = len(limitlaw.thread_parts(n))
+    runs = len(limitlaw.thread_parts(n, limitlaw.SPLIT_MIN))
     if hasattr(os, "sched_getaffinity"):
         assert runs == min(len(os.sched_getaffinity(0)), 4)
     cf_truncated(vdc2, base2, np.linspace(0.0, 2048.0, n), depth=2)
