@@ -604,6 +604,8 @@ def _split_input(draw):
 @example(case=([[0, 0, 1, 1]] * 515, 2 * CHUNK + 1, CHUNK - 300))
 @example(case=(_LAST, 2 * CHUNK + 1, CHUNK - 9000))
 @example(case=(_ENDS, 2 * CHUNK + 1, CHUNK))
+# g = 2 to the end: windows on the sublattice, expanded once after the gather
+@example(case=([[0, 2, 4]] * 10 + [[-6, 2]], 4 * CHUNK + 6, 2 * CHUNK + 1))
 def test_fold_split_matches_oracle_and_one_run_bitwise(case):
     # each run's knots take the same sources in the same digit order as in
     # one array, for any count of runs (the lattices give at most 2, 3 or 4)
