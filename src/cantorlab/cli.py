@@ -120,8 +120,8 @@ def _cmd_limit(args) -> int:
         check_bytes(8 * grid.cum.size + ROW_BYTES * -(-grid.cum.size // stride),
                     f"CSV rows of {grid.cum.size} knots at stride {stride}")
         log.info("grid: %d knots, eps_x=%.3g, eps_p=%.3g; depth %d, %d lattice knots, "
-                 "fold runs: %d", grid.cum.size, grid.eps_x, grid.eps_p, grid.depth,
-                 grid.lattice, grid.fold_runs)
+                 "fold windows: %d on %d threads", grid.cum.size, grid.eps_x, grid.eps_p,
+                 grid.depth, grid.lattice, grid.fold_runs, len(thread_parts(grid.fold_runs, 1)))
         xs = grid.x0 + grid.w * np.arange(0, grid.cum.size, stride)
         vals = grid.cum[::stride]
     else:

@@ -54,11 +54,31 @@ class GridCDF:
     2^-40 of the knots' magnitude, so that each knot is a distinct float and
     knot_index finds it exactly.  limit_cdf_conv's grids also tell how they
     were made: the depth of the convolution, the knots of its lattice and
-    the runs its fold was cut into (1 when unsplit); other grids hold 0.
+    the windows its fold was cut into (1 when unsplit); other grids hold 0.
     """
 
     def __init__(self, x0: float, w: float, cum, eps_x: float, eps_p: float,
                  depth: int = 0, lattice: int = 0, fold_runs: int = 0):
+        self._set(x0, w, cum, eps_x, eps_p, depth, lattice, fold_runs)
+        if not np.all(np.isfinite(self.cum)):
+            raise ValueError("grid cumulative array must be finite")
+        if np.any(self.cum[1:] < self.cum[:-1]):
+            raise ValueError("grid cumulative array must not decrease")
+
+    @classmethod
+    def _ordered(cls, x0: float, w: float, cum: np.ndarray, eps_x: float, eps_p: float,
+                 depth: int, lattice: int, fold_runs: int) -> "GridCDF":
+        """A grid whose cum never decreases by construction (limit_cdf_conv's
+        cumsum of non-negative finite masses, 0 below it and the total above
+        it), so it is finite once its last value is: the two O(K) scans of
+        the constructor are skipped, the O(1) checks kept."""
+        grid = cls.__new__(cls)
+        grid._set(x0, w, cum, eps_x, eps_p, depth, lattice, fold_runs)
+        if not math.isfinite(grid.cum[-1]):
+            raise ValueError("grid cumulative array must be finite")
+        return grid
+
+    def _set(self, x0, w, cum, eps_x, eps_p, depth, lattice, fold_runs) -> None:
         if w <= 0:
             raise ValueError(f"grid pitch must be > 0, got {w}")
         self.x0 = float(x0)
@@ -66,10 +86,6 @@ class GridCDF:
         self.cum = np.asarray(cum, dtype=float)
         if self.cum.ndim != 1 or self.cum.size == 0:
             raise ValueError("grid cumulative array must be nonempty and 1-d")
-        if not np.all(np.isfinite(self.cum)):
-            raise ValueError("grid cumulative array must be finite")
-        if np.any(self.cum[1:] < self.cum[:-1]):
-            raise ValueError("grid cumulative array must not decrease")
         # knot_index is exact, and the float knots strictly increase, only while
         # the pitch stays far above the rounding error of x0 + k w (about 2^-53
         # of the knots' magnitude); 2^-40 leaves a wide margin
@@ -352,23 +368,29 @@ def _scales(levels: list[list[int]]):
 def _fold_split(levels: list[list[int]], size: int, origin: int):
     """(n, i, runs, hl, hr): the n knots of the last sublattice, of stride
     g (the gcd of every shift), and the level i from which _fold goes on in
-    windows, one for each of thread_parts' runs of knots (one per CPU of
-    the affinity mask, none shorter than CHUNK), reaching hl knots below
-    its run and hr above it.  i is the first level from which g holds and
-    the remaining levels' shifts sum to a halo hl + hr of at most 1/16 of a
-    run: hl over their positive parts max(0, max o), hr over max(0, -min
-    o), in units of g.  With one run, or no such level, i is len(levels),
-    the one run (0, n) and hl = hr = 0."""
+    windows, one for each run of knots, reaching hl knots below its run and
+    hr above it.  A sublattice of at least two CHUNK runs is cut into
+    cache-sized runs: the fewest of at most CHUNK knots whose count is a
+    multiple of the CPU count c, c ceil(n / (c CHUNK)), but none shorter
+    than CHUNK / 2, so at most n // (CHUNK / 2) of them.  i is the first
+    level from which g holds and the remaining levels' shifts sum to a
+    halo hl + hr of at most 1/16 of a run: hl over their positive parts
+    max(0, max o), hr over max(0, -min o), in units of g.  When no level
+    admits that halo, the runs are thread_parts' one per CPU, each at least
+    CHUNK long.  With one run, or no such level, i is len(levels), the one
+    run (0, n) and hl = hr = 0."""
     g = math.gcd(0, *(s for o in levels for s in o)) or size
     n = len(range(origin % g, size, g))
-    runs = thread_parts(n, CHUNK)
-    if len(runs) > 1:
+    c = _cpus()
+    for k in (min(c * -(-n // (c * CHUNK)), n // (CHUNK // 2)), min(c, n // CHUNK)):
+        if n < 2 * CHUNK or k < 2:
+            continue
         hl = sum(max(0, *o) for o in levels) // g
         hr = sum(max(0, -min(o)) for o in levels) // g
         h = math.gcd(*levels[0])        # the stride g of the fold at level i
         for i, o in enumerate(levels):
-            if h == g and 16 * (hl + hr) <= n // len(runs):
-                return n, i, runs, hl, hr
+            if h == g and 16 * (hl + hr) <= n // k:
+                return n, i, [(n * j // k, n * (j + 1) // k) for j in range(k)], hl, hr
             h = math.gcd(h, *o)
             hl -= max(0, *o) // g
             hr -= max(0, -min(o)) // g
@@ -385,6 +407,14 @@ def _fold_run(a: np.ndarray, b: np.ndarray, rest: list) -> Callable[[], None]:
                 x *= pre
             (_fold_wide if len(o) > 1 and x.size > CHUNK else _fold_narrow)(x, y, o, p)
             x, y = y, x
+    return run
+
+
+def _in_turn(jobs: list[Callable[[], None]]) -> Callable[[], None]:
+    """A job that runs jobs one after another, stopping at the first that raises."""
+    def run():
+        for job in jobs:
+            job()
     return run
 
 
@@ -409,9 +439,11 @@ def _fold(levels: list[list[int]], size: int, origin: int,
 
     From _fold_split's level i on (split, when given, is its answer), the n
     knots are cut into runs, each copied with its halo, [c0 - hl, c1 + hr)
-    within [0, n), into its own slice of the idle buffer; each window takes
-    every remaining level on a thread of its own (run_parts), ping-ponging
-    with the same slice of the other buffer, and the runs' own knots are
+    within [0, n), into its own slice of the idle buffer.  Each window takes
+    every remaining level, ping-ponging with the same slice of the other
+    buffer, so it stays in cache from level to level; thread_parts deals
+    the windows in contiguous groups to one thread per CPU (run_parts),
+    each folding its group's windows in turn, and the runs' own knots are
     gathered back into one array after the join.  A level reads its
     destination m from sources m - max o .. m - min o, so a window edge's
     wrong values (the sources past it missing) move in by at most the
@@ -464,7 +496,8 @@ def _fold(levels: list[list[int]], size: int, origin: int,
             jobs.append(_fold_run(dst[at:at + hi - lo], src[at:at + hi - lo], rest))
             spans.append((c0, c1, at + c0 - lo))
             at += hi - lo
-        run_parts(jobs)
+        # each of thread_parts' threads takes a contiguous group of windows in turn
+        run_parts([_in_turn(jobs[lo:hi]) for lo, hi in thread_parts(len(jobs), 1)])
         done, src = (dst, src) if len(rest) % 2 == 0 else (src, dst)
         for c0, c1, k in spans:
             src[c0:c1] = done[k:k + c1 - c0]
@@ -483,16 +516,17 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     of horizontal envelope per level; the discarded tail beyond the depth
     contributes its certified mean shift plus a Chebyshev horizontal/
     vertical split.  Mass above the requested window is charged to eps_p;
-    more than a quarter of the mass outside raises RangeTooSmall.  On a
-    process that may run on several CPUs, a lattice of at least two CHUNK
-    runs goes on from _fold_split's level in windows, one run of knots a
-    thread, each with a halo that covers the remaining levels' reach, so
-    the law, eps_x and eps_p are the same bit for bit for any count of runs
-    (_fold).  The fold holds two 8-byte arrays per lattice knot, each grown
-    by (runs - 1)(hl + hr) halo knots, then the window one per requested
-    knot and GridCDF's check masks a byte; more than BYTE_CAP bytes of them
-    raises ResourceLimit before anything is allocated.  The grid records
-    the depth, the lattice knots and the fold's runs.
+    more than a quarter of the mass outside raises RangeTooSmall.  A
+    lattice of at least two CHUNK runs goes on from _fold_split's level in
+    windows of at most CHUNK knots, dealt to the process's CPUs, each with
+    a halo that covers the remaining levels' reach, so the law, eps_x and
+    eps_p are the same bit for bit for any count of windows (_fold).  The
+    fold holds two 8-byte arrays per lattice knot, each grown by (windows
+    - 1)(hl + hr) halo knots, then the window one per requested knot; more
+    than BYTE_CAP bytes of them raises ResourceLimit before anything is
+    allocated.  The grid records the depth, the lattice knots and the
+    fold's windows; its cum is ordered by construction, so GridCDF's two
+    scans of it are skipped (GridCDF._ordered).
     """
     if not x1 > x0:
         raise ValueError(f"window needs x1 > x0, got [{x0}, {x1}]")
@@ -524,8 +558,8 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     size = grid_hi - grid_lo + 1
     split = _fold_split(levels, size, -grid_lo)
     *_, runs, hl, hr = split
-    check_bytes(16 * (size + (len(runs) - 1) * (hl + hr)) + 9 * k_req,
-                f"convolution of {size} lattice knots in {len(runs)} runs and {k_req} window knots")
+    check_bytes(16 * (size + (len(runs) - 1) * (hl + hr)) + 8 * k_req,
+                f"convolution of {size} lattice knots in {len(runs)} windows and {k_req} window knots")
     # requested knot k reads atoms up to floor(x0 / w) + k; a window whose
     # atoms all lie beyond the lattice hull holds none or all of the mass.
     # Tested in float before the fold; past it, floor(x0 / w) fits int64
@@ -560,8 +594,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
             f"window [{x0}, {x1}] misses {mass_below + mass_above:.3g} of the mass")
     eps_p += mass_above
 
-    return GridCDF(x0=x0, w=w, cum=cum, eps_x=eps_x, eps_p=eps_p, depth=depth_j, lattice=size,
-                   fold_runs=len(runs))
+    return GridCDF._ordered(x0, w, cum, eps_x, eps_p, depth_j, size, len(runs))
 
 
 # -- characteristic function ----------------------------------------------------

@@ -109,6 +109,7 @@ class DigitMap:
             self._g, self._power = tuple(d["g"]), (d["beta"], 1)
         elif fam == "symmetric-ternary":
             self._g, self._power = (-1.0, 0.0, 1.0), (3.0, -1)
+        self._extremes: dict[CantorBase, tuple[float, float]] = {}    # _g_extremes by base
 
     # -- constructors ------------------------------------------------------
 
@@ -231,7 +232,10 @@ class DigitMap:
             if self._tail is None:
                 raise NoTailMeta("custom table carries no tail envelope")
             return table_tails(self, table_rows(self, base), L)
-        gbar, gvar = self._g_extremes(base)
+        ext = self._extremes.get(base)
+        if ext is None:                 # a depth search asks at every level
+            ext = self._extremes[base] = self._g_extremes(base)
+        gbar, gvar = ext
         if fam == "geometric":
             beta = self._power[0]
             if beta >= 1.0:

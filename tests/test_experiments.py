@@ -486,9 +486,10 @@ def test_cli_limit_invert_logs_depth_and_groups(caplog, tmp_path):
 
 
 def test_cli_limit_conv_logs_depth_lattice_and_fold_runs(caplog, monkeypatch, tmp_path):
-    # the convolution's grid line names the depth, the lattice knots and
-    # the runs its fold was cut into: one for a lattice below two CHUNK
-    # runs, two for skewed-q4 at pitch 2^-15 with the mask read as two CPUs
+    # the convolution's grid line names the depth, the lattice knots, the
+    # windows its fold was cut into and the threads they were dealt to: one
+    # on one for a lattice below two CHUNK runs, four on two for skewed-q4 at
+    # pitch 2^-15 with the mask read as two CPUs, three on one with one CPU
     monkeypatch.setattr(limitlaw, "_cpus", lambda: 2)
     out = str(tmp_path / "conv.csv")
     with caplog.at_level(logging.INFO, logger="cantorlab"):
@@ -497,8 +498,13 @@ def test_cli_limit_conv_logs_depth_lattice_and_fold_runs(caplog, monkeypatch, tm
         assert main(["limit", "--route", "conv", "--map", '{"family": "skewed-polyweight"}',
                      "--base", '{"kind": "constant", "q": 4}', "--x0", "0", "--x1", "5.5",
                      "--w", str(2.0 ** -15), "--out", out]) == 0
-    assert "; depth 14, 1024 lattice knots, fold runs: 1" in caplog.text
-    assert "; depth 365, 173184 lattice knots, fold runs: 2" in caplog.text
+        monkeypatch.setattr(limitlaw, "_cpus", lambda: 1)
+        assert main(["limit", "--route", "conv", "--map", '{"family": "skewed-polyweight"}',
+                     "--base", '{"kind": "constant", "q": 4}', "--x0", "0", "--x1", "5.5",
+                     "--w", str(2.0 ** -15), "--out", out]) == 0
+    assert "; depth 14, 1024 lattice knots, fold windows: 1 on 1 threads" in caplog.text
+    assert "; depth 365, 173184 lattice knots, fold windows: 4 on 2 threads" in caplog.text
+    assert "; depth 365, 173184 lattice knots, fold windows: 3 on 1 threads" in caplog.text
 
 
 def test_cli_cf_logs_depth_bound_and_parts(caplog, tmp_path):

@@ -32,7 +32,7 @@ from cantorlab import (
     value_vector,
 )
 from cantorlab import qadditive
-from cantorlab.errors import BYTE_CAP
+from cantorlab.errors import BYTE_CAP, AlphabetMismatch
 from cantorlab.experiments import PRESET_NAMES, preset
 from cantorlab import limitlaw
 from cantorlab.limitlaw import (CARRY_BITS, CHUNK, DEPTH_CAP, GROUP, TINY_ANGLE, _centred,
@@ -278,6 +278,39 @@ def test_depth_searches_sum_table_rows_once(base2, monkeypatch, tail):
         if tail is not None and L >= 0:
             assert np.array_equal(np.array(tail_sums(dmap, base2, L)).view(np.int64),
                                   want.view(np.int64)), L
+
+
+def test_depth_searches_derive_alphabet_extremes_once(monkeypatch, base2, base3, base23,
+                                                      factorial_base, geo_half, poly15, skew):
+    # the geometric and polynomial families' tails read the extremes of g
+    # over the base's alphabet sizes: a map derives them once per base and
+    # keeps them, so tail_sums equals a fresh map's bit for bit at every L,
+    # and a depth search derives them once
+    derive, calls = qadditive.DigitMap._g_extremes, []
+
+    def counted(self, base):
+        calls.append((self, base))
+        return derive(self, base)
+
+    monkeypatch.setattr(qadditive.DigitMap, "_g_extremes", counted)
+    poly3 = DigitMap.polynomial(2.0, (0.0, 1.0, 3.0))
+    for dmap, base in ((geo_half, base2), (poly15, base2), (poly3, base3), (poly3, base23),
+                       (skew, base23), (skew, factorial_base)):
+        kept = DigitMap(dmap.descriptor)
+        for L in range(0, 400, 7):
+            got, want = tail_sums(kept, base, L), tail_sums(DigitMap(dmap.descriptor), base, L)
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        assert sum(m is kept for m, _ in calls) == 1
+    calls.clear()
+    for dmap, base, w in ((DigitMap.skewed_polyweight(), build_base({"kind": "constant", "q": 4}),
+                           2.0 ** -15), (DigitMap.geometric(0.5, (0.0, 1.0)), base2, 2.0 ** -20)):
+        assert _conv_depth(dmap, _tails(dmap, base), w) > 20
+        assert _cf_depth(dmap, _tails(dmap, base), 2048.0, None) > 20
+        assert len(calls) == 1 and calls.pop()[0] is dmap
+    # a refusal is not kept: a finite digit table on an unbounded base
+    for _ in range(2):
+        with pytest.raises(AlphabetMismatch):
+            tail_sums(poly15, factorial_base, 3)
 
 
 # -- convolution route ---------------------------------------------------------------
@@ -606,58 +639,98 @@ def _split_input(draw):
 @example(case=(_ENDS, 2 * CHUNK + 1, CHUNK))
 # g = 2 to the end: windows on the sublattice, expanded once after the gather
 @example(case=([[0, 2, 4]] * 10 + [[-6, 2]], 4 * CHUNK + 6, 2 * CHUNK + 1))
+# more windows than CPUs: 8 windows on 2 CPUs (and on 1 and 4, 9 on 3), and
+# 3 windows on 1 CPU, folded in turn on the calling thread
+@example(case=(_SKEWED, 8 * CHUNK, 3 * CHUNK + 5))
+@example(case=(_TERNARY, 3 * CHUNK, CHUNK + 7))
 def test_fold_split_matches_oracle_and_one_run_bitwise(case):
-    # each run's knots take the same sources in the same digit order as in
-    # one array, for any count of runs (the lattices give at most 2, 3 or 4)
+    # each window's knots take the same sources in the same digit order as
+    # in one array, for any count of windows and any dealing of them to
+    # threads (the lattices give 3 to 9 windows on 1 to 4 CPUs)
     levels, size, origin = case
-    one, e_one = _fold_on(1, levels, size, origin)
+    n = limitlaw._fold_split(levels, size, origin)[0]
+    one, e_one = _fold(levels, size, origin, (n, len(levels), [(0, n)], 0, 0))
     want = _fold_oracle(levels, size, origin)
     assert np.array_equal((one * 2.0 ** -e_one).view(np.int64), want.view(np.int64))
-    for cpus in (2, 3, 4):
+    for cpus in (1, 2, 3, 4):
         got, e = _fold_on(cpus, levels, size, origin)
         assert e == e_one
         assert np.array_equal(got.view(np.int64), one.view(np.int64)), cpus
 
 
 def test_fold_split_rule():
-    # the first level from which g holds and the remaining shifts' positive
-    # parts, in units of g, sum to at most 1/16 of a run
+    # windows: the fewest of at most CHUNK knots whose count is a multiple
+    # of the CPU count, none shorter than CHUNK / 2; the split level is the
+    # first from which g holds and the remaining shifts' positive parts, in
+    # units of g, sum to at most 1/16 of a window; where no level admits
+    # that, one run per CPU as long as each is CHUNK
+    geo = [[0, 1 << (19 - j)] for j in range(20)]
+    wide = [[0, 1], [0, 1, 3000]]       # halo 3001: above 1/16 of 2^15, within 1/16 of 2^16
     with pytest.MonkeyPatch.context() as mp:
         for cpus, levels, size, want in (
-                (2, _SKEWED, 2 * CHUNK + 1, (8, 2, 4, 0)),
-                (2, _TERNARY, 2 * CHUNK + 1, (3, 2, 1095, 1095)),
-                (4, _TERNARY, 4 * CHUNK + 3, (3, 4, 1095, 1095)),
-                (2, [[0, 1, 2]] * 9 + [[-7, -3]] + [[0, 1]], 2 * CHUNK + 1, (0, 2, 19, 7)),
-                (2, _LAST, 2 * CHUNK + 1, (2, 2, 2, 0)),
-                (4, _LAST, 4 * CHUNK + 3, (2, 4, 2, 0)),
-                (4, _ENDS, 2 * CHUNK + 1, (3, 2, 2, 2)),
+                (2, _SKEWED, 2 * CHUNK + 1, (8, 4, 4, 0)),
+                (2, _TERNARY, 2 * CHUNK + 1, (4, 4, 366, 366)),
+                (4, _TERNARY, 4 * CHUNK + 3, (4, 8, 366, 366)),
+                (2, [[0, 1, 2]] * 9 + [[-7, -3]] + [[0, 1]], 2 * CHUNK + 1, (0, 4, 19, 7)),
+                (2, _LAST, 2 * CHUNK + 1, (2, 4, 2, 0)),
+                (4, _LAST, 4 * CHUNK + 3, (2, 8, 2, 0)),
+                (4, _ENDS, 2 * CHUNK + 1, (3, 4, 2, 2)),
                 # g = 2 to the end: the stride and halo are in units of it
-                (2, [[0, 6, 2]] * 3, 4 * CHUNK + 6, (0, 2, 9, 0)),
+                (2, [[0, 6, 2]] * 3, 4 * CHUNK + 6, (0, 4, 9, 0)),
+                # skewed-q4's lattice at pitch 2^-15: 4 windows of 43,296
+                (2, _SKEWED, 173184, (8, 4, 4, 0)),
+                (3, _SKEWED, 4 * CHUNK + 3, (8, 6, 4, 0)),
                 # g falls at the last level, so no level runs in windows
-                (4, [[0, 1 << (19 - j)] for j in range(20)], 1 << 20, (20, 1, 0, 0)),
-                # a lattice of fewer than two CHUNK runs, or one CPU
+                (4, geo, 1 << 20, (20, 1, 0, 0)),
+                # n = 2 CHUNK - 1 keeps one loop; n = 2 CHUNK and 2 CHUNK + 1
+                # take 2 and 4 windows on two CPUs
+                (2, _SKEWED, 2 * CHUNK - 1, (12, 1, 0, 0)),
+                (2, _SKEWED, 2 * CHUNK, (8, 2, 4, 0)),
                 (4, _SKEWED, 2 * CHUNK - 1, (12, 1, 0, 0)),
-                (1, _SKEWED, 4 * CHUNK + 3, (12, 1, 0, 0))):
+                # one CPU: ceil(n / CHUNK) windows, folded in turn
+                (1, _SKEWED, 2 * CHUNK - 1, (12, 1, 0, 0)),
+                (1, _SKEWED, 2 * CHUNK, (8, 2, 4, 0)),
+                (1, _SKEWED, 2 * CHUNK + 1, (8, 3, 4, 0)),
+                (1, _SKEWED, 4 * CHUNK + 3, (8, 5, 4, 0)),
+                # 16 CPUs: 16 windows would be shorter than CHUNK / 2, so
+                # n // (CHUNK / 2) of them, one thread each
+                (16, _SKEWED, 2 * CHUNK, (8, 4, 4, 0)),
+                (16, _SKEWED, 4 * CHUNK + 3, (8, 8, 4, 0)),
+                # no level admits the windows' halo: one run per CPU, and
+                # with one CPU, one loop
+                (2, wide, 2 * CHUNK + 1, (0, 2, 3001, 0)),
+                (4, wide, 4 * CHUNK + 3, (0, 4, 3001, 0)),
+                (1, wide, 2 * CHUNK + 1, (2, 1, 0, 0))):
             mp.setattr(limitlaw, "_cpus", lambda: cpus)
             n, i, runs, hl, hr = limitlaw._fold_split(levels, size, 0)
             assert (i, len(runs), hl, hr) == want, (cpus, levels[:2], size)
+            # the runs tile range(n) in order, their lengths one apart
+            assert [c0 for c0, _ in runs[1:]] == [c1 for _, c1 in runs[:-1]]
+            assert runs[0][0] == 0 and runs[-1][1] == n
+            lengths = {c1 - c0 for c0, c1 in runs}
+            assert max(lengths) - min(lengths) <= 1
+            if len(runs) > 1:
+                assert (CHUNK // 2 <= min(lengths) and max(lengths) <= CHUNK) != (levels is wide)
 
 
 class _RunFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", [[0], [2], [1, 3]])
+@pytest.mark.parametrize("failing", [[0], [2], [1, 3], [3, 2], [7]])
 def test_fold_split_reraises_first_failure_and_joins(monkeypatch, failing):
-    # a run whose window raises hands its exception to the caller, the first
-    # in run order when several do, and only after every thread has joined
-    fold_run, made = limitlaw._fold_run, []
+    # 8 windows on 4 threads, two in turn on each: a window that raises
+    # hands its exception to the caller, the first in window order when
+    # several do, and only after every thread has joined; the window after
+    # it on its thread does not run, and no window runs twice
+    fold_run, made, ran = limitlaw._fold_run, [], []
 
     def flaky(a, b, rest):
         run, i = fold_run(a, b, rest), len(made)
         made.append(i)
 
         def job():
+            ran.append(i)
             run()
             if i in failing:
                 raise _RunFailed(i)
@@ -668,8 +741,9 @@ def test_fold_split_reraises_first_failure_and_joins(monkeypatch, failing):
     before = threading.active_count()
     with pytest.raises(_RunFailed) as err:
         _fold(_SKEWED, 4 * CHUNK + 3, 5)
-    assert made == [0, 1, 2, 3]
-    assert err.value.args == (failing[0],)
+    assert made == list(range(8))
+    assert err.value.args == (min(failing),)
+    assert sorted(ran) == [i for i in range(8) if not (i % 2 and i - 1 in failing)]
     assert threading.active_count() == before
 
 
@@ -686,25 +760,55 @@ def _counted_threads(monkeypatch):
 
 
 def test_fold_threads_follow_affinity_mask(monkeypatch, skew):
-    # a splitting lattice starts min(CPUs, n // CHUNK) - 1 threads, on the
+    # a splitting lattice starts min(CPUs, windows) - 1 threads, on the
     # process's own mask; run once more under `taskset -c 0` (CI does), and
     # with the mask read as one CPU, none starts
     starts = _counted_threads(monkeypatch)
     cpus = limitlaw._cpus()
+    windows = len(limitlaw._fold_split(_SKEWED, 4 * CHUNK + 3, 5)[2])
     got, _ = _fold(_SKEWED, 4 * CHUNK + 3, 5)
-    assert len(starts) == min(cpus, 4) - 1
-    # skewed-q4 at limit-routes' pitch 2^-15: 173,184 lattice knots
+    assert len(starts) == min(cpus, windows) - 1
+    # skewed-q4 at limit-routes' pitch 2^-15: 173,184 lattice knots, in
+    # windows of CHUNK / 2 to CHUNK knots, a multiple of the CPUs or as many
+    # as that floor allows
     starts.clear()
     base4 = build_base({"kind": "constant", "q": 4})
     g = limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15)
     assert g.lattice == 173184 and g.depth == _conv_depth(skew, _tails(skew, base4), 2.0 ** -15)
-    assert g.fold_runs == min(cpus, g.lattice // CHUNK) == len(starts) + 1
+    assert CHUNK // 2 <= g.lattice // g.fold_runs and -(-g.lattice // g.fold_runs) <= CHUNK
+    assert g.fold_runs % cpus == 0 or g.fold_runs == g.lattice // (CHUNK // 2)
+    assert len(starts) == min(cpus, g.fold_runs) - 1
+    starts.clear()
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 2)
+    assert limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15).fold_runs == 4
+    assert len(starts) == 1
     starts.clear()
     monkeypatch.setattr(limitlaw, "_cpus", lambda: 1)
     again, _ = _fold(_SKEWED, 4 * CHUNK + 3, 5)
     assert not starts and np.array_equal(again.view(np.int64), got.view(np.int64))
-    assert limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15).fold_runs == 1
+
+
+def test_fold_on_one_cpu_windows_skewed_q4_in_turn(monkeypatch, skew):
+    # one CPU: skewed-q4's 173,184 knots go on from level 18 in 3 windows of
+    # 57,728, folded one after another on the calling thread, and cum,
+    # eps_x and eps_p are those of the one loop bit for bit
+    starts = _counted_threads(monkeypatch)
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: 1)
+    base4 = build_base({"kind": "constant", "q": 4})
+    split = limitlaw._fold_split
+    seen = []
+    monkeypatch.setattr(limitlaw, "_fold_split", lambda *a: seen.append(split(*a)) or seen[-1])
+    g = limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15)
+    n, i, runs, hl, hr = seen[0]
+    assert (g.fold_runs, n, i, hl, hr) == (3, 173184, 18, 3590, 0)
+    assert {c1 - c0 for c0, c1 in runs} == {57728}
     assert not starts
+    monkeypatch.setattr(limitlaw, "_fold_split", lambda levels, size, origin: (
+        split(levels, size, origin)[0], len(levels), [(0, n)], 0, 0))
+    one = limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15)
+    assert one.fold_runs == 1 and not starts
+    assert np.array_equal(g.cum.view(np.int64), one.cum.view(np.int64))
+    assert (g.eps_x, g.eps_p) == (one.eps_x, one.eps_p)
 
 
 @pytest.mark.parametrize("name, w", [("example-II", 2.0 ** -15), ("regimeC-ternary", 2.0 ** -14),
@@ -780,15 +884,39 @@ def test_conv_window_guards(base2, vdc2):
         limit_cdf_conv(vdc2, base2, 0.0, 1.0, 0.25, depth=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), min_size=2,
+                              max_size=6), min_size=1, max_size=8),
+       w=st.sampled_from([2.0 ** -4, 2.0 ** -9, 2.0 ** -12, 0.01, 0.03]),
+       pad=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+@example(rows=[[0.0, 1.0]] * 8, w=2.0 ** -12, pad=(0.0, 0.0))
+@example(rows=[[-1.0, 1.0, 0.0, 5e-324, -0.0]], w=0.03, pad=(0.5, -0.5))
+def test_conv_grid_of_random_table_is_finite_and_ordered(rows, w, pad):
+    # limit_cdf_conv makes its grid without GridCDF's two scans: its cum,
+    # a cumsum of non-negative masses, is finite and never decreases, so
+    # the public constructor, which scans, takes it as it is
+    dmap, base = _table_case(rows)
+    lo, hi = sum(min(r) for r in rows), sum(max(r) for r in rows)
+    x0, x1 = lo - pad[0], max(hi + pad[1], lo - pad[0] + w)
+    try:
+        g = limit_cdf_conv(dmap, build_base(base), x0, x1, w)
+    except RangeTooSmall:
+        return
+    assert np.all(np.isfinite(g.cum)) and np.all(np.diff(g.cum) >= 0.0)
+    assert 0.0 <= g.cum[0] and g.cum[-1] <= 1.0 + 1e-12
+    checked = GridCDF(g.x0, g.w, g.cum, g.eps_x, g.eps_p)
+    assert checked.cum is g.cum and g.cdf(x1) == checked.cdf(x1)
+
+
 def test_conv_peak_memory_within_byte_charge(monkeypatch, base2, vdc2, geo_half, skew, charges,
                                              peak_of):
     # the fold reuses two lattice buffers and the cumsum overwrites one of
-    # them; then the window array and one of GridCDF's check masks exist beside
-    # it.  The charge sums both stages, 16 bytes per lattice knot and 9 per
-    # window knot, so it is within 1.5x the traced peak both for a window as
-    # wide as the lattice and for one 64 lattices wide.  A fold cut into
-    # runs (skewed-q4 at pitch 2^-15, read as two CPUs) grows both buffers
-    # by (runs - 1)(hl + hr) knots, which the charge adds
+    # them; then the window array exists beside it, and the grid is made
+    # without GridCDF's scans and their one-byte masks.  The charge sums
+    # both stages, 16 bytes per lattice knot and 8 per window knot, so it is
+    # within 1.5x the traced peak both for a window as wide as the lattice and for one 64 lattices wide.  A fold cut into
+    # windows (skewed-q4 at pitch 2^-15, read as two CPUs: 4 windows) grows
+    # both buffers by (windows - 1)(hl + hr) knots, which the charge adds
     base4 = build_base({"kind": "constant", "q": 4})
     monkeypatch.setattr(limitlaw, "_cpus", lambda: 2)
     for dmap, base, x1, w in ((geo_half, base2, 2.0, 2.0 ** -16), (vdc2, base2, 64.0, 2.0 ** -12),
@@ -800,8 +928,8 @@ def test_conv_peak_memory_within_byte_charge(monkeypatch, base2, vdc2, geo_half,
         k_req = int(x1 / w) + 1
         peak, g = peak_of(limit_cdf_conv, dmap, base, 0.0, x1, w)
         assert g.cum.size == k_req and (g.lattice, g.fold_runs) == (size, len(runs))
-        assert len(runs) == (2 if dmap is skew else 1) and (hl + hr > 0) == (dmap is skew)
-        assert charges[-1] == 16 * (size + (len(runs) - 1) * (hl + hr)) + 9 * k_req
+        assert len(runs) == (4 if dmap is skew else 1) and (hl + hr > 0) == (dmap is skew)
+        assert charges[-1] == 16 * (size + (len(runs) - 1) * (hl + hr)) + 8 * k_req
         assert peak <= charges[-1] <= 1.5 * peak
         if dmap is geo_half:
             # window as wide as the lattice: a fold that allocated per level
