@@ -38,6 +38,7 @@ CARRY_BITS = 1021           # the fold carries 1/a's powers of two while prod a 
 TINY_ANGLE = 2.0 ** -28     # below it cos is 1.0 and sin the angle itself (tested)
 GROUP = 16                  # most digit tuples in one CF table product (measured, see README)
 SPLIT_MIN = 1 << 14         # fewest values of t a thread of cf_truncated takes (measured, see README)
+WINDOW_MIN = 5 * CHUNK // 8  # shortest fold window, 40,960 knots (measured, see README)
 
 
 class GridCDF:
@@ -369,20 +370,22 @@ def _fold_split(levels: list[list[int]], size: int, origin: int):
     """(n, i, runs, hl, hr): the n knots of the last sublattice, of stride
     g (the gcd of every shift), and the level i from which _fold goes on in
     windows, one for each run of knots, reaching hl knots below its run and
-    hr above it.  A sublattice of at least two CHUNK runs is cut into
-    cache-sized runs: the fewest of at most CHUNK knots whose count is a
-    multiple of the CPU count c, c ceil(n / (c CHUNK)), but none shorter
-    than CHUNK / 2, so at most n // (CHUNK / 2) of them.  i is the first
-    level from which g holds and the remaining levels' shifts sum to a
-    halo hl + hr of at most 1/16 of a run: hl over their positive parts
-    max(0, max o), hr over max(0, -min o), in units of g.  When no level
-    admits that halo, the runs are thread_parts' one per CPU, each at least
-    CHUNK long.  With one run, or no such level, i is len(levels), the one
-    run (0, n) and hl = hr = 0."""
+    hr above it.  A sublattice of at least two CHUNK runs, and of at least
+    a CHUNK for each of the c CPUs, is cut into cache-sized runs: the
+    fewest of at most CHUNK knots whose count is a multiple of c, c ceil(n
+    / (c CHUNK)), as long as none is shorter than WINDOW_MIN.  Otherwise,
+    and when no level admits the windows' halo, the runs are thread_parts'
+    one per CPU, each at least CHUNK long; so the fold never takes more
+    threads than thread_parts gives it.  i is the first level from which g
+    holds and the remaining levels' shifts sum to a halo hl + hr of at
+    most 1/16 of a run: hl over their positive parts max(0, max o), hr over
+    max(0, -min o), in units of g.  With one run, or no such level, i is
+    len(levels), the one run (0, n) and hl = hr = 0."""
     g = math.gcd(0, *(s for o in levels for s in o)) or size
     n = len(range(origin % g, size, g))
-    c = _cpus()
-    for k in (min(c * -(-n // (c * CHUNK)), n // (CHUNK // 2)), min(c, n // CHUNK)):
+    c, t = _cpus(), len(thread_parts(n, CHUNK))
+    k = c * -(-n // (c * CHUNK))
+    for k in (k if t == c and n // k >= WINDOW_MIN else t, t):
         if n < 2 * CHUNK or k < 2:
             continue
         hl = sum(max(0, *o) for o in levels) // g
@@ -533,7 +536,7 @@ def limit_cdf_conv(dmap: DigitMap, base: CantorBase, x0: float, x1: float,
     if not w > 0:
         raise ValueError(f"grid pitch must be > 0, got {w}")
     span = (x1 - x0) / w
-    check_bytes(9.0 * span, f"window [{x0}, {x1}] at pitch {w}")
+    check_bytes(8.0 * span, f"window [{x0}, {x1}] at pitch {w}")
     k_req = int(math.floor(span)) + 1
     tails = _tails(dmap, base)
     depth_j = _conv_depth(dmap, tails, w) if depth is None else _given_depth(depth)

@@ -31,13 +31,13 @@ from cantorlab import (
     tail_sums,
     value_vector,
 )
-from cantorlab import qadditive
+from cantorlab import errors, qadditive
 from cantorlab.errors import BYTE_CAP, AlphabetMismatch
 from cantorlab.experiments import PRESET_NAMES, preset
 from cantorlab import limitlaw
 from cantorlab.limitlaw import (CARRY_BITS, CHUNK, DEPTH_CAP, GROUP, TINY_ANGLE, _centred,
                                _cf_bound, _cf_depth, _cf_table, _conv_depth, _conv_envelope, _fold,
-                               _group_bytes, _group_factor, _tails)
+                               _group_bytes, _group_factor, _tails, WINDOW_MIN)
 
 
 # -- grid semantics ---------------------------------------------------------------
@@ -659,31 +659,43 @@ def test_fold_split_matches_oracle_and_one_run_bitwise(case):
 
 
 def test_fold_split_rule():
-    # windows: the fewest of at most CHUNK knots whose count is a multiple
-    # of the CPU count, none shorter than CHUNK / 2; the split level is the
-    # first from which g holds and the remaining shifts' positive parts, in
-    # units of g, sum to at most 1/16 of a window; where no level admits
-    # that, one run per CPU as long as each is CHUNK
+    # windows: where each of the c CPUs gets a CHUNK of knots, the fewest of
+    # at most CHUNK knots whose count is a multiple of c, none shorter than
+    # WINDOW_MIN; otherwise, or where no level admits their halo,
+    # thread_parts' one run per CPU, so the fold never takes more threads
+    # than thread_parts gives it.  The split level is the first from which
+    # g holds and the remaining shifts' positive parts, in units of g, sum
+    # to at most 1/16 of a run
     geo = [[0, 1 << (19 - j)] for j in range(20)]
     wide = [[0, 1], [0, 1, 3000]]       # halo 3001: above 1/16 of 2^15, within 1/16 of 2^16
     with pytest.MonkeyPatch.context() as mp:
         for cpus, levels, size, want in (
-                (2, _SKEWED, 2 * CHUNK + 1, (8, 4, 4, 0)),
-                (2, _TERNARY, 2 * CHUNK + 1, (4, 4, 366, 366)),
-                (4, _TERNARY, 4 * CHUNK + 3, (4, 8, 366, 366)),
-                (2, [[0, 1, 2]] * 9 + [[-7, -3]] + [[0, 1]], 2 * CHUNK + 1, (0, 4, 19, 7)),
-                (2, _LAST, 2 * CHUNK + 1, (2, 4, 2, 0)),
-                (4, _LAST, 4 * CHUNK + 3, (2, 8, 2, 0)),
-                (4, _ENDS, 2 * CHUNK + 1, (3, 4, 2, 2)),
+                # n = 2 CHUNK + 1 on two CPUs: 4 windows would be shorter
+                # than WINDOW_MIN, so 2 runs
+                (2, _SKEWED, 2 * CHUNK + 1, (8, 2, 4, 0)),
+                (2, _TERNARY, 2 * CHUNK + 1, (3, 2, 1095, 1095)),
+                (4, _TERNARY, 4 * CHUNK + 3, (3, 4, 1095, 1095)),
+                (2, [[0, 1, 2]] * 9 + [[-7, -3]] + [[0, 1]], 2 * CHUNK + 1, (0, 2, 19, 7)),
+                (2, _LAST, 2 * CHUNK + 1, (2, 2, 2, 0)),
+                (4, _LAST, 4 * CHUNK + 3, (2, 4, 2, 0)),
+                (4, _ENDS, 2 * CHUNK + 1, (3, 2, 2, 2)),
                 # g = 2 to the end: the stride and halo are in units of it
-                (2, [[0, 6, 2]] * 3, 4 * CHUNK + 6, (0, 4, 9, 0)),
-                # skewed-q4's lattice at pitch 2^-15: 4 windows of 43,296
+                (2, [[0, 6, 2]] * 3, 4 * CHUNK + 6, (0, 2, 9, 0)),
+                (2, [[0, 6, 2]] * 3, 6 * CHUNK, (0, 4, 9, 0)),
+                # skewed-q4's lattice at pitch 2^-15: 4 windows of 43,296 on
+                # two CPUs; on three or five, fewer than a CHUNK a CPU, so
+                # thread_parts' 2 runs
                 (2, _SKEWED, 173184, (8, 4, 4, 0)),
+                (3, _SKEWED, 173184, (8, 2, 4, 0)),
+                (5, _SKEWED, 173184, (8, 2, 4, 0)),
                 (3, _SKEWED, 4 * CHUNK + 3, (8, 6, 4, 0)),
+                # WINDOW_MIN: 4 windows of 40,960 knots; one knot fewer, 2 runs
+                (2, _SKEWED, 4 * WINDOW_MIN, (8, 4, 4, 0)),
+                (2, _SKEWED, 4 * WINDOW_MIN - 1, (8, 2, 4, 0)),
                 # g falls at the last level, so no level runs in windows
                 (4, geo, 1 << 20, (20, 1, 0, 0)),
                 # n = 2 CHUNK - 1 keeps one loop; n = 2 CHUNK and 2 CHUNK + 1
-                # take 2 and 4 windows on two CPUs
+                # take 2 runs on two CPUs
                 (2, _SKEWED, 2 * CHUNK - 1, (12, 1, 0, 0)),
                 (2, _SKEWED, 2 * CHUNK, (8, 2, 4, 0)),
                 (4, _SKEWED, 2 * CHUNK - 1, (12, 1, 0, 0)),
@@ -692,14 +704,16 @@ def test_fold_split_rule():
                 (1, _SKEWED, 2 * CHUNK, (8, 2, 4, 0)),
                 (1, _SKEWED, 2 * CHUNK + 1, (8, 3, 4, 0)),
                 (1, _SKEWED, 4 * CHUNK + 3, (8, 5, 4, 0)),
-                # 16 CPUs: 16 windows would be shorter than CHUNK / 2, so
-                # n // (CHUNK / 2) of them, one thread each
-                (16, _SKEWED, 2 * CHUNK, (8, 4, 4, 0)),
-                (16, _SKEWED, 4 * CHUNK + 3, (8, 8, 4, 0)),
+                # 16 CPUs: below 16 CHUNK knots, thread_parts' runs; from
+                # there 16 windows of CHUNK, and past 48 CHUNK 64 of 49,152
+                (16, _SKEWED, 2 * CHUNK, (8, 2, 4, 0)),
+                (16, _SKEWED, 4 * CHUNK + 3, (8, 4, 4, 0)),
+                (16, _SKEWED, 16 * CHUNK, (8, 16, 4, 0)),
+                (16, _SKEWED, 48 * CHUNK + 1, (8, 64, 4, 0)),
                 # no level admits the windows' halo: one run per CPU, and
                 # with one CPU, one loop
-                (2, wide, 2 * CHUNK + 1, (0, 2, 3001, 0)),
-                (4, wide, 4 * CHUNK + 3, (0, 4, 3001, 0)),
+                (2, wide, 173184, (0, 2, 3001, 0)),
+                (4, wide, 2 * 173184, (0, 4, 3001, 0)),
                 (1, wide, 2 * CHUNK + 1, (2, 1, 0, 0))):
             mp.setattr(limitlaw, "_cpus", lambda: cpus)
             n, i, runs, hl, hr = limitlaw._fold_split(levels, size, 0)
@@ -709,8 +723,12 @@ def test_fold_split_rule():
             assert runs[0][0] == 0 and runs[-1][1] == n
             lengths = {c1 - c0 for c0, c1 in runs}
             assert max(lengths) - min(lengths) <= 1
-            if len(runs) > 1:
-                assert (CHUNK // 2 <= min(lengths) and max(lengths) <= CHUNK) != (levels is wide)
+            # one loop, thread_parts' runs, or windows on thread_parts' threads
+            parts = limitlaw.thread_parts(n, CHUNK)
+            assert runs in ([(0, n)], parts) or (
+                len(runs) % cpus == 0 and len(parts) == cpus
+                and WINDOW_MIN <= min(lengths) and max(lengths) <= CHUNK)
+            assert min(cpus, len(runs)) <= len(parts)
 
 
 class _RunFailed(Exception):
@@ -719,7 +737,7 @@ class _RunFailed(Exception):
 
 @pytest.mark.parametrize("failing", [[0], [2], [1, 3], [3, 2], [7]])
 def test_fold_split_reraises_first_failure_and_joins(monkeypatch, failing):
-    # 8 windows on 4 threads, two in turn on each: a window that raises
+    # 8 windows of CHUNK on 4 threads, two in turn on each: a window that raises
     # hands its exception to the caller, the first in window order when
     # several do, and only after every thread has joined; the window after
     # it on its thread does not run, and no window runs twice
@@ -740,7 +758,7 @@ def test_fold_split_reraises_first_failure_and_joins(monkeypatch, failing):
     monkeypatch.setattr(limitlaw, "_cpus", lambda: 4)
     before = threading.active_count()
     with pytest.raises(_RunFailed) as err:
-        _fold(_SKEWED, 4 * CHUNK + 3, 5)
+        _fold(_SKEWED, 8 * CHUNK, 5)
     assert made == list(range(8))
     assert err.value.args == (min(failing),)
     assert sorted(ran) == [i for i in range(8) if not (i % 2 and i - 1 in failing)]
@@ -768,15 +786,14 @@ def test_fold_threads_follow_affinity_mask(monkeypatch, skew):
     windows = len(limitlaw._fold_split(_SKEWED, 4 * CHUNK + 3, 5)[2])
     got, _ = _fold(_SKEWED, 4 * CHUNK + 3, 5)
     assert len(starts) == min(cpus, windows) - 1
-    # skewed-q4 at limit-routes' pitch 2^-15: 173,184 lattice knots, in
-    # windows of CHUNK / 2 to CHUNK knots, a multiple of the CPUs or as many
-    # as that floor allows
+    # skewed-q4 at limit-routes' pitch 2^-15: 173,184 lattice knots, in 3
+    # windows on one CPU and 4 on two; three CPUs or more would get less
+    # than a CHUNK each, so thread_parts' 2 runs
     starts.clear()
     base4 = build_base({"kind": "constant", "q": 4})
     g = limit_cdf_conv(skew, base4, 0.0, 5.5, 2.0 ** -15)
     assert g.lattice == 173184 and g.depth == _conv_depth(skew, _tails(skew, base4), 2.0 ** -15)
-    assert CHUNK // 2 <= g.lattice // g.fold_runs and -(-g.lattice // g.fold_runs) <= CHUNK
-    assert g.fold_runs % cpus == 0 or g.fold_runs == g.lattice // (CHUNK // 2)
+    assert g.fold_runs == {1: 3, 2: 4}.get(cpus, 2)
     assert len(starts) == min(cpus, g.fold_runs) - 1
     starts.clear()
     monkeypatch.setattr(limitlaw, "_cpus", lambda: 2)
@@ -863,7 +880,7 @@ def test_conv_envelope_brackets_exact_law_at_knots_off_the_lattice():
         assert law(x - ex) - ep <= c <= law(x + ex) + ep, float(x)
 
 
-def test_conv_window_guards(base2, vdc2):
+def test_conv_window_guards(monkeypatch, charges, base2, vdc2):
     with pytest.raises(RangeTooSmall):
         limit_cdf_conv(vdc2, base2, 0.0, 0.1, 2.0 ** -10)
     # windows beyond the lattice hull [0, 1] are refused before the fold,
@@ -882,6 +899,20 @@ def test_conv_window_guards(base2, vdc2):
         limit_cdf_conv(vdc2, base2, 1.0, 0.0, 0.25)
     with pytest.raises(ValueError):
         limit_cdf_conv(vdc2, base2, 0.0, 1.0, 0.25, depth=0)
+    # the window guard charges 8 bytes a knot of the span, no more than the
+    # window part of the final charge, so it refuses no window that the
+    # final charge allows: with the cap at 2^20 bytes, 129,024 window knots
+    # beside vdc2's 1024 lattice knots take the cap exactly, one knot more
+    # is refused, and 9 bytes a window knot would have refused them all
+    monkeypatch.setattr(errors, "BYTE_CAP", 1 << 20)
+    w, k_req = 2.0 ** -10, 129024
+    charges.clear()
+    g = limit_cdf_conv(vdc2, base2, 0.0, (k_req - 1) * w, w)
+    assert g.cum.size == k_req and (g.lattice, g.fold_runs) == (1024, 1)
+    assert charges[0] == 8.0 * (k_req - 1)
+    assert charges[-1] == 16 * g.lattice + 8 * k_req == 1 << 20 < 9.0 * (k_req - 1)
+    with pytest.raises(ResourceLimit):
+        limit_cdf_conv(vdc2, base2, 0.0, k_req * w, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1275,7 +1306,7 @@ def test_explicit_depth_above_cap_refused_before_levels_are_listed(monkeypatch, 
     t = np.linspace(-1.0, 1.0, 5)
     for call, before in ((lambda d: cf_truncated(vdc2, base2, t, depth=d), [64 * t.size]),
                          (lambda d: limit_cdf_conv(vdc2, base2, 0.0, 1.0, 2.0 ** -10, depth=d),
-                          [9.0 * 1024]),
+                          [8.0 * 1024]),
                          (lambda d: limit_cdf_invert(vdc2, base2, t, n_t=8, depth=d), None)):
         for depth in (DEPTH_CAP + 1, 10 ** 7):
             charges.clear()
