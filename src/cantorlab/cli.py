@@ -150,8 +150,8 @@ def _cmd_empirical(args) -> int:
         rep = smoothing_report(dk.hi, w1, args.smoothing_rho)
         print(f"smoothing: d_K={rep.dk!r} <= 2 sqrt(rho W1) = {rep.optimized_bound!r}"
               f" -> {'ok' if rep.optimized_ok else 'VIOLATED'}")
-    if dmap.family == "radical-inverse":
-        print(f"D*_n = {row_star_discrepancy(ecdf, ref, dk)!r}")
+    if (dstar := row_star_discrepancy(dmap, ecdf, ref, dk)) is not None:
+        print(f"D*_n = {dstar!r}")
     return 0
 
 

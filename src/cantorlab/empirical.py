@@ -608,9 +608,13 @@ def _unit_check(ecdf: EmpiricalCDF) -> None:
         raise PointOutOfRange("star discrepancy inputs must lie in [0, 1]")
 
 
-def row_star_discrepancy(ecdf: EmpiricalCDF, ref, dk: Interval) -> float:
-    """star_discrepancy(ecdf) for a row that holds dk = kolmogorov(ecdf, ref):
-    against U[0, 1] D* is d_K itself, once the sample passes the [0, 1] check."""
+def row_star_discrepancy(dmap: DigitMap, ecdf: EmpiricalCDF, ref,
+                         dk: Interval) -> float | None:
+    """star_discrepancy(ecdf) for a radical-inverse row that holds dk =
+    kolmogorov(ecdf, ref), None for a row of any other family: against
+    U[0, 1] D* is d_K itself, once the sample passes the [0, 1] check."""
+    if dmap.family != "radical-inverse":
+        return None
     _unit_check(ecdf)
     if isinstance(ref, UniformCDF) and (ref.lo, ref.hi) == (0.0, 1.0):
         return dk.hi

@@ -331,7 +331,7 @@ def _one_row(dmap, base, ref, regime, rho_inf, rate, n) -> dict:
                                              rho_inf=rho_inf, ref=ref)
     ecdf = empirical_cdf(dmap, base, n)
     dk, w1 = distances(ecdf, ref)
-    dstar = row_star_discrepancy(ecdf, ref, dk) if dmap.family == "radical-inverse" else None
+    dstar = row_star_discrepancy(dmap, ecdf, ref, dk)
     pred = None if rate is None else predicted_rate(N=n, **rate)
     return {"N": n, "L": report.L, "h_star": h_star, "T_star": t_star,
             "regime": report.regime, "bridge": report.bridge,

@@ -413,14 +413,6 @@ def _fold_run(a: np.ndarray, b: np.ndarray, rest: list) -> Callable[[], None]:
     return run
 
 
-def _in_turn(jobs: list[Callable[[], None]]) -> Callable[[], None]:
-    """A job that runs jobs one after another, stopping at the first that raises."""
-    def run():
-        for job in jobs:
-            job()
-    return run
-
-
 def _fold(levels: list[list[int]], size: int, origin: int,
           split: Optional[tuple] = None) -> tuple[np.ndarray, int]:
     """(law, e): 2^e times the lattice law after the levels' shifts, index
@@ -444,16 +436,16 @@ def _fold(levels: list[list[int]], size: int, origin: int,
     knots are cut into runs, each copied with its halo, [c0 - hl, c1 + hr)
     within [0, n), into its own slice of the idle buffer.  Each window takes
     every remaining level, ping-ponging with the same slice of the other
-    buffer, so it stays in cache from level to level; thread_parts deals
-    the windows in contiguous groups to one thread per CPU (run_parts),
-    each folding its group's windows in turn, and the runs' own knots are
-    gathered back into one array after the join.  A level reads its
-    destination m from sources m - max o .. m - min o, so a window edge's
-    wrong values (the sources past it missing) move in by at most the
-    positive parts of the level's shifts: over the remaining levels they
-    stay within the halo, and each run's knots take the same sources in
-    the same digit order as in one array, bit for bit.  Both buffers grow
-    by (runs - 1)(hl + hr) knots.
+    buffer, so it stays in cache from level to level; run_parts deals the
+    windows in contiguous groups to one thread per CPU, each folding its
+    group's windows in turn, and the runs' own knots are gathered back
+    into one array after the join.  A level reads its destination m from
+    sources m - max o .. m - min o, so a window edge's wrong values (the
+    sources past it missing) move in by at most the positive parts of the
+    level's shifts: over the remaining levels they stay within the halo,
+    and each run's knots take the same sources in the same digit order as
+    in one array, bit for bit.  Both buffers grow by (runs - 1)(hl + hr)
+    knots.
 
     A level of a = 2^k m digits, m odd, scales by fl(1/m), skipped at m = 1,
     and adds k to e: fl(1/a) is 2^-k fl(1/m), and scaling by a power of two
@@ -499,8 +491,7 @@ def _fold(levels: list[list[int]], size: int, origin: int,
             jobs.append(_fold_run(dst[at:at + hi - lo], src[at:at + hi - lo], rest))
             spans.append((c0, c1, at + c0 - lo))
             at += hi - lo
-        # each of thread_parts' threads takes a contiguous group of windows in turn
-        run_parts([_in_turn(jobs[lo:hi]) for lo, hi in thread_parts(len(jobs), 1)])
+        run_parts(jobs)
         done, src = (dst, src) if len(rest) % 2 == 0 else (src, dst)
         for c0, c1, k in spans:
             src[c0:c1] = done[k:k + c1 - c0]
@@ -689,23 +680,28 @@ def thread_parts(n: int, shortest: int) -> list[tuple[int, int]]:
 
 
 def run_parts(jobs: list[Callable[[], None]]) -> None:
-    """Run jobs[0] on the calling thread and each other job on a thread of
-    its own; join every thread, then re-raise the first exception in job
+    """Run the jobs in thread_parts(len(jobs), 1)'s contiguous groups, one
+    thread per CPU at most, the first group on the calling thread; each
+    thread runs its group's jobs in turn and stops at the first that
+    raises.  Join every thread, then re-raise the first exception in job
     order.  No thread outlives the call."""
     errors: list[Optional[BaseException]] = [None] * len(jobs)
 
-    def run(i):
-        try:
-            jobs[i]()
-        except BaseException as exc:    # handed to the caller below
-            errors[i] = exc
+    def run(lo, hi):
+        for i in range(lo, hi):
+            try:
+                jobs[i]()
+            except BaseException as exc:    # handed to the caller below
+                errors[i] = exc
+                return
 
+    (lo, hi), *rest = thread_parts(len(jobs), 1)
     started = []
     try:
-        for i in range(1, len(jobs)):
-            started.append(threading.Thread(target=run, args=(i,)))
+        for part in rest:
+            started.append(threading.Thread(target=run, args=part))
             started[-1].start()
-        run(0)
+        run(lo, hi)
     finally:
         for th in started:
             th.join()
@@ -823,19 +819,6 @@ def _exp_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_rows(vals: list[float], t: np.ndarray) -> np.ndarray:
-    """e^{i v t} over the values v (rows) and the nodes t, with cos/sin of
-    the nonzero values only: a zero value's row is exactly 1 + 0i."""
-    nz = [v for v in vals if v]
-    out = np.empty((len(nz) + 1, t.size), dtype=complex)
-    ang = np.multiply.outer(nz, t)
-    np.cos(ang, out=out.real[:-1])
-    np.sin(ang, out=out.imag[:-1])
-    out[-1] = 1.0
-    k = iter(range(len(nz)))
-    return out.take([next(k) if v else len(nz) for v in vals], axis=0)
-
-
 def _real_tables(t_hi: np.ndarray, t_lo: np.ndarray, group: list[list[float]],
                  counts: list[Counter]) -> tuple[np.ndarray, np.ndarray]:
     """A real group's tables, level by level: level j's columns of the
@@ -871,10 +854,9 @@ def _group_factor(out: np.ndarray, t_hi: np.ndarray, t_lo: np.ndarray,
 
     Level j's factor is A_j @ B_j.  For a complex group A_j = e^{i t_hi v}
     / a_j and B_j = e^{i v t_lo} over its a_j digit values v, zero ones
-    included (from _exp_rows for several levels; a single level, whose
-    tables may be large, takes _exp_table's whole ones, beside which no
-    compacted copy stands).  With counts (each level's _centred counts)
-    the group is real: its factors lack their phases e^{itm}, and as
+    included (_exp_table's whole tables).  With counts (each level's
+    _centred counts) the group is real: its factors lack their phases
+    e^{itm}, and as
     cos(c (t_hi + t_lo)) = cos(c t_hi) cos(c t_lo) - sin(c t_hi) sin(c t_lo),
     A_j and B_j are _real_tables' blocks.  The Hadamard product of the
     factors is (A_1 * A_2 * ...) @ (B_1 * B_2 * ...) with * the row-wise
@@ -886,10 +868,7 @@ def _group_factor(out: np.ndarray, t_hi: np.ndarray, t_lo: np.ndarray,
     ranks = _ranks(group, counts)
     if counts is None:
         vals = [v for level in group for v in level]
-        if len(group) == 1:
-            hi, lo = _exp_table(t_hi, vals), _exp_table(vals, t_lo)
-        else:
-            hi, lo = _exp_rows(vals, t_hi).T, _exp_rows(vals, t_lo)
+        hi, lo = _exp_table(t_hi, vals), _exp_table(vals, t_lo)
         hi[:, :ranks[0]] /= math.prod(ranks)
     else:
         hi, lo = _real_tables(t_hi, t_lo, group, counts)

@@ -301,6 +301,11 @@ def test_cli_empirical_star_discrepancy(capsys):
     out = capsys.readouterr().out
     assert "D*_n = 0.0009765625" in out              # exact 2^-10
     assert "ok" in out
+    # a map of any other family prints no D* line
+    assert main(["empirical", "--n", "1024", "--ref", "uniform:0:2", "--map",
+                 '{"family": "geometric", "beta": 0.5, "g": [0.0, 1.0]}']) == 0
+    out = capsys.readouterr().out
+    assert "W1 = " in out and "D*_n" not in out
 
 
 def test_cli_empirical_reads_one_distances_call(monkeypatch, capsys):

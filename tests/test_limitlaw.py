@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -775,6 +776,65 @@ def _counted_threads(monkeypatch):
 
     monkeypatch.setattr(limitlaw.threading, "Thread", Counted)
     return starts
+
+
+class _JobFailed(Exception):
+    pass
+
+
+def _dealt(n: int, cpus: int) -> list[list[int]]:
+    k = min(cpus, n)
+    return [list(range(n * j // k, n * (j + 1) // k)) for j in range(k)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_run_parts_deals_contiguous_groups(monkeypatch, n, cpus):
+    # min(CPUs, jobs) - 1 threads start; each thread, the calling one with
+    # the first, runs a contiguous group of the jobs in job order
+    starts = _counted_threads(monkeypatch)
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: cpus)
+    ran = []
+    before = threading.active_count()
+    limitlaw.run_parts([lambda i=i: ran.append((threading.current_thread(), i))
+                        for i in range(n)])
+    assert len(starts) == min(cpus, n) - 1
+    assert threading.active_count() == before
+    groups = {}
+    for th, i in ran:
+        groups.setdefault(th, []).append(i)
+    assert groups[threading.current_thread()] == _dealt(n, cpus)[0]
+    assert sorted(groups.values()) == _dealt(n, cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("failing", [(0,), (1,), (2, 5), (3, 4, 7), (6,)])
+def test_run_parts_stops_a_group_at_its_first_failure(monkeypatch, failing, cpus):
+    # a failing job ends its thread's group while the other groups run on;
+    # after every thread has joined, the first failure in job order is
+    # raised, though the started threads' jobs take longer than the caller's
+    monkeypatch.setattr(limitlaw, "_cpus", lambda: cpus)
+    ran, caller = [], threading.current_thread()
+
+    def job(i):
+        def run():
+            if threading.current_thread() is not caller:
+                time.sleep(0.02)
+            ran.append(i)
+            if i in failing:
+                raise _JobFailed(i)
+        return run
+
+    before = threading.active_count()
+    with pytest.raises(_JobFailed) as err:
+        limitlaw.run_parts([job(i) for i in range(8)])
+    assert err.value.args == (min(failing),)
+    assert threading.active_count() == before
+    want = []
+    for group in _dealt(8, cpus):
+        stop = [i for i in group if i in failing]
+        want += group[:group.index(stop[0]) + 1] if stop else group
+    assert sorted(ran) == want
 
 
 def test_fold_threads_follow_affinity_mask(monkeypatch, skew):
@@ -1712,31 +1772,6 @@ def test_invert_cf_groups_of_symmetric_levels_take_float_products(monkeypatch, c
     assert (inv.groups, inv.real_groups) == (groups, real)
     assert kinds.count(np.dtype(float)) == real
     assert kinds.count(np.dtype(complex)) == groups - real
-
-
-def test_invert_zero_values_take_no_trigonometry_bit_for_bit(monkeypatch, skew):
-    # skewed-polyweight's levels (0, c, 2c, 2c) at q = 4 pair up into complex
-    # groups; their zero values' rows and columns are exactly 1 + 0i, so the
-    # factor is bit for bit the one whose tables take cos/sin of every value
-    base = build_base({"kind": "constant", "q": 4})
-    group = [level_values(skew, base, j) for j in (3, 4)]
-    t_hi, t_lo = _node_table(1 << 16)
-    angles = []
-
-    class _CountingCos:
-        def __getattr__(self, name):
-            if name == "cos":
-                return lambda x, **k: angles.append(np.size(x)) or np.cos(x, **k)
-            return getattr(np, name)
-
-    monkeypatch.setattr(limitlaw, "np", _CountingCos())
-    got = _group_factor(np.empty((t_hi.size, t_lo.size), dtype=complex), t_hi, t_lo, group)
-    assert angles == [6 * t_hi.size, 6 * t_lo.size]
-    angles.clear()
-    monkeypatch.setattr(limitlaw, "_exp_rows", lambda vals, t: limitlaw._exp_table(vals, t))
-    whole = _group_factor(np.empty_like(got), t_hi, t_lo, group)
-    assert angles == [8 * t_hi.size, 8 * t_lo.size]
-    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
 
 def test_invert_reports_depth_groups_and_cap(base2, vdc2, skew):
