@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphabetMismatch, NotPrimitive, NotStochastic, ResourceLimit, check_bytes
+from .errors import NotPrimitive, NotStochastic, ResourceLimit, check_bytes
 from .mixed_radix import build_base
 from .qadditive import DigitMap, level_values
 
 EIG_CAP = 16            # full eigendecomposition only for small alphabets
 BLOCK_DIGITS = 1 << 15  # digits sampled and reduced per block (measured, see the README)
 BLOCK_PATHS = 512       # and at least this many paths, so a step's numpy calls stay busy
-BLOCK_BYTES = 26        # peak bytes per block digit: one block drawn beside the last
+BLOCK_BYTES = 25        # peak bytes per block digit: one block drawn beside the last
+STEP_BYTES = 9          # and per block path: one step's gathered row and its mask
 _ROW_TOL = 1e-12
 _PI_TOL = 1e-10
 
@@ -89,8 +90,8 @@ def build_chain(P) -> DigitChain:
 
 
 def _path_blocks(chain: DigitChain, n_paths: int, length: int, seed: int):
-    """Yield (its rows, C-contiguous (b, length) digits) per block of
-    _block_digits; stationary start, one Philox stream for all blocks.
+    """Yield (its rows, C-contiguous step-major (length, b) digits) per block
+    of _block_paths; stationary start, one Philox stream for all blocks.
 
     A block's uniforms are drawn path-major and transposed once, so that each
     step reads the previous step's digits as one contiguous row.  A digit
@@ -101,26 +102,30 @@ def _path_blocks(chain: DigitChain, n_paths: int, length: int, seed: int):
     rng = np.random.Generator(np.random.Philox(key=seed))
     cols = np.cumsum(chain.P, axis=1).T[:-1].copy()    # cols[s][i] = P[i, 0] + .. + P[i, s]
     start = np.cumsum(chain.pi)
-    step = _block_digits(n_paths, length) // length
+    step = _block_paths(n_paths, length)
     for lo in range(0, n_paths, step):
         b = min(step, n_paths - lo)
         u = np.ascontiguousarray(rng.random((b, length)).T)      # (length, b)
         d = np.empty((length, b), dtype=np.int64)
         np.minimum(np.searchsorted(start, u[0], side="right"), chain.a - 1, out=d[0])
         up = np.empty(b, dtype=bool)
-        for k in range(1, length):          # no view of d outlives the block
-            np.greater(u[k], cols[0].take(d[k - 1]), out=up)
-            d[k] = up
+        for k in range(1, length):
+            np.greater(u[k], cols[0].take(d[k - 1]), out=d[k])
             for c in cols[1:]:
                 np.greater(u[k], c.take(d[k - 1]), out=up)
                 np.add(d[k], up, out=d[k])
         del u
-        d = np.ascontiguousarray(d.T)          # path sums take their bits from C order
         yield slice(lo, lo + b), d
 
 
-def _block_digits(n_paths: int, length: int) -> int:
-    return min(n_paths, max(BLOCK_PATHS, BLOCK_DIGITS // length)) * length
+def _block_paths(n_paths: int, length: int) -> int:
+    return min(n_paths, max(BLOCK_PATHS, BLOCK_DIGITS // length))
+
+
+def _block_bytes(n_paths: int, length: int, held: int = 0) -> int:
+    """Peak bytes of a block drawn beside the last, the caller holding `held`
+    more bytes a digit of the last."""
+    return ((BLOCK_BYTES + held) * length + STEP_BYTES) * _block_paths(n_paths, length)
 
 
 def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> np.ndarray:
@@ -128,11 +133,11 @@ def generate_paths(chain: DigitChain, n_paths: int, length: int, seed: int) -> n
     _path_blocks; charged 8 bytes a digit plus one block."""
     if length < 1 or n_paths < 1:
         raise ValueError(f"need n_paths >= 1 and length >= 1, got {n_paths}, {length}")
-    check_bytes(8 * n_paths * length + BLOCK_BYTES * _block_digits(n_paths, length),
+    check_bytes(8 * n_paths * length + _block_bytes(n_paths, length),
                 f"{n_paths} paths of {length} digits")
     d = np.empty((n_paths, length), dtype=np.int64)
     for rows, blk in _path_blocks(chain, n_paths, length, seed):
-        d[rows] = blk
+        d[rows] = blk.T
     return d
 
 
@@ -167,17 +172,20 @@ def covariance_decay(chain: DigitChain, dmap: DigitMap, r_max: int,
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     vals = _value_table(chain, dmap)
-    if vals.size != chain.a:
-        raise AlphabetMismatch("digit map does not cover the chain's alphabet")
     path_len = r_max + 16
     n_paths = max(2, samples // path_len)
-    check_bytes(8 * (r_max + 1) * n_paths + (BLOCK_BYTES + 8) * _block_digits(n_paths, path_len),
+    check_bytes(8 * (r_max + 1) * n_paths + _block_bytes(n_paths, path_len, held=8),
                 f"{n_paths} paths of {path_len} digits")      # lag means, std's copy; z
     lag_means = np.empty((r_max, n_paths))             # per path, at lags 1..r_max
+    zv = vals - float(chain.pi @ vals)
     for rows, d in _path_blocks(chain, n_paths, path_len, seed):
-        z = vals[d] - float(chain.pi @ vals)
-        for r in range(1, r_max + 1):
-            lag_means[r - 1, rows] = (z[:, :path_len - r] * z[:, r:]).mean(axis=1)
+        z = zv.take(d)
+        for r in range(1, r_max + 1):           # each path's lag sum in step order
+            acc = lag_means[r - 1, rows]
+            np.multiply(z[0], z[r], out=acc)
+            for k in range(1, path_len - r):
+                acc += z[k] * z[k + r]
+            acc /= path_len - r
 
     lags = list(range(1, r_max + 1))
     covs = [float(m.mean()) for m in lag_means]
@@ -235,15 +243,17 @@ def window_variance(chain: DigitChain, dmap: DigitMap, L: int, h: int,
     base = build_base({"kind": "constant", "q": chain.a})
     v = np.array([level_values(dmap, base, j) for j in range(L - h, L)])    # (h, a)
     mu = v @ chain.pi                                      # per-level means
-    s2 = ((v - mu[:, None]) ** 2) @ chain.pi
+    dev = v - mu[:, None]
+    s2 = (dev ** 2) @ chain.pi
     n_paths = max(2, samples // h)
-    check_bytes(16 * n_paths + BLOCK_BYTES * _block_digits(n_paths, h),    # r_sum and std's copy
+    check_bytes(16 * n_paths + _block_bytes(n_paths, h),    # r_sum and std's copy
                 f"{n_paths} paths of {h} digits")
-    flat, offsets = v.ravel(), chain.a * np.arange(h)      # v[k, d] is flat[d + a k]
     r_sum = np.empty(n_paths)
     for rows, d in _path_blocks(chain, n_paths, h, seed):
-        d += offsets
-        r_sum[rows] = (flat.take(d) - mu).sum(axis=1)
+        acc = r_sum[rows]                       # each path's window sum in level order
+        dev[0].take(d[0], out=acc)
+        for k in range(1, h):
+            acc += dev[k].take(d[k])
     sq = np.multiply(r_sum, r_sum, out=r_sum)
     var_hat = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(n_paths))

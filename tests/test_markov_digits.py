@@ -2,6 +2,7 @@
 against transition frequencies, window variance against the exact
 two-state covariance formula."""
 
+import functools
 import math
 
 import numpy as np
@@ -124,50 +125,74 @@ def test_generate_paths_matches_column_major_oracle(a, chain_seed, n_paths, leng
 
 @pytest.mark.parametrize("chain", [_two_state(0.3, 0.1), _random_chain(3, 7)], ids=["a2", "a3"])
 def test_estimators_unchanged_by_step_major_sampling(chain, monkeypatch):
-    # the estimators reduce along each path, so their bits depend on the
-    # digits' memory layout as well as on their values; the oracle hands them
-    # the whole C-contiguous path-major draw as one block
+    # the estimators sum each path in step order over step-major blocks; the
+    # oracle hands them the whole path-major draw, transposed, as one block
     dmap = DigitMap.custom_table([[0.0, 1.0, -2.5]] * 20) if chain.a == 3 else PM1
     runs = [(covariance_decay, dict(r_max=9)), (window_variance, dict(L=20, h=7)),
             (window_variance, dict(L=20, h=1))]
     got = [fn(chain, dmap, samples=50_000, seed=17, **kw) for fn, kw in runs]
 
     def one_block(chain, n_paths, length, seed):
-        yield slice(0, n_paths), _column_major_paths(chain, n_paths, length, seed)
+        yield slice(0, n_paths), np.ascontiguousarray(_column_major_paths(chain, n_paths,
+                                                                          length, seed).T)
 
     monkeypatch.setattr(markov_digits, "_path_blocks", one_block)
     want = [fn(chain, dmap, samples=50_000, seed=17, **kw) for fn, kw in runs]
     assert repr(got) == repr(want)
 
 
-def _whole_covariance_decay(chain, dmap, r_max, samples, seed):
+def _in_step_order(x):
+    """Each row's sum, added left to right as np.cumsum adds."""
+    return np.cumsum(x, axis=1)[:, -1]
+
+
+def _whole_covariance_decay(chain, dmap, r_max, samples, seed, path_sum=_in_step_order):
     """covariance_decay's lags, covariances, standard errors and path count
-    from one whole (n_paths, r_max + 16) digit array, as computed before the
-    paths came in blocks; the slope fit reads nothing else."""
+    from one whole (n_paths, r_max + 16) digit array, each path's lag sum
+    taken by path_sum; the slope fit reads nothing else."""
     vals = markov_digits._value_table(chain, dmap)
     path_len = r_max + 16
     n_paths = max(2, samples // path_len)
     z = vals[_column_major_paths(chain, n_paths, path_len, seed)] - float(chain.pi @ vals)
     covs, ses = [], []
     for r in range(1, r_max + 1):
-        per_path = (z[:, :path_len - r] * z[:, r:]).mean(axis=1)
+        per_path = path_sum(z[:, :path_len - r] * z[:, r:]) / (path_len - r)
         covs.append(float(per_path.mean()))
         ses.append(float(per_path.std(ddof=1) / math.sqrt(n_paths)))
     return tuple(range(1, r_max + 1)), tuple(covs), tuple(ses), n_paths
 
 
-def _whole_window_variance(chain, dmap, L, h, samples, seed):
+def _whole_window_variance(chain, dmap, L, h, samples, seed, path_sum=_in_step_order):
     """window_variance's var_hat, its standard error and path count from one
-    whole (n_paths, h) digit array and a 2-d gather, as computed before the
-    paths came in blocks."""
+    whole (n_paths, h) digit array and a 2-d gather, each window summed by
+    path_sum."""
     base = build_base({"kind": "constant", "q": chain.a})
     v = np.array([level_values(dmap, base, j) for j in range(L - h, L)])
     mu = v @ chain.pi
     n_paths = max(2, samples // h)
     d = _column_major_paths(chain, n_paths, h, seed)
-    r_sum = (v[np.arange(h)[None, :], d] - mu).sum(axis=1)
+    r_sum = path_sum(v[np.arange(h)[None, :], d] - mu)
     sq = r_sum * r_sum
     return float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(n_paths)), n_paths
+
+
+@pytest.mark.parametrize("chain", [_two_state(0.15, 0.15), _two_state(0.4, 0.4)],
+                         ids=["lambda-0.7", "lambda-0.2"])
+def test_exact_path_sums_keep_the_row_reduction_bits(chain, geo_half):
+    # on symmetric chains (pi = 1/2 exactly, as in the benchmark's ops) the
+    # +-1 map and the beta = 1/2 tables make every path sum exact, so
+    # step order and numpy's pairwise row reduction (.mean(axis=1) and
+    # .sum(axis=1), the estimators' former forms) give the same bits
+    rows = functools.partial(np.sum, axis=1)
+    half = DigitMap.geometric(0.5, (-1.0, 1.0))
+    dec = covariance_decay(chain, PM1, r_max=12, samples=40_000, seed=3)
+    assert repr((dec.lags, dec.cov, dec.se, dec.n_paths)) == repr(
+        _whole_covariance_decay(chain, PM1, 12, 40_000, 3, path_sum=rows))
+    for dmap in (PM1, half, geo_half):
+        for h in (1, 7, 8, 9, 20):
+            wv = window_variance(chain, dmap, L=20, h=h, samples=40_000, seed=h)
+            assert repr((wv.var_hat, wv.se, wv.n_paths)) == repr(
+                _whole_window_variance(chain, dmap, 20, h, 40_000, h, path_sum=rows)), (dmap, h)
 
 
 @pytest.mark.parametrize("block_digits, block_paths",
@@ -219,10 +244,14 @@ def test_sampling_peak_memory_within_byte_charge(charges, peak_of):
     assert 1.0 / 1.5 <= max(ratios) <= 1.0, ratios
 
 
-@pytest.mark.parametrize("n_paths, length", [(1000, 20), (100, 1000), (1 << 14, 8), (600, 200)],
-                         ids=["one-block", "all-paths", "four-blocks", "two-floor-blocks"])
+@pytest.mark.parametrize("n_paths, length", [(1000, 20), (100, 1000), (1 << 14, 8), (600, 200),
+                                             (1 << 16, 1), (1 << 16, 2)],
+                         ids=["one-block", "all-paths", "four-blocks", "two-floor-blocks",
+                              "one-step", "two-steps"])
 def test_generate_paths_peak_within_byte_charge(n_paths, length, charges, peak_of):
-    # the int64 output plus one block drawn beside the last
+    # the int64 output plus one block drawn beside the last, whose steps each
+    # gather a row and compare it into a mask: 9 bytes a path that weigh most
+    # on the shortest paths
     c = _two_state()
     generate_paths(c, 4, 4, seed=0)                 # first-call allocations, untraced
     peak = peak_of(generate_paths, c, n_paths, length, seed=0)[0]
@@ -301,6 +330,9 @@ def test_window_variance_validation(geo_half):
         window_variance(c, geo_half, L=5, h=6, samples=1000, seed=0)
     with pytest.raises(ValueError):
         window_variance(c, geo_half, L=5, h=0, samples=1000, seed=0)
+    three = build_chain(np.full((3, 3), 1.0 / 3.0))
+    with pytest.raises(AlphabetMismatch):
+        window_variance(three, PM1, L=5, h=2, samples=1000, seed=0)
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples"):
             window_variance(c, geo_half, L=5, h=2, samples=samples, seed=0)
